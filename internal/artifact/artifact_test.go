@@ -244,7 +244,7 @@ func TestNilStoreIsSafe(t *testing.T) {
 func TestLRUEviction(t *testing.T) {
 	dir := t.TempDir()
 	// Cap at exactly three result entries: the fourth write must evict.
-	entryBytes := int64(len(encodeStats(&core.Stats{})))
+	entryBytes := int64(len(resultKind.encodeFile(&core.Stats{})))
 	s, err := Open(dir, RW, 3*entryBytes)
 	if err != nil {
 		t.Fatal(err)
@@ -255,7 +255,7 @@ func TestLRUEviction(t *testing.T) {
 		s.StoreStats(k, st)
 		// Distinct mtimes so LRU order is unambiguous.
 		old := time.Now().Add(time.Duration(i-10) * time.Hour)
-		os.Chtimes(s.path(k, resultSuffix), old, old)
+		os.Chtimes(s.path(k, resultKind.suffix), old, old)
 	}
 	// A hit refreshes key 1; storing one more must evict key 2 (now the
 	// oldest), not key 1.
@@ -263,10 +263,10 @@ func TestLRUEviction(t *testing.T) {
 		t.Fatal("miss")
 	}
 	s.StoreStats(Key{4}, st)
-	if _, err := os.Stat(s.path(keys[0], resultSuffix)); err != nil {
+	if _, err := os.Stat(s.path(keys[0], resultKind.suffix)); err != nil {
 		t.Fatal("recently used entry evicted")
 	}
-	if _, err := os.Stat(s.path(keys[1], resultSuffix)); !os.IsNotExist(err) {
+	if _, err := os.Stat(s.path(keys[1], resultKind.suffix)); !os.IsNotExist(err) {
 		t.Fatal("least recently used entry survived")
 	}
 	if c := s.Counters(); c.Evictions == 0 {

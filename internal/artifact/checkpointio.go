@@ -3,7 +3,6 @@ package artifact
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"hash/crc32"
 	"math"
 	"sort"
 
@@ -12,9 +11,8 @@ import (
 	"dmdp/internal/mem"
 )
 
-// Checkpoint store format v1 ("DMDPCKP1").
+// Checkpoint store format v1 ("DMDPCKP1", framed — see frame.go).
 //
-//	[8] magic+version  [4] CRC32C of the payload
 //	payload:
 //	  [8] at  [4] pc  [1] hasArch  [3] zero pad
 //	  NumArchRegs x [4] regs
@@ -26,18 +24,27 @@ import (
 // longer roll-forward from an earlier one (or from the program start).
 var checkpointMagic = [8]byte{'D', 'M', 'D', 'P', 'C', 'K', 'P', '1'}
 
-// Plan store format v1 ("DMDPPLN1").
+// Plan store format v1 ("DMDPPLN1", framed — see frame.go).
 //
-//	[8] magic+version  [4] CRC32C of the payload
 //	payload:
 //	  [8] chunkLen  [8] total  [8] warmup  [1] hitHalt  [7] zero pad
 //	  [8] interval count, then per interval: [8] start [8] end [8] weight bits
 var planMagic = [8]byte{'D', 'M', 'D', 'P', 'P', 'L', 'N', '1'}
 
+// Plans share the checkpoint counters: a plan hit without its
+// checkpoints still re-streams, so the two degrade together.
+var (
+	checkpointKind = framedKind[emu.Checkpoint]{checkpointMagic, ".ckpt", checkpointLookups, encodeCheckpoint, decodeCheckpoint}
+	planKind       = framedKind[PlanRecord]{planMagic, ".plan", checkpointLookups, encodePlan, decodePlan}
+)
+
+// Payload sizes: each kind's fixed prefix and its per-page or
+// per-interval record.
 const (
-	checkpointHeaderSize = 12
-	checkpointSuffix     = ".ckpt"
-	planSuffix           = ".plan"
+	checkpointFixed = 8 + 4 + 4 + 4*isa.NumArchRegs + 4
+	checkpointPage  = 4 + mem.PageSize
+	planFixed       = 40
+	planInterval    = 24
 )
 
 // CheckpointKey derives the checkpoint-store key for the architectural
@@ -80,8 +87,7 @@ func encodeCheckpoint(ck *emu.Checkpoint) []byte {
 	}
 	sort.Slice(bases, func(i, j int) bool { return bases[i] < bases[j] })
 
-	size := 8 + 4 + 4 + 4*isa.NumArchRegs + 4 + len(bases)*(4+mem.PageSize)
-	payload := make([]byte, 0, size)
+	payload := make([]byte, 0, checkpointFixed+len(bases)*checkpointPage)
 	payload = binary.LittleEndian.AppendUint64(payload, uint64(ck.At))
 	payload = binary.LittleEndian.AppendUint32(payload, ck.PC)
 	hasArch := byte(0)
@@ -97,23 +103,11 @@ func encodeCheckpoint(ck *emu.Checkpoint) []byte {
 		payload = binary.LittleEndian.AppendUint32(payload, base)
 		payload = append(payload, ck.Pages[base][:]...)
 	}
-
-	buf := make([]byte, 0, checkpointHeaderSize+len(payload))
-	buf = append(buf, checkpointMagic[:]...)
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, crcTable))
-	return append(buf, payload...)
+	return payload
 }
 
-func decodeCheckpoint(buf []byte) *emu.Checkpoint {
-	if len(buf) < checkpointHeaderSize || [8]byte(buf[:8]) != checkpointMagic {
-		return nil
-	}
-	payload := buf[checkpointHeaderSize:]
-	if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(buf[8:12]) {
-		return nil
-	}
-	fixed := 8 + 4 + 4 + 4*isa.NumArchRegs + 4
-	if len(payload) < fixed {
+func decodeCheckpoint(payload []byte) *emu.Checkpoint {
+	if len(payload) < checkpointFixed {
 		return nil
 	}
 	ck := &emu.Checkpoint{
@@ -128,7 +122,7 @@ func decodeCheckpoint(buf []byte) *emu.Checkpoint {
 	}
 	n := int(binary.LittleEndian.Uint32(payload[off : off+4]))
 	off += 4
-	if len(payload) != fixed+n*(4+mem.PageSize) {
+	if n > (len(payload)-checkpointFixed)/checkpointPage || len(payload) != checkpointFixed+n*checkpointPage {
 		return nil
 	}
 	ck.Pages = make(map[uint32]*[mem.PageSize]byte, n)
@@ -148,35 +142,13 @@ func decodeCheckpoint(buf []byte) *emu.Checkpoint {
 // as misses — the sampling layer degrades to rolling forward from an
 // earlier checkpoint (ultimately re-simulation from the start).
 func (s *Store) LoadCheckpoint(key Key) (*emu.Checkpoint, bool) {
-	if s == nil {
-		return nil, false
-	}
-	path := s.path(key, checkpointSuffix)
-	buf, ok := readEntireOwned(path)
-	if !ok {
-		s.ckptMisses.Add(1)
-		return nil, false
-	}
-	ck := decodeCheckpoint(buf)
-	if ck == nil {
-		s.drop(path)
-		s.ckptMisses.Add(1)
-		return nil, false
-	}
-	s.ckptHits.Add(1)
-	s.bytesRead.Add(int64(len(buf)))
-	s.touch(path)
-	return ck, true
+	ck, _, ok := checkpointKind.load(s, key)
+	return ck, ok
 }
 
 // StoreCheckpoint persists ck under key (no-op for nil or read-only
 // stores).
-func (s *Store) StoreCheckpoint(key Key, ck *emu.Checkpoint) {
-	if !s.writable() || ck == nil {
-		return
-	}
-	s.publish(s.path(key, checkpointSuffix), encodeCheckpoint(ck))
-}
+func (s *Store) StoreCheckpoint(key Key, ck *emu.Checkpoint) { checkpointKind.store(s, key, ck) }
 
 // PlanInterval is one sampled interval of a persisted plan, in trace
 // entry indices. The artifact layer stores plans in this neutral form so
@@ -202,7 +174,7 @@ type PlanRecord struct {
 }
 
 func encodePlan(p *PlanRecord) []byte {
-	payload := make([]byte, 0, 40+24*len(p.Intervals))
+	payload := make([]byte, 0, planFixed+planInterval*len(p.Intervals))
 	payload = binary.LittleEndian.AppendUint64(payload, uint64(p.ChunkLen))
 	payload = binary.LittleEndian.AppendUint64(payload, uint64(p.Total))
 	payload = binary.LittleEndian.AppendUint64(payload, uint64(p.Warmup))
@@ -217,22 +189,11 @@ func encodePlan(p *PlanRecord) []byte {
 		payload = binary.LittleEndian.AppendUint64(payload, uint64(iv.End))
 		payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(iv.Weight))
 	}
-	buf := make([]byte, 0, checkpointHeaderSize+len(payload))
-	buf = append(buf, planMagic[:]...)
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, crcTable))
-	return append(buf, payload...)
+	return payload
 }
 
-func decodePlan(buf []byte) *PlanRecord {
-	if len(buf) < checkpointHeaderSize || [8]byte(buf[:8]) != planMagic {
-		return nil
-	}
-	payload := buf[checkpointHeaderSize:]
-	if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(buf[8:12]) {
-		return nil
-	}
-	const fixed = 40
-	if len(payload) < fixed {
+func decodePlan(payload []byte) *PlanRecord {
+	if len(payload) < planFixed {
 		return nil
 	}
 	p := &PlanRecord{
@@ -241,13 +202,16 @@ func decodePlan(buf []byte) *PlanRecord {
 		Warmup:   int64(binary.LittleEndian.Uint64(payload[16:24])),
 		HitHalt:  payload[24] == 1,
 	}
-	n := int(binary.LittleEndian.Uint64(payload[32:40]))
-	if n < 0 || len(payload) != fixed+24*n {
+	// Bound the count before multiplying: 24*n wraps for n near 2^61,
+	// and a wrapped product can pass the length check and then size an
+	// impossible allocation.
+	n := binary.LittleEndian.Uint64(payload[32:40])
+	if n > uint64(len(payload)-planFixed)/planInterval || len(payload) != planFixed+planInterval*int(n) {
 		return nil
 	}
 	p.Intervals = make([]PlanInterval, n)
 	for i := range p.Intervals {
-		off := fixed + 24*i
+		off := planFixed + planInterval*i
 		p.Intervals[i] = PlanInterval{
 			Start:  int64(binary.LittleEndian.Uint64(payload[off : off+8])),
 			End:    int64(binary.LittleEndian.Uint64(payload[off+8 : off+16])),
@@ -260,31 +224,9 @@ func decodePlan(buf []byte) *PlanRecord {
 // LoadPlan fetches the sampling plan stored under key, or (nil, false)
 // on any miss. Corrupt entries are deleted in read-write modes.
 func (s *Store) LoadPlan(key Key) (*PlanRecord, bool) {
-	if s == nil {
-		return nil, false
-	}
-	path := s.path(key, planSuffix)
-	buf, ok := readEntireOwned(path)
-	if !ok {
-		s.ckptMisses.Add(1)
-		return nil, false
-	}
-	p := decodePlan(buf)
-	if p == nil {
-		s.drop(path)
-		s.ckptMisses.Add(1)
-		return nil, false
-	}
-	s.ckptHits.Add(1)
-	s.bytesRead.Add(int64(len(buf)))
-	s.touch(path)
-	return p, true
+	p, _, ok := planKind.load(s, key)
+	return p, ok
 }
 
 // StorePlan persists p under key (no-op for nil or read-only stores).
-func (s *Store) StorePlan(key Key, p *PlanRecord) {
-	if !s.writable() || p == nil {
-		return
-	}
-	s.publish(s.path(key, planSuffix), encodePlan(p))
-}
+func (s *Store) StorePlan(key Key, p *PlanRecord) { planKind.store(s, key, p) }

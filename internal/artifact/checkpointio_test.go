@@ -78,7 +78,7 @@ func TestCheckpointCorruptIsMissAndDropped(t *testing.T) {
 	}
 	key := CheckpointKey(Key(sha256.Sum256([]byte("t"))), 7)
 	s.StoreCheckpoint(key, testCheckpoint())
-	path := filepath.Join(dir, key.String()+checkpointSuffix)
+	path := filepath.Join(dir, key.String()+checkpointKind.suffix)
 	buf, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -162,7 +162,7 @@ func TestPlanCorruptIsMiss(t *testing.T) {
 	}
 	key := PlanKey(Key(sha256.Sum256([]byte("t"))), "10x100", 1)
 	s.StorePlan(key, &PlanRecord{ChunkLen: 100, Total: 1000, Intervals: []PlanInterval{{0, 100, 1}}})
-	path := filepath.Join(dir, key.String()+planSuffix)
+	path := filepath.Join(dir, key.String()+planKind.suffix)
 	buf, _ := os.ReadFile(path)
 	buf[len(buf)-1] ^= 1
 	os.WriteFile(path, buf, 0o644)

@@ -1,0 +1,138 @@
+package artifact
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"hash/crc32"
+	"os"
+	"testing"
+
+	"dmdp/internal/core"
+)
+
+func testPlan() *PlanRecord {
+	return &PlanRecord{
+		ChunkLen: 100_000,
+		Total:    10_000_000,
+		Warmup:   5000,
+		HitHalt:  true,
+		Intervals: []PlanInterval{
+			{Start: 0, End: 100_000, Weight: 0.25},
+			{Start: 400_000, End: 500_000, Weight: 0.75},
+		},
+	}
+}
+
+// TestFramedEncodingsPinned pins the exact file bytes of each framed kind
+// for a fixed record, as written by the per-kind encoders the shared
+// frame replaced. A changed magic, header layout, field order or width
+// changes the hash; the round trips elsewhere cannot see that.
+func TestFramedEncodingsPinned(t *testing.T) {
+	st := &core.Stats{Cycles: 123, Instructions: 456, L1MissRate: 0.25, SimWallClockNS: 999}
+	st.LoadCount[1] = 7
+	st.Faults.ValueCorruptions = 3
+	for _, c := range []struct {
+		kind string
+		data []byte
+		size int
+		want string
+	}{
+		{"checkpoint", checkpointKind.encodeFile(testCheckpoint()), 8360, "5ea23a338361be17b603de685bf87202411986971618a55042df6ed5ec7665c9"},
+		{"plan", planKind.encodeFile(testPlan()), 100, "9f7db1b63c475789b391158a49ba2667cd820221a0109e31f5c1199b01fe1045"},
+		{"result", resultKind.encodeFile(st), 652, "c4d1d9d07bc9b90fa284405300dc8b7c89645a6b22ed1d2d8a365d6c824a18f1"},
+		{"warm", warmKind.encodeFile(&WarmRecord{At: 4096, BaseAt: 2048, Payload: []byte("fixed warm payload")}), 46, "7ff5d1386d8011e4c3a3ef1207bdf0f4570d9b81da6a5424f2e249a3f495d7ea"},
+	} {
+		sum := sha256.Sum256(c.data)
+		if got := hex.EncodeToString(sum[:]); len(c.data) != c.size || got != c.want {
+			t.Errorf("%s record changed: %d bytes sha256 %s, want %d bytes %s", c.kind, len(c.data), got, c.size, c.want)
+		}
+	}
+}
+
+// TestPlanCountOverflowIsMiss replays a 76-byte plan record whose CRC is
+// valid and whose interval count is 2^61+1: 24 times that count wraps to
+// 24, so the old length check passed and the decoder panicked in
+// makeslice. It must be a counted miss and be dropped instead.
+func TestPlanCountOverflowIsMiss(t *testing.T) {
+	payload := make([]byte, 64) // fixed fields + room for one interval
+	binary.LittleEndian.PutUint64(payload[32:40], 1<<61+1)
+	rec := append([]byte("DMDPPLN1"), make([]byte, 4)...)
+	binary.LittleEndian.PutUint32(rec[8:12], crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+	rec = append(rec, payload...)
+	if len(rec) != 76 {
+		t.Fatalf("record is %d bytes, want 76", len(rec))
+	}
+
+	dir := t.TempDir()
+	s, err := Open(dir, RW, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := PlanKey(Key{7}, "auto:4", 1)
+	path := s.path(key, planKind.suffix)
+	if err := os.WriteFile(path, rec, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if p, ok := s.LoadPlan(key); ok || p != nil {
+		t.Fatalf("hostile plan decoded: %v", p)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatal("hostile plan not dropped by rw store")
+	}
+	if c := s.Counters(); c.CheckpointMisses != 1 || c.CheckpointHits != 0 || c.CorruptDropped != 1 {
+		t.Fatalf("counters %+v", c)
+	}
+}
+
+// FuzzFramedDecode feeds mutated bytes to the checkpoint and plan
+// decoders. The contract matches FuzzTraceDecode: any input is a miss
+// (nil) or a record that survives a re-encode unchanged — never a panic
+// and never an allocation sized by an unchecked count. Each mutation is
+// decoded as-is (the magic/CRC gate) and re-signed as both kinds, which
+// drives the fuzzer into the payload decoders.
+func FuzzFramedDecode(f *testing.F) {
+	ck := checkpointKind.encodeFile(testCheckpoint())
+	plan := planKind.encodeFile(testPlan())
+	for _, valid := range [][]byte{ck, plan} {
+		f.Add(valid)
+		f.Add(valid[:len(valid)/2])
+		f.Add(valid[:frameHeaderSize])
+		flipped := append([]byte(nil), valid...)
+		flipped[len(flipped)-1] ^= 0x40
+		f.Add(flipped)
+	}
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkFramedRoundTrip(t, &checkpointKind, data)
+		checkFramedRoundTrip(t, &planKind, data)
+		if len(data) < frameHeaderSize {
+			return
+		}
+		for _, magic := range [][8]byte{checkpointMagic, planMagic} {
+			patched := append([]byte(nil), data...)
+			copy(patched, magic[:])
+			binary.LittleEndian.PutUint32(patched[8:12], crc32.Checksum(patched[frameHeaderSize:], crcTable))
+			checkFramedRoundTrip(t, &checkpointKind, patched)
+			checkFramedRoundTrip(t, &planKind, patched)
+		}
+	})
+}
+
+// checkFramedRoundTrip decodes data as kind k. An accepted record must
+// re-encode to bytes that decode and re-encode to the same bytes (byte
+// comparison, so a NaN weight is not a false alarm).
+func checkFramedRoundTrip[T any](t *testing.T, k *framedKind[T], data []byte) {
+	t.Helper()
+	v := k.decodeFile(data)
+	if v == nil {
+		return // a miss is always a fine outcome
+	}
+	enc := k.encodeFile(v)
+	again := k.decodeFile(enc)
+	if again == nil || !bytes.Equal(k.encodeFile(again), enc) {
+		t.Fatalf("accepted %s record does not survive a re-encode", k.suffix)
+	}
+}

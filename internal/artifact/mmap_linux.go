@@ -14,11 +14,11 @@ import (
 // intentionally never unmapped — decoded traces live for the process
 // lifetime in the runner's in-memory cache, and the handful of proxy
 // traces is small. That bargain only holds for traces: every other
-// entry kind decodes by copying and must load through readEntireOwned,
-// or each read leaks a mapping (see that function's comment). Eviction
-// unlinking a mapped file is safe: the pages stay valid until the
-// mapping goes away, and writers only ever rename fresh inodes into
-// place (entries are immutable once published).
+// entry kind decodes by copying and must load through the owned read of
+// framedKind.load, or each read leaks a mapping. Eviction unlinking a
+// mapped file is safe: the pages stay valid until the mapping goes
+// away, and writers only ever rename fresh inodes into place (entries
+// are immutable once published).
 func readEntire(path string) ([]byte, bool) {
 	f, err := os.Open(path)
 	if err != nil {

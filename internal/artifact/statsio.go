@@ -1,81 +1,30 @@
 package artifact
 
-import (
-	"encoding/binary"
-	"hash/crc32"
+import "dmdp/internal/core"
 
-	"dmdp/internal/core"
-)
-
-// Result store format v1 ("DMDPRES1").
+// Result store format v1 ("DMDPRES1", framed — see frame.go).
 //
-//	[8] magic+version  [4] CRC32C of the payload
 //	payload: one canonical core.Stats encoding (fixed width; see
 //	core.MarshalCanonical). The stats schema version is part of the
 //	cache key, not the file, so a schema bump changes keys and the old
 //	files simply age out.
 var resultMagic = [8]byte{'D', 'M', 'D', 'P', 'R', 'E', 'S', '1'}
 
-const (
-	resultHeaderSize = 12
-	resultSuffix     = ".stats"
-)
-
-func encodeStats(st *core.Stats) []byte {
-	payload := st.MarshalCanonical()
-	buf := make([]byte, 0, resultHeaderSize+len(payload))
-	buf = append(buf, resultMagic[:]...)
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, crcTable))
-	return append(buf, payload...)
-}
-
-func decodeStats(buf []byte) *core.Stats {
-	if len(buf) < resultHeaderSize || [8]byte(buf[:8]) != resultMagic {
-		return nil
-	}
-	payload := buf[resultHeaderSize:]
-	if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(buf[8:12]) {
-		return nil
-	}
-	st, err := core.UnmarshalCanonicalStats(payload)
-	if err != nil {
-		return nil
-	}
-	return st
+var resultKind = framedKind[core.Stats]{resultMagic, ".stats", resultLookups,
+	(*core.Stats).MarshalCanonical,
+	func(payload []byte) *core.Stats {
+		st, _ := core.UnmarshalCanonicalStats(payload) // a wrong length is a miss: nil
+		return st
+	},
 }
 
 // LoadStats fetches the simulation result stored under key, or
 // (nil, "", false) on any miss. The returned path names the file the
 // entry was read from (for verify-mode diagnostics). Corrupt entries
 // are deleted in read-write modes.
-func (s *Store) LoadStats(key Key) (*core.Stats, string, bool) {
-	if s == nil {
-		return nil, "", false
-	}
-	path := s.path(key, resultSuffix)
-	buf, ok := readEntireOwned(path)
-	if !ok {
-		s.resultMisses.Add(1)
-		return nil, "", false
-	}
-	st := decodeStats(buf)
-	if st == nil {
-		s.drop(path)
-		s.resultMisses.Add(1)
-		return nil, "", false
-	}
-	s.resultHits.Add(1)
-	s.bytesRead.Add(int64(len(buf)))
-	s.touch(path)
-	return st, path, true
-}
+func (s *Store) LoadStats(key Key) (*core.Stats, string, bool) { return resultKind.load(s, key) }
 
 // StoreStats persists st under key (no-op for nil or read-only stores).
 // Callers must not persist failed or fault-injected runs — the store
 // cannot tell them apart from clean ones.
-func (s *Store) StoreStats(key Key, st *core.Stats) {
-	if !s.writable() || st == nil {
-		return
-	}
-	s.publish(s.path(key, resultSuffix), encodeStats(st))
-}
+func (s *Store) StoreStats(key Key, st *core.Stats) { resultKind.store(s, key, st) }

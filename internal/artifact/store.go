@@ -136,9 +136,9 @@ type Counters struct {
 	// warm miss at a sampled interval degrades that interval to a cold
 	// start, not a failure. WarmBytes is the total decoded snapshot bytes
 	// served from warm hits.
-	WarmHits, WarmMisses int64
-	WarmBytes            int64
-	Writes               int64
+	WarmHits, WarmMisses      int64
+	WarmBytes                 int64
+	Writes                    int64
 	BytesRead, BytesWritten   int64
 	Evictions, CorruptDropped int64
 	// Degraded reports a write-failure fallback to read-only (see
@@ -177,15 +177,21 @@ type Store struct {
 	loadedMu sync.Mutex
 	loaded   map[Key]loadedTrace
 
-	traceHits, traceMisses   atomic.Int64
-	resultHits, resultMisses atomic.Int64
-	ckptHits, ckptMisses     atomic.Int64
-	warmHits, warmMisses     atomic.Int64
-	warmBytes                atomic.Int64
-	writes                   atomic.Int64
-	bytesRead, bytesWritten  atomic.Int64
-	evictions, corrupt       atomic.Int64
+	hits, misses            [numLookups]atomic.Int64
+	warmBytes               atomic.Int64
+	writes                  atomic.Int64
+	bytesRead, bytesWritten atomic.Int64
+	evictions, corrupt      atomic.Int64
 }
+
+// Lookup classes: each owns one hit/miss pair in Counters.
+const (
+	traceLookups = iota
+	resultLookups
+	checkpointLookups // checkpoints and sampling plans
+	warmLookups
+	numLookups
+)
 
 // fileID identifies one published cache file's content for in-process
 // memoization (see Store.loaded). Platform stat code fills it; the zero
@@ -293,21 +299,21 @@ func (s *Store) Counters() Counters {
 		return Counters{}
 	}
 	return Counters{
-		TraceHits:        s.traceHits.Load(),
-		TraceMisses:      s.traceMisses.Load(),
-		ResultHits:       s.resultHits.Load(),
-		ResultMisses:     s.resultMisses.Load(),
-		CheckpointHits:   s.ckptHits.Load(),
-		CheckpointMisses: s.ckptMisses.Load(),
-		WarmHits:         s.warmHits.Load(),
-		WarmMisses:       s.warmMisses.Load(),
+		TraceHits:        s.hits[traceLookups].Load(),
+		TraceMisses:      s.misses[traceLookups].Load(),
+		ResultHits:       s.hits[resultLookups].Load(),
+		ResultMisses:     s.misses[resultLookups].Load(),
+		CheckpointHits:   s.hits[checkpointLookups].Load(),
+		CheckpointMisses: s.misses[checkpointLookups].Load(),
+		WarmHits:         s.hits[warmLookups].Load(),
+		WarmMisses:       s.misses[warmLookups].Load(),
 		WarmBytes:        s.warmBytes.Load(),
 		Writes:           s.writes.Load(),
-		BytesRead:      s.bytesRead.Load(),
-		BytesWritten:   s.bytesWritten.Load(),
-		Evictions:      s.evictions.Load(),
-		CorruptDropped: s.corrupt.Load(),
-		Degraded:       s.degraded.Load(),
+		BytesRead:        s.bytesRead.Load(),
+		BytesWritten:     s.bytesWritten.Load(),
+		Evictions:        s.evictions.Load(),
+		CorruptDropped:   s.corrupt.Load(),
+		Degraded:         s.degraded.Load(),
 	}
 }
 

@@ -410,7 +410,7 @@ func (s *Store) LoadTrace(key Key) (*trace.Trace, bool) {
 		m, hit := s.loaded[key]
 		s.loadedMu.Unlock()
 		if hit && m.id == id {
-			s.traceHits.Add(1)
+			s.hits[traceLookups].Add(1)
 			s.touch(path)
 			s.remember(key, path, m.tr) // refresh the post-touch mtime
 			return m.tr, true
@@ -418,16 +418,16 @@ func (s *Store) LoadTrace(key Key) (*trace.Trace, bool) {
 	}
 	buf, ok := readEntire(path)
 	if !ok {
-		s.traceMisses.Add(1)
+		s.misses[traceLookups].Add(1)
 		return nil, false
 	}
 	tr := decodeTrace(buf)
 	if tr == nil {
 		s.drop(path)
-		s.traceMisses.Add(1)
+		s.misses[traceLookups].Add(1)
 		return nil, false
 	}
-	s.traceHits.Add(1)
+	s.hits[traceLookups].Add(1)
 	s.bytesRead.Add(int64(len(buf)))
 	s.touch(path)
 	s.remember(key, path, tr)

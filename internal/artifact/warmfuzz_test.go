@@ -27,7 +27,7 @@ func fuzzWarmBytes(tb testing.TB) []byte {
 	}
 	s := warm.New(warm.ConfigFrom(config.Default(config.DMDP)))
 	s.UpdateChunk(tr.Entries)
-	return encodeWarm(&WarmRecord{At: int64(len(tr.Entries)), BaseAt: -1, Payload: s.Snapshot()})
+	return warmKind.encodeFile(&WarmRecord{At: int64(len(tr.Entries)), BaseAt: -1, Payload: s.Snapshot()})
 }
 
 // FuzzWarmStateDecode feeds mutated DMDPCKP2 bytes to the warm-state
@@ -42,7 +42,7 @@ func FuzzWarmStateDecode(f *testing.F) {
 	valid := fuzzWarmBytes(f)
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])        // truncated mid-payload
-	f.Add(valid[:warmHeaderSize])      // header only
+	f.Add(valid[:frameHeaderSize])     // header only
 	f.Add([]byte{})                    // empty
 	f.Add([]byte("DMDPCKP2 not real")) // magic, garbage rest
 	flipped := append([]byte(nil), valid...)
@@ -76,16 +76,16 @@ func FuzzWarmStateDecode(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		check(t, decodeWarm(data))
+		check(t, warmKind.decodeFile(data))
 
 		// Re-sign the mutation so the structural decoder runs.
-		if len(data) < warmHeaderSize+warmFixed {
+		if len(data) < frameHeaderSize+warmFixed {
 			return
 		}
 		patched := append([]byte(nil), data...)
 		copy(patched[:8], warmMagic[:])
-		binary.LittleEndian.PutUint32(patched[8:12], crc32.Checksum(patched[warmHeaderSize:], crcTable))
-		check(t, decodeWarm(patched))
+		binary.LittleEndian.PutUint32(patched[8:12], crc32.Checksum(patched[frameHeaderSize:], crcTable))
+		check(t, warmKind.decodeFile(patched))
 	})
 }
 
@@ -93,11 +93,11 @@ func FuzzWarmStateDecode(f *testing.F) {
 // and the loaded record equals the stored one.
 func TestWarmRecordRoundTrip(t *testing.T) {
 	valid := fuzzWarmBytes(t)
-	r := decodeWarm(valid)
+	r := warmKind.decodeFile(valid)
 	if r == nil {
 		t.Fatal("valid record did not decode")
 	}
-	again := decodeWarm(encodeWarm(r))
+	again := warmKind.decodeFile(warmKind.encodeFile(r))
 	if again == nil || again.At != r.At || again.BaseAt != r.BaseAt || !bytes.Equal(again.Payload, r.Payload) {
 		t.Fatal("warm record round trip mismatch")
 	}

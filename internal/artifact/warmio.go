@@ -3,12 +3,11 @@ package artifact
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"hash/crc32"
 )
 
-// Warm-state store format v2 checkpoint companion ("DMDPCKP2").
+// Warm-state store format v2 checkpoint companion ("DMDPCKP2", framed —
+// see frame.go).
 //
-//	[8] magic+version  [4] CRC32C of the payload
 //	payload:
 //	  [8] at  [8] baseAt (two's complement; -1 = self-contained frame)
 //	  rest: warm blob — a full warm snapshot when baseAt < 0, otherwise a
@@ -22,11 +21,9 @@ import (
 // opaque bytes; the warm package owns the snapshot and delta formats.
 var warmMagic = [8]byte{'D', 'M', 'D', 'P', 'C', 'K', 'P', '2'}
 
-const (
-	warmSuffix     = ".warm"
-	warmHeaderSize = checkpointHeaderSize
-	warmFixed      = 8 + 8
-)
+var warmKind = framedKind[WarmRecord]{warmMagic, ".warm", warmLookups, encodeWarm, decodeWarm}
+
+const warmFixed = 8 + 8
 
 // WarmRecord is one boundary's persisted warm state.
 type WarmRecord struct {
@@ -62,21 +59,10 @@ func encodeWarm(r *WarmRecord) []byte {
 	payload := make([]byte, 0, warmFixed+len(r.Payload))
 	payload = binary.LittleEndian.AppendUint64(payload, uint64(r.At))
 	payload = binary.LittleEndian.AppendUint64(payload, uint64(r.BaseAt))
-	payload = append(payload, r.Payload...)
-	buf := make([]byte, 0, warmHeaderSize+len(payload))
-	buf = append(buf, warmMagic[:]...)
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, crcTable))
-	return append(buf, payload...)
+	return append(payload, r.Payload...)
 }
 
-func decodeWarm(buf []byte) *WarmRecord {
-	if len(buf) < warmHeaderSize || [8]byte(buf[:8]) != warmMagic {
-		return nil
-	}
-	payload := buf[warmHeaderSize:]
-	if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(buf[8:12]) {
-		return nil
-	}
+func decodeWarm(payload []byte) *WarmRecord {
 	if len(payload) < warmFixed {
 		return nil
 	}
@@ -96,32 +82,12 @@ func decodeWarm(buf []byte) *WarmRecord {
 // modes and count as misses — the sampling layer degrades the affected
 // intervals to cold starts.
 func (s *Store) LoadWarm(key Key) (*WarmRecord, bool) {
-	if s == nil {
-		return nil, false
+	r, _, ok := warmKind.load(s, key)
+	if ok {
+		s.warmBytes.Add(int64(len(r.Payload)))
 	}
-	path := s.path(key, warmSuffix)
-	buf, ok := readEntireOwned(path)
-	if !ok {
-		s.warmMisses.Add(1)
-		return nil, false
-	}
-	r := decodeWarm(buf)
-	if r == nil {
-		s.drop(path)
-		s.warmMisses.Add(1)
-		return nil, false
-	}
-	s.warmHits.Add(1)
-	s.warmBytes.Add(int64(len(r.Payload)))
-	s.bytesRead.Add(int64(len(buf)))
-	s.touch(path)
-	return r, true
+	return r, ok
 }
 
 // StoreWarm persists r under key (no-op for nil or read-only stores).
-func (s *Store) StoreWarm(key Key, r *WarmRecord) {
-	if !s.writable() || r == nil {
-		return
-	}
-	s.publish(s.path(key, warmSuffix), encodeWarm(r))
-}
+func (s *Store) StoreWarm(key Key, r *WarmRecord) { warmKind.store(s, key, r) }

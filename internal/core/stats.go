@@ -15,7 +15,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
 	"dmdp/internal/faults"
@@ -71,70 +70,80 @@ const (
 )
 
 // Stats aggregates everything the experiments report.
+//
+// The struct is also the one definition of the canonical encoding and
+// of DigestLine (statscodec.go): fields are encoded in declaration
+// order, and each field's digest tag names its DigestLine label.
+// Consecutive fields that share a label render as one slash-joined
+// group; digest:"-" keeps a field out of the digest line but in the
+// encoding, and canonical:"-" keeps it out of both. A new counter is
+// one tagged line here plus a StatsSchemaVersion bump.
 type Stats struct {
-	Cycles       int64
-	Instructions int64
-	Uops         int64
+	Cycles       int64 `digest:"cyc"`
+	Instructions int64 `digest:"inst"`
+	Uops         int64 `digest:"uops"`
 
 	// Loads by category, with execution-time sums (cycles between rename
 	// and the result becoming available, floored at zero).
-	LoadCount    [numLoadCategories]int64
-	LoadExecTime [numLoadCategories]int64
+	LoadCount    [numLoadCategories]int64 `digest:"loads"`
+	LoadExecTime [numLoadCategories]int64 `digest:"loadt"`
 	// LoadLatency is a power-of-two histogram of load execution times:
 	// bucket i counts loads with latency in [2^(i-1), 2^i).
-	LoadLatency [latencyBuckets]int64
+	LoadLatency [latencyBuckets]int64 `digest:"lat"`
 
 	// Low-confidence loads (delayed or predicated) tracked separately
 	// for Table V / Fig. 5.
-	LowConfCount    int64
-	LowConfExecTime int64
-	LowConfOutcomes [numLowConfOutcomes]int64
+	LowConfCount    int64                     `digest:"lowconf"`
+	LowConfExecTime int64                     `digest:"lowconf"`
+	LowConfOutcomes [numLowConfOutcomes]int64 `digest:"lowconf"`
 
 	// Memory dependence machinery.
-	DepMispredicts      int64                    // full recoveries (exceptions) — Table VI numerator
-	DepMispredictsByCat [numLoadCategories]int64 // exception source breakdown
-	Reexecs             int64                    // load re-executions issued
-	ReexecStallCycle    int64                    // retire-stall cycles waiting for drain + re-execution (Table VII)
-	SBFullStall         int64                    // retire-stall cycles because the store buffer was full
-	Predications        int64                    // CMP/CMOV sequences inserted (DMDP)
-	Cloaks              int64                    // loads renamed onto a store's data register
-	DelayedLoads        int64                    // NoSQ delayed loads
-	Violations          int64                    // baseline memory ordering violations
-	Invalidations       int64                    // injected remote-core line invalidations (§IV-F)
+	DepMispredicts      int64                    `digest:"mpred"`   // full recoveries (exceptions) — Table VI numerator
+	DepMispredictsByCat [numLoadCategories]int64 `digest:"mpred"`   // exception source breakdown
+	Reexecs             int64                    `digest:"reexec"`  // load re-executions issued
+	ReexecStallCycle    int64                    `digest:"stall"`   // retire-stall cycles waiting for drain + re-execution (Table VII)
+	SBFullStall         int64                    `digest:"sbstall"` // retire-stall cycles because the store buffer was full
+	Predications        int64                    `digest:"pred"`    // CMP/CMOV sequences inserted (DMDP)
+	Cloaks              int64                    `digest:"cloak"`   // loads renamed onto a store's data register
+	DelayedLoads        int64                    `digest:"delay"`   // NoSQ delayed loads
+	Violations          int64                    `digest:"viol"`    // baseline memory ordering violations
+	Invalidations       int64                    `digest:"inval"`   // injected remote-core line invalidations (§IV-F)
 
 	// Front end.
-	BranchMispredicts int64
-	FetchStallCycles  int64
+	BranchMispredicts int64 `digest:"bmiss"`
+	FetchStallCycles  int64 `digest:"fstall"`
 
 	// Stores.
-	StoresCommitted int64
-	StoresCoalesced int64
+	StoresCommitted int64 `digest:"sc"`
+	StoresCoalesced int64 `digest:"sc"`
 
 	// Structure activity (consumed by the power model).
-	RegReads, RegWrites     int64
-	IQWakeups, IQInserts    int64
-	ROBWrites               int64
-	SQSearches              int64 // baseline CAM searches
-	TSSBFReads, TSSBFWrites int64
-	SDPReads, SDPWrites     int64
-	CacheAccesses           int64
-	L2Accesses              int64
-	DRAMAccesses            int64
-	TLBAccesses             int64
-	SquashedUops            int64
+	RegReads                int64 `digest:"rr"`
+	RegWrites               int64 `digest:"rw"`
+	IQWakeups               int64 `digest:"iqw"`
+	IQInserts               int64 `digest:"iqi"`
+	ROBWrites               int64 `digest:"robw"`
+	SQSearches              int64 `digest:"sqs"` // baseline CAM searches
+	TSSBFReads, TSSBFWrites int64 `digest:"tssbf"`
+	SDPReads, SDPWrites     int64 `digest:"sdp"`
+	CacheAccesses           int64 `digest:"ca"`
+	L2Accesses              int64 `digest:"l2"`
+	DRAMAccesses            int64 `digest:"dram"`
+	TLBAccesses             int64 `digest:"tlb"`
+	SquashedUops            int64 `digest:"squash"`
 
 	// Cache behaviour.
-	L1MissRate, L2MissRate float64
+	L1MissRate, L2MissRate float64 `digest:"miss"`
 
 	// Hardening layer.
-	OracleChecks int64         // commit-time oracle comparisons performed
-	Faults       faults.Counts // injected faults by class (zero when disabled)
+	OracleChecks int64         `digest:"oracle"` // commit-time oracle comparisons performed
+	Faults       faults.Counts `digest:"-"`      // injected faults by class (zero when disabled)
 
 	// SimWallClockNS is the host wall-clock duration of the Run call in
 	// nanoseconds. Observability only: it is the one Stats field allowed
 	// to differ between otherwise identical runs, so determinism
 	// comparisons (and cmd/statsdigest) must exclude it.
-	SimWallClockNS int64
+	SimWallClockNS int64 `canonical:"-"`
 }
 
 // SimIPS returns the simulator's own throughput in simulated instructions
@@ -262,29 +271,4 @@ func (s *Stats) MeanLowConfExecTime() float64 {
 		return 0
 	}
 	return float64(s.LowConfExecTime) / float64(s.LowConfCount)
-}
-
-// DigestLine renders every deterministic counter of one run on a single
-// fixed-format line. Two builds of the simulator are behaviorally
-// identical iff their digest lines are byte-identical; wall-clock
-// observability counters (SimWallClockNS and friends) are deliberately
-// excluded — they are the only Stats fields allowed to differ between
-// runs. Field order is frozen; do not reorder (diffs against recorded
-// digests would churn). Shared by cmd/statsdigest, the committed golden
-// files under testdata/goldens/ and the difftest aggregate digest.
-func (s *Stats) DigestLine() string {
-	return fmt.Sprintf("cyc=%d inst=%d uops=%d loads=%v loadt=%v lat=%v "+
-		"lowconf=%d/%d/%v mpred=%d/%v reexec=%d stall=%d sbstall=%d "+
-		"pred=%d cloak=%d delay=%d viol=%d inval=%d bmiss=%d fstall=%d "+
-		"sc=%d/%d rr=%d rw=%d iqw=%d iqi=%d robw=%d sqs=%d tssbf=%d/%d "+
-		"sdp=%d/%d ca=%d l2=%d dram=%d tlb=%d squash=%d miss=%.6f/%.6f oracle=%d",
-		s.Cycles, s.Instructions, s.Uops, s.LoadCount, s.LoadExecTime, s.LoadLatency,
-		s.LowConfCount, s.LowConfExecTime, s.LowConfOutcomes,
-		s.DepMispredicts, s.DepMispredictsByCat, s.Reexecs, s.ReexecStallCycle, s.SBFullStall,
-		s.Predications, s.Cloaks, s.DelayedLoads, s.Violations, s.Invalidations,
-		s.BranchMispredicts, s.FetchStallCycles,
-		s.StoresCommitted, s.StoresCoalesced, s.RegReads, s.RegWrites,
-		s.IQWakeups, s.IQInserts, s.ROBWrites, s.SQSearches, s.TSSBFReads, s.TSSBFWrites,
-		s.SDPReads, s.SDPWrites, s.CacheAccesses, s.L2Accesses, s.DRAMAccesses,
-		s.TLBAccesses, s.SquashedUops, s.L1MissRate, s.L2MissRate, s.OracleChecks)
 }

@@ -4,88 +4,148 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"reflect"
+	"strings"
 )
 
 // StatsSchemaVersion names the canonical Stats encoding below. It is part
 // of every result-store cache key (see internal/artifact), so bumping it
 // invalidates all persisted simulation results at once. Bump it whenever
 // a Stats field is added, removed, renamed, reordered or retyped —
-// TestStatsCodecCoversEveryField fails until the encoder and this
-// constant are updated together.
+// TestStatsSchemaGuard fails until this constant and the recorded field
+// list fingerprint are updated together.
 const StatsSchemaVersion = 1
 
-// statsWireSize is the exact length of a canonical encoding: 78 int64
-// counters and 2 float64 rates (see MarshalCanonical for the field
-// order).
-const statsWireSize = 80 * 8
+// statsField is one canonical Stats field, resolved once from the struct
+// tags (see Stats). Faults' members flatten into one field each.
+type statsField struct {
+	name  string       // Go field path, e.g. "Faults.ValueCorruptions"
+	index []int        // reflect field index path from Stats
+	kind  reflect.Kind // Int64, Float64, or Array (of int64)
+	words int          // 8-byte words on the wire: the array length, or 1
+	label string       // DigestLine label; "" when the field is not digested
+}
+
+// word returns the i-th 8-byte word of the field's value fv.
+func (f *statsField) word(fv reflect.Value, i int) reflect.Value {
+	if f.kind == reflect.Array {
+		return fv.Index(i)
+	}
+	return fv
+}
+
+// verb is the field's DigestLine format verb.
+func (f *statsField) verb() string {
+	switch f.kind {
+	case reflect.Array:
+		return "%v"
+	case reflect.Float64:
+		return "%.6f"
+	}
+	return "%d"
+}
+
+var (
+	// statsFields lists the canonical fields in encoding order.
+	statsFields = resolveStatsFields()
+	// statsWireSize is the exact length of a canonical encoding.
+	statsWireSize = wireSize(statsFields)
+	// statsDigestFormat is DigestLine's format string.
+	statsDigestFormat = digestFormat(statsFields)
+)
+
+// resolveStatsFields walks the Stats declaration. Every field must carry
+// a digest tag unless canonical:"-" excludes it; a missing tag or an
+// unsupported type panics at init, so no test can pass with a field the
+// encoding silently drops.
+func resolveStatsFields() []statsField {
+	var fields []statsField
+	var add func(t reflect.Type, index []int, name, label string)
+	add = func(t reflect.Type, index []int, name, label string) {
+		switch {
+		case t.Kind() == reflect.Int64 || t.Kind() == reflect.Float64:
+			fields = append(fields, statsField{name, index, t.Kind(), 1, label})
+		case t.Kind() == reflect.Array && t.Elem().Kind() == reflect.Int64:
+			fields = append(fields, statsField{name, index, reflect.Array, t.Len(), label})
+		case t.Kind() == reflect.Struct && label == "":
+			for i := 0; i < t.NumField(); i++ {
+				sf := t.Field(i)
+				add(sf.Type, append(index[:len(index):len(index)], i), name+"."+sf.Name, "")
+			}
+		default:
+			panic(fmt.Sprintf("core: Stats.%s: type %s has no canonical encoding", name, t))
+		}
+	}
+	st := reflect.TypeOf(Stats{})
+	for i := 0; i < st.NumField(); i++ {
+		f := st.Field(i)
+		if f.Tag.Get("canonical") == "-" {
+			continue
+		}
+		label := f.Tag.Get("digest")
+		if label == "" {
+			panic(fmt.Sprintf("core: Stats.%s needs a digest tag (a label, or \"-\")", f.Name))
+		}
+		if label == "-" {
+			label = ""
+		}
+		add(f.Type, []int{i}, f.Name, label)
+	}
+	return fields
+}
+
+func wireSize(fields []statsField) int {
+	n := 0
+	for _, f := range fields {
+		n += 8 * f.words
+	}
+	return n
+}
+
+// digestFormat renders "label=verb" for every digested field, joining
+// runs of one label with '/' ("lowconf=%d/%d/%v").
+func digestFormat(fields []statsField) string {
+	var b strings.Builder
+	prev := ""
+	for _, f := range fields {
+		switch {
+		case f.label == "":
+		case f.label == prev:
+			b.WriteString("/" + f.verb())
+		default:
+			if b.Len() > 0 {
+				b.WriteByte(' ')
+			}
+			b.WriteString(f.label + "=" + f.verb())
+		}
+		prev = f.label
+	}
+	return b.String()
+}
 
 // MarshalCanonical serializes the statistics into the canonical
 // little-endian form used by the persistent result store and by
-// determinism comparisons. The encoding is fixed-order and fixed-width —
-// no maps, no reflection — so equal statistics always produce identical
-// bytes. SimWallClockNS is deliberately excluded: it is the one Stats
-// field allowed to differ between behaviorally identical runs.
+// determinism comparisons: every field in declaration order, int64
+// counters as two's complement and float64 rates as IEEE-754 bits, 8
+// bytes per word — no maps, so equal statistics always produce
+// identical bytes. SimWallClockNS is deliberately excluded: it is the
+// one Stats field allowed to differ between behaviorally identical runs.
 func (s *Stats) MarshalCanonical() []byte {
 	buf := make([]byte, 0, statsWireSize)
-	i64 := func(v int64) { buf = binary.LittleEndian.AppendUint64(buf, uint64(v)) }
-	f64 := func(v float64) { buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v)) }
-
-	i64(s.Cycles)
-	i64(s.Instructions)
-	i64(s.Uops)
-	for _, v := range s.LoadCount {
-		i64(v)
+	v := reflect.ValueOf(s).Elem()
+	for i := range statsFields {
+		f := &statsFields[i]
+		fv := v.FieldByIndex(f.index)
+		for w := 0; w < f.words; w++ {
+			bits := uint64(0)
+			if e := f.word(fv, w); e.Kind() == reflect.Float64 {
+				bits = math.Float64bits(e.Float())
+			} else {
+				bits = uint64(e.Int())
+			}
+			buf = binary.LittleEndian.AppendUint64(buf, bits)
+		}
 	}
-	for _, v := range s.LoadExecTime {
-		i64(v)
-	}
-	for _, v := range s.LoadLatency {
-		i64(v)
-	}
-	i64(s.LowConfCount)
-	i64(s.LowConfExecTime)
-	for _, v := range s.LowConfOutcomes {
-		i64(v)
-	}
-	i64(s.DepMispredicts)
-	for _, v := range s.DepMispredictsByCat {
-		i64(v)
-	}
-	i64(s.Reexecs)
-	i64(s.ReexecStallCycle)
-	i64(s.SBFullStall)
-	i64(s.Predications)
-	i64(s.Cloaks)
-	i64(s.DelayedLoads)
-	i64(s.Violations)
-	i64(s.Invalidations)
-	i64(s.BranchMispredicts)
-	i64(s.FetchStallCycles)
-	i64(s.StoresCommitted)
-	i64(s.StoresCoalesced)
-	i64(s.RegReads)
-	i64(s.RegWrites)
-	i64(s.IQWakeups)
-	i64(s.IQInserts)
-	i64(s.ROBWrites)
-	i64(s.SQSearches)
-	i64(s.TSSBFReads)
-	i64(s.TSSBFWrites)
-	i64(s.SDPReads)
-	i64(s.SDPWrites)
-	i64(s.CacheAccesses)
-	i64(s.L2Accesses)
-	i64(s.DRAMAccesses)
-	i64(s.TLBAccesses)
-	i64(s.SquashedUops)
-	f64(s.L1MissRate)
-	f64(s.L2MissRate)
-	i64(s.OracleChecks)
-	i64(s.Faults.PredictionFlips)
-	i64(s.Faults.ForcedLowConf)
-	i64(s.Faults.PredicateCorruptions)
-	i64(s.Faults.LineInvalidations)
-	i64(s.Faults.ValueCorruptions)
 	return buf
 }
 
@@ -99,73 +159,39 @@ func UnmarshalCanonicalStats(data []byte) (*Stats, error) {
 			len(data), statsWireSize, StatsSchemaVersion)
 	}
 	s := &Stats{}
-	off := 0
-	i64 := func() int64 {
-		v := int64(binary.LittleEndian.Uint64(data[off:]))
-		off += 8
-		return v
+	v := reflect.ValueOf(s).Elem()
+	for i := range statsFields {
+		f := &statsFields[i]
+		fv := v.FieldByIndex(f.index)
+		for w := 0; w < f.words; w++ {
+			bits := binary.LittleEndian.Uint64(data)
+			data = data[8:]
+			if e := f.word(fv, w); e.Kind() == reflect.Float64 {
+				e.SetFloat(math.Float64frombits(bits))
+			} else {
+				e.SetInt(int64(bits))
+			}
+		}
 	}
-	f64 := func() float64 {
-		v := math.Float64frombits(binary.LittleEndian.Uint64(data[off:]))
-		off += 8
-		return v
-	}
-
-	s.Cycles = i64()
-	s.Instructions = i64()
-	s.Uops = i64()
-	for i := range s.LoadCount {
-		s.LoadCount[i] = i64()
-	}
-	for i := range s.LoadExecTime {
-		s.LoadExecTime[i] = i64()
-	}
-	for i := range s.LoadLatency {
-		s.LoadLatency[i] = i64()
-	}
-	s.LowConfCount = i64()
-	s.LowConfExecTime = i64()
-	for i := range s.LowConfOutcomes {
-		s.LowConfOutcomes[i] = i64()
-	}
-	s.DepMispredicts = i64()
-	for i := range s.DepMispredictsByCat {
-		s.DepMispredictsByCat[i] = i64()
-	}
-	s.Reexecs = i64()
-	s.ReexecStallCycle = i64()
-	s.SBFullStall = i64()
-	s.Predications = i64()
-	s.Cloaks = i64()
-	s.DelayedLoads = i64()
-	s.Violations = i64()
-	s.Invalidations = i64()
-	s.BranchMispredicts = i64()
-	s.FetchStallCycles = i64()
-	s.StoresCommitted = i64()
-	s.StoresCoalesced = i64()
-	s.RegReads = i64()
-	s.RegWrites = i64()
-	s.IQWakeups = i64()
-	s.IQInserts = i64()
-	s.ROBWrites = i64()
-	s.SQSearches = i64()
-	s.TSSBFReads = i64()
-	s.TSSBFWrites = i64()
-	s.SDPReads = i64()
-	s.SDPWrites = i64()
-	s.CacheAccesses = i64()
-	s.L2Accesses = i64()
-	s.DRAMAccesses = i64()
-	s.TLBAccesses = i64()
-	s.SquashedUops = i64()
-	s.L1MissRate = f64()
-	s.L2MissRate = f64()
-	s.OracleChecks = i64()
-	s.Faults.PredictionFlips = i64()
-	s.Faults.ForcedLowConf = i64()
-	s.Faults.PredicateCorruptions = i64()
-	s.Faults.LineInvalidations = i64()
-	s.Faults.ValueCorruptions = i64()
 	return s, nil
+}
+
+// DigestLine renders every deterministic counter of one run on a single
+// fixed-format line. Two builds of the simulator are behaviorally
+// identical iff their digest lines are byte-identical; wall-clock
+// observability counters (SimWallClockNS and friends) are deliberately
+// excluded — they are the only Stats fields allowed to differ between
+// runs — and so are the injected-fault counts. Field order and labels
+// are frozen; do not reorder (diffs against recorded digests would
+// churn). Shared by cmd/statsdigest, the committed golden files under
+// testdata/goldens/ and the difftest aggregate digest.
+func (s *Stats) DigestLine() string {
+	v := reflect.ValueOf(s).Elem()
+	args := make([]any, 0, len(statsFields))
+	for i := range statsFields {
+		if f := &statsFields[i]; f.label != "" {
+			args = append(args, v.FieldByIndex(f.index).Interface())
+		}
+	}
+	return fmt.Sprintf(statsDigestFormat, args...)
 }

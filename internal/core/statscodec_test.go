@@ -2,49 +2,121 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"hash/fnv"
 	"reflect"
+	"strings"
 	"testing"
-
-	"dmdp/internal/faults"
 )
 
-// TestStatsCodecCoversEveryField recomputes the canonical wire size from
-// the Stats struct definition by reflection and compares it with the
-// hand-written encoder's output. Adding, removing or retyping a Stats
-// field changes the reflected size, fails this test, and forces the
-// encoder — and StatsSchemaVersion — to be updated together.
-func TestStatsCodecCoversEveryField(t *testing.T) {
-	want := 0
-	st := reflect.TypeOf(Stats{})
-	for i := 0; i < st.NumField(); i++ {
-		f := st.Field(i)
-		if f.Name == "SimWallClockNS" {
-			continue // excluded by design: wall clock is observability only
+// statsSchemas records, per StatsSchemaVersion, the SHA-256 of the
+// canonical field list (statsSchemaListing). A Stats change that adds,
+// removes, renames, reorders or retypes an encoded field changes the
+// listing; the guard below then fails until StatsSchemaVersion is bumped
+// and the new version's fingerprint is recorded here. Old entries stay,
+// so a version can never be reused for a different layout.
+var statsSchemas = map[int]string{
+	1: "0b68e07917812bdcbe601affd9e2f0a14f50e97dc6c6ab78206448c6b20b6ead",
+}
+
+// statsSchemaListing renders the canonical field list, one
+// "name kind words" line per field in encoding order.
+func statsSchemaListing() string {
+	var b strings.Builder
+	for _, f := range statsFields {
+		fmt.Fprintf(&b, "%s %s %d\n", f.name, f.kind, f.words)
+	}
+	return b.String()
+}
+
+func TestStatsSchemaGuard(t *testing.T) {
+	listing := statsSchemaListing()
+	sum := sha256.Sum256([]byte(listing))
+	got := hex.EncodeToString(sum[:])
+	want, ok := statsSchemas[StatsSchemaVersion]
+	if !ok || got != want {
+		t.Fatalf("canonical Stats fields changed without a schema bump: schema v%d records %q, the fields hash to %q.\n"+
+			"Bump StatsSchemaVersion and record the new fingerprint in statsSchemas. Field list:\n%s",
+			StatsSchemaVersion, want, got, listing)
+	}
+	for v, fp := range statsSchemas {
+		if v != StatsSchemaVersion && fp == got {
+			t.Fatalf("schema v%d and v%d record the same field list", v, StatsSchemaVersion)
 		}
-		switch f.Type.Kind() {
-		case reflect.Int64, reflect.Float64:
-			want += 8
+	}
+}
+
+// TestStatsCanonicalBytesPinned pins the exact schema v1 canonical bytes
+// (640 of them) and digest text of a Stats with every field distinct,
+// as produced by the hand-written codec the field table replaced. Round
+// trips and lengths cannot see a silently reordered field; these hashes
+// can. A schema bump re-records them.
+func TestStatsCanonicalBytesPinned(t *testing.T) {
+	s := namedStats(t)
+	s.SimWallClockNS = 987654321
+	if n := len(s.MarshalCanonical()); n != 640 || n != statsWireSize {
+		t.Fatalf("encoding is %d bytes (statsWireSize %d), want 640", n, statsWireSize)
+	}
+	for _, c := range []struct {
+		what string
+		data []byte
+		want string
+	}{
+		{"MarshalCanonical", s.MarshalCanonical(), "9ead30a5ffbddb5622a9f70559dda1239fb0d87e497b8147b925189637221044"},
+		{"DigestLine", []byte(s.DigestLine()), "3df0acebc433cae6b239486010a4e4ddfb9090ca29c78e93fe4b782c7dc9367e"},
+	} {
+		sum := sha256.Sum256(c.data)
+		if got := hex.EncodeToString(sum[:]); got != c.want {
+			t.Errorf("%s bytes changed: sha256 %s, want %s", c.what, got, c.want)
+		}
+	}
+	const wantLine = "cyc=1 inst=2 uops=3 loads=[4 5 6 7] loadt=[8 9 10 11] " +
+		"lat=[12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28 29 30 31 32 33 34 35] " +
+		"lowconf=36/37/[38 39 40] mpred=41/[42 43 44 45] reexec=46 stall=47 sbstall=48 " +
+		"pred=49 cloak=50 delay=51 viol=52 inval=53 bmiss=54 fstall=55 sc=56/57 rr=58 rw=59 " +
+		"iqw=60 iqi=61 robw=62 sqs=63 tssbf=64/65 sdp=66/67 ca=68 l2=69 dram=70 tlb=71 " +
+		"squash=72 miss=10.428571/10.571429 oracle=75"
+	if got := fillStats(t).DigestLine(); got != wantLine {
+		t.Errorf("DigestLine:\n got %s\nwant %s", got, wantLine)
+	}
+}
+
+// namedStats fills every Stats word with a value derived from its field
+// path ("LoadCount[2]", "Faults.ValueCorruptions"), not its position, so
+// a reordered or renamed field moves or changes bytes in the pins.
+func namedStats(t *testing.T) *Stats {
+	t.Helper()
+	s := &Stats{}
+	var fill func(v reflect.Value, path string)
+	fill = func(v reflect.Value, path string) {
+		h := fnv.New64a()
+		h.Write([]byte(path))
+		x := h.Sum64()
+		switch v.Kind() {
+		case reflect.Int64:
+			v.SetInt(int64(x >> 1))
+		case reflect.Float64:
+			v.SetFloat(float64(x>>40) / 7)
 		case reflect.Array:
-			if f.Type.Elem().Kind() != reflect.Int64 {
-				t.Fatalf("field %s: unsupported array element %s", f.Name, f.Type.Elem())
+			for i := 0; i < v.Len(); i++ {
+				fill(v.Index(i), fmt.Sprintf("%s[%d]", path, i))
 			}
-			want += 8 * f.Type.Len()
 		case reflect.Struct:
-			if f.Type != reflect.TypeOf(faults.Counts{}) {
-				t.Fatalf("field %s: unsupported struct type %s", f.Name, f.Type)
+			for i := 0; i < v.NumField(); i++ {
+				name := v.Type().Field(i).Name
+				if path != "" {
+					name = path + "." + name
+				}
+				fill(v.Field(i), name)
 			}
-			want += 8 * f.Type.NumField()
 		default:
-			t.Fatalf("field %s: unsupported kind %s (extend the codec and bump StatsSchemaVersion)", f.Name, f.Type.Kind())
+			t.Fatalf("unsupported kind %s", v.Kind())
 		}
 	}
-	if want != statsWireSize {
-		t.Fatalf("Stats fields sum to %d wire bytes, encoder writes %d — update MarshalCanonical/UnmarshalCanonicalStats and bump StatsSchemaVersion", want, statsWireSize)
-	}
-	var s Stats
-	if got := len(s.MarshalCanonical()); got != statsWireSize {
-		t.Fatalf("MarshalCanonical wrote %d bytes, statsWireSize says %d", got, statsWireSize)
-	}
+	fill(reflect.ValueOf(s).Elem(), "")
+	return s
 }
 
 // fillStats populates every field with a distinct value so round-trip

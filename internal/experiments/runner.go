@@ -599,15 +599,6 @@ func (r *Runner) forEachPooled(ctx context.Context, n int, f func(i int)) int {
 	return sched.PoolCtx(ctx, r.jobs(), n, f)
 }
 
-// Pool runs f(0..n-1) on an atomic-counter worker pool of the given
-// width (jobs <= 1 runs serially on the caller's goroutine). It is the
-// scheduling primitive shared with other harnesses (cmd/difftest):
-// work items are claimed by index, so callers that write results into
-// slot i get schedule-independent output. It now lives in
-// internal/sched (the reusable scheduling core); this forwarder keeps
-// the historical call sites.
-func Pool(jobs, n int, f func(i int)) { sched.Pool(jobs, n, f) }
-
 // Energy evaluates the power model for a cached run.
 func (r *Runner) Energy(name string, m config.Model) (power.Result, error) {
 	st, err := r.RunModel(name, m)

@@ -86,16 +86,22 @@ func UnmarshalProgram(data []byte) (*Program, error) {
 			return nil, fmt.Errorf("isa: object: truncated header: %w", err)
 		}
 	}
-	p := &Program{
-		TextBase: hdr[0],
-		DataBase: hdr[1],
-		Entry:    hdr[2],
-		Symbols:  make(map[string]uint32, hdr[5]),
-	}
 	nText, nData, nSyms := hdr[3], hdr[4], hdr[5]
 	const maxSection = 1 << 28
 	if nText > maxSection/4 || nData > maxSection || nSyms > 1<<20 {
 		return nil, fmt.Errorf("isa: object: implausible section sizes")
+	}
+	// Every section size comes from the untrusted header, so check that
+	// the remaining bytes can hold them (a symbol is at least 6 bytes)
+	// before anything is sized from them.
+	if 4*int64(nText)+int64(nData)+6*int64(nSyms) > int64(r.Len()) {
+		return nil, fmt.Errorf("isa: object: truncated: header claims more than the %d remaining bytes", r.Len())
+	}
+	p := &Program{
+		TextBase: hdr[0],
+		DataBase: hdr[1],
+		Entry:    hdr[2],
+		Symbols:  make(map[string]uint32, nSyms),
 	}
 	p.Text = make([]Instr, nText)
 	for i := range p.Text {

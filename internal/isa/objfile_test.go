@@ -1,6 +1,8 @@
 package isa
 
 import (
+	"encoding/binary"
+	"runtime"
 	"testing"
 )
 
@@ -90,5 +92,39 @@ func TestObjectHardwareRegisterRejected(t *testing.T) {
 	p := &Program{Text: []Instr{{Op: OpADD, Rd: HwAddr, Rs: T0, Rt: T1}}}
 	if _, err := p.MarshalBinary(); err == nil {
 		t.Fatal("hardware-only registers are not encodable")
+	}
+}
+
+// TestObjectHostileHeaderFailsFast: a 28-byte object whose header claims
+// 2^32-1 symbols once pre-sized the symbol map before any plausibility
+// check and exhausted memory. Hostile counts must be rejected before
+// anything is allocated from them.
+func TestObjectHostileHeaderFailsFast(t *testing.T) {
+	hdr := func(nText, nData, nSyms uint32) []byte {
+		b := []byte("DMO1")
+		for _, v := range []uint32{0x400000, 0x10000000, 0x400000, nText, nData, nSyms} {
+			b = binary.LittleEndian.AppendUint32(b, v)
+		}
+		return b
+	}
+	for _, c := range []struct {
+		name string
+		blob []byte
+	}{
+		{"2^32-1 symbols", hdr(0, 0, 1<<32-1)},
+		{"max plausible sections, no bytes", hdr(1<<26, 1<<28, 1<<20)},
+	} {
+		if len(c.blob) != 28 {
+			t.Fatalf("%s: header is %d bytes, want 28", c.name, len(c.blob))
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := UnmarshalProgram(c.blob); err == nil {
+			t.Fatalf("%s: hostile header accepted", c.name)
+		}
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Fatalf("%s: rejecting the header allocated %d bytes", c.name, grew)
+		}
 	}
 }

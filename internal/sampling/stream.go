@@ -231,34 +231,6 @@ func (s *Stream) checkpointAt(at int64) *emu.Checkpoint {
 	return nil
 }
 
-// resumeAt returns an emulator positioned at instruction index begin by
-// restoring the nearest checkpoint at or below begin and fast-forwarding
-// the remainder. Missing or corrupt checkpoints degrade to the next
-// older boundary and ultimately to re-emulation from the program start —
-// slower, never wrong.
-func (s *Stream) resumeAt(begin int64) (*emu.Emulator, error) {
-	for ci := begin / int64(s.ChunkLen); ci >= 0; ci-- {
-		at := ci * int64(s.ChunkLen)
-		ck := s.checkpointAt(at)
-		if ck == nil {
-			continue
-		}
-		e, err := emu.Resume(s.Prog, s.Init, ck)
-		if err != nil {
-			continue
-		}
-		if err := e.StepN(begin - at); err != nil {
-			return nil, err
-		}
-		return e, nil
-	}
-	e := emu.New(s.Prog)
-	if err := e.StepN(begin); err != nil {
-		return nil, err
-	}
-	return e, nil
-}
-
 // warmAt returns the full warm snapshot at boundary at, consulting the
 // in-memory cache first and then reconstructing from persisted DMDPCKP2
 // records (walking delta chains back to a keyframe). Nil when the state
@@ -324,15 +296,18 @@ func (s *Stream) warmPlanUsable(plan Plan) bool {
 
 // resumeWarmAt returns an emulator positioned at instruction index begin
 // plus the warm snapshot at begin, by restoring the nearest usable
-// checkpoint and rolling forward while feeding the roll-forward entries
-// to the warm model. The warm decision happens at the single boundary
-// whose checkpoint the resume actually uses: if warm state is
-// unavailable there, the interval cold-starts (nil snapshot) — the
-// result is then a superset of the cold path's work, never different
-// work. Boundary 0 always warms (the empty state is definitionally
-// available).
+// checkpoint at or below begin and rolling forward — feeding the
+// roll-forward entries to the warm model when warming is on. Missing or
+// corrupt checkpoints degrade to the next older boundary and ultimately
+// to re-emulation from the program start — slower, never wrong. The
+// warm decision happens at the single boundary whose checkpoint the
+// resume actually uses: with warming off (nil warm config), or when warm
+// state is unavailable there, the interval cold-starts (nil snapshot)
+// with a plain roll-forward — so a warmed resume is a superset of the
+// cold path's work, never different work. Boundary 0 always warms (the
+// empty state is definitionally available).
 func (s *Stream) resumeWarmAt(begin int64) (*emu.Emulator, []byte, error) {
-	for ci := begin / int64(s.ChunkLen); ci >= 0; ci-- {
+	for ci := begin / int64(s.ChunkLen); ; ci-- {
 		at := ci * int64(s.ChunkLen)
 		var e *emu.Emulator
 		if ck := s.checkpointAt(at); ck != nil {
@@ -342,18 +317,22 @@ func (s *Stream) resumeWarmAt(begin int64) (*emu.Emulator, []byte, error) {
 			}
 		}
 		if e == nil {
-			if at != 0 {
+			if at > 0 {
 				continue
 			}
 			e = emu.New(s.Prog) // boundary 0 needs no stored checkpoint
 		}
 		var ws *warm.State
-		if at == 0 {
+		switch {
+		case s.warmCfg == nil: // warming off
+		case at == 0:
 			ws = warm.New(*s.warmCfg)
-		} else if snap := s.warmAt(at); snap != nil {
-			var err error
-			if ws, err = warm.FromSnapshot(*s.warmCfg, snap); err != nil {
-				ws = nil
+		default:
+			if snap := s.warmAt(at); snap != nil {
+				var err error
+				if ws, err = warm.FromSnapshot(*s.warmCfg, snap); err != nil {
+					ws = nil
+				}
 			}
 		}
 		if ws == nil {
@@ -379,13 +358,6 @@ func (s *Stream) resumeWarmAt(begin int64) (*emu.Emulator, []byte, error) {
 		}
 		return e, ws.Snapshot(), nil
 	}
-	// No usable checkpoint anywhere: unreachable, since boundary 0
-	// synthesizes a fresh emulator; kept for symmetry with resumeAt.
-	e := emu.New(s.Prog)
-	if err := e.StepN(begin); err != nil {
-		return nil, nil, err
-	}
-	return e, nil, nil
 }
 
 // warmRollChunk is the buffered chunk length for warm roll-forwards: big
@@ -417,19 +389,12 @@ func (ss *streamSource) IntervalTrace(i int) (*trace.Trace, int, error) {
 			iv.Start, iv.End, ss.s.Total)
 	}
 	begin, warmN := beginOf(ss.plan, i)
-	var e *emu.Emulator
-	var err error
-	if ss.wc != nil {
-		var snap []byte
-		e, snap, err = ss.s.resumeWarmAt(int64(begin))
-		if err == nil {
-			ss.wc.set(i, snap, iv.Start, iv.End)
-		}
-	} else {
-		e, err = ss.s.resumeAt(int64(begin))
-	}
+	e, snap, err := ss.s.resumeWarmAt(int64(begin))
 	if err != nil {
 		return nil, 0, fmt.Errorf("sampling: interval [%d,%d): %w", iv.Start, iv.End, err)
+	}
+	if ss.wc != nil {
+		ss.wc.set(i, snap, iv.Start, iv.End)
 	}
 	init := e.Mem.Clone()
 	sub, err := trace.Collect(e, int64(iv.End-begin), ss.s.Prog, init)
