@@ -6,6 +6,7 @@
 package asm
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -352,7 +353,15 @@ func instrWords(line int, mnemonic string, ops []string) (uint32, error) {
 	return 1, nil
 }
 
+// errNotNumber rejects operands that cannot start a number (labels,
+// .equ names) before strconv builds an error for them.
+var errNotNumber = errors.New("not a number")
+
 func parseNum(s string) (int64, error) {
+	if s == "" || !(s[0] >= '0' && s[0] <= '9' || s[0] == '-' || s[0] == '+') {
+		// Labels and .equ names: skip strconv, whose errors allocate.
+		return 0, errNotNumber
+	}
 	v, err := strconv.ParseInt(s, 0, 64)
 	if err != nil {
 		// Allow unsigned hex words like 0xdeadbeef.
@@ -409,18 +418,20 @@ func (a *assembler) resolve(line int, s string) (int64, error) {
 }
 
 func (a *assembler) emitData(it item) error {
-	pad := func(n uint32) {
-		for i := uint32(0); i < n; i++ {
-			a.data = append(a.data, 0)
-		}
-	}
+	pad := func(n uint32) { a.data = append(a.data, make([]byte, n)...) }
 	// Fill any gap caused by .align.
 	gap := it.addr - (a.opt.DataBase + uint32(len(a.data)))
 	pad(gap)
 
 	switch it.mnemonic {
 	case ".word", ".half", ".byte":
-		width := map[string]uint32{".word": 4, ".half": 2, ".byte": 1}[it.mnemonic]
+		width := uint32(4)
+		switch it.mnemonic {
+		case ".half":
+			width = 2
+		case ".byte":
+			width = 1
+		}
 		for _, op := range it.operands {
 			v, err := a.resolve(it.line, op)
 			if err != nil {

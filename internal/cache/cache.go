@@ -7,6 +7,8 @@
 package cache
 
 import (
+	"fmt"
+
 	"dmdp/internal/dram"
 )
 
@@ -19,6 +21,17 @@ type Config struct {
 	MSHRs     int   // max outstanding misses (0 = unlimited)
 }
 
+// Valid reports whether the geometry has a set count that is a positive
+// power of two (tags and set indices are shifts and masks of the
+// address).
+func (c Config) Valid() bool {
+	if c.LineBytes <= 0 || c.Ways <= 0 {
+		return false
+	}
+	n := c.SizeBytes / c.LineBytes / c.Ways
+	return n > 0 && n&(n-1) == 0
+}
+
 type line struct {
 	tag   uint32
 	valid bool
@@ -29,9 +42,10 @@ type line struct {
 // Cache is one level of the hierarchy.
 type Cache struct {
 	cfg      Config
-	sets     [][]line
+	sets     [][]line // per-set views into one backing array
 	setShift uint
 	setMask  uint32
+	tagShift uint // setShift + log2(set count): tags are addr >> tagShift
 	tick     int64
 
 	// Stats.
@@ -39,8 +53,12 @@ type Cache struct {
 }
 
 // NewCache builds a cache level; size/line/ways must be powers of two and
-// consistent.
+// consistent. It panics on a geometry that is not Valid: config.Validate
+// rejects those before any cache is built.
 func NewCache(cfg Config) *Cache {
+	if !cfg.Valid() {
+		panic(fmt.Sprintf("cache: invalid geometry %+v", cfg))
+	}
 	numSets := cfg.SizeBytes / cfg.LineBytes / cfg.Ways
 	c := &Cache{
 		cfg:      cfg,
@@ -48,8 +66,10 @@ func NewCache(cfg Config) *Cache {
 		setShift: uint(log2(cfg.LineBytes)),
 		setMask:  uint32(numSets - 1),
 	}
+	c.tagShift = c.setShift + uint(log2(numSets))
+	lines := make([]line, numSets*cfg.Ways)
 	for i := range c.sets {
-		c.sets[i] = make([]line, cfg.Ways)
+		c.sets[i] = lines[i*cfg.Ways : (i+1)*cfg.Ways : (i+1)*cfg.Ways]
 	}
 	return c
 }
@@ -63,7 +83,7 @@ func log2(n int) int {
 }
 
 func (c *Cache) setIndex(addr uint32) uint32 { return addr >> c.setShift & c.setMask }
-func (c *Cache) tagOf(addr uint32) uint32    { return addr >> c.setShift / uint32(len(c.sets)) }
+func (c *Cache) tagOf(addr uint32) uint32    { return addr >> c.tagShift }
 
 // LineAddr returns the line-aligned address.
 func (c *Cache) LineAddr(addr uint32) uint32 {
@@ -119,7 +139,7 @@ func (c *Cache) access(addr uint32, write bool, fill bool) (hit bool, wbAddr uin
 		if set[victim].dirty {
 			c.Writebacks++
 			wb = true
-			wbAddr = (set[victim].tag*uint32(len(c.sets)) + si) << c.setShift
+			wbAddr = set[victim].tag<<c.tagShift | si<<c.setShift
 		}
 	}
 	set[victim] = line{tag: tag, valid: true, dirty: write, used: c.tick}

@@ -213,3 +213,20 @@ func TestPrefetchOffByDefault(t *testing.T) {
 		t.Fatal("prefetcher must be off by default")
 	}
 }
+
+// TestNewCacheAllocatesPerTable pins the table layout: one backing array
+// for every line plus the per-set views cut from it, not one slice per
+// set (a 2 MiB L2 has 4096 sets). Each view's capacity stops at its own
+// set, so no set can grow into its neighbour.
+func TestNewCacheAllocatesPerTable(t *testing.T) {
+	cfg := DefaultHierarchyConfig().L2
+	if n := testing.AllocsPerRun(5, func() { NewCache(cfg) }); n > 3 {
+		t.Fatalf("NewCache made %.0f allocations, want <= 3 (cache, set views, lines)", n)
+	}
+	c := NewCache(cfg)
+	for i := range c.sets {
+		if len(c.sets[i]) != cfg.Ways || cap(c.sets[i]) != cfg.Ways {
+			t.Fatalf("set %d view has len %d cap %d, want %d", i, len(c.sets[i]), cap(c.sets[i]), cfg.Ways)
+		}
+	}
+}

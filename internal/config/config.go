@@ -334,6 +334,7 @@ func (c *Config) Validate() error {
 		{c.StoreBufferSize > 0, "store buffer must have at least one entry"},
 		{c.LoadPorts > 0, "need at least one load port"},
 		{c.DistBits > 0 && c.DistBits < 32, "DistBits out of range"},
+		{c.Hierarchy.L1D.Valid() && c.Hierarchy.L2.Valid(), "cache set counts must be positive powers of two"},
 		{c.Watchdog.MaxCycles >= 0 && c.Watchdog.NoRetireWindow >= 0, "watchdog bounds must be non-negative"},
 		{c.Faults.Valid(), "fault injection rates must be probabilities in [0, 1]"},
 	}

@@ -54,6 +54,8 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		func(c Config) Config { c.StoreBufferSize = 0; return c },
 		func(c Config) Config { c.LoadPorts = 0; return c },
 		func(c Config) Config { c.DistBits = 0; return c },
+		func(c Config) Config { c.Hierarchy.L2.Ways = 3; return c },
+		func(c Config) Config { c.Hierarchy.L1D.SizeBytes = 0; return c },
 	}
 	for i, f := range bad {
 		cfg := f(Default(DMDP))

@@ -41,25 +41,37 @@ func (q *robQ) empty() bool  { return q.size == 0 }
 func (q *robQ) len() int     { return q.size }
 func (q *robQ) front() *inst { return q.buf[q.head] }
 
+// slot maps the i-th oldest position (0 <= i < len(buf)) to its ring
+// index with a conditional wrap instead of a division.
+func (q *robQ) slot(i int) int {
+	j := q.head + i
+	if j >= len(q.buf) {
+		j -= len(q.buf)
+	}
+	return j
+}
+
 func (q *robQ) push(in *inst) {
-	q.buf[(q.head+q.size)%len(q.buf)] = in
+	q.buf[q.slot(q.size)] = in
 	q.size++
 }
 
 func (q *robQ) popFront() *inst {
 	in := q.buf[q.head]
 	q.buf[q.head] = nil
-	q.head = (q.head + 1) % len(q.buf)
+	if q.head++; q.head == len(q.buf) {
+		q.head = 0
+	}
 	q.size--
 	return in
 }
 
 // at returns the i-th oldest instruction.
-func (q *robQ) at(i int) *inst { return q.buf[(q.head+i)%len(q.buf)] }
+func (q *robQ) at(i int) *inst { return q.buf[q.slot(i)] }
 
 func (q *robQ) clear() {
 	for i := 0; i < q.size; i++ {
-		q.buf[(q.head+i)%len(q.buf)] = nil
+		q.buf[q.slot(i)] = nil
 	}
 	q.head, q.size = 0, 0
 }
@@ -87,7 +99,7 @@ type Core struct {
 	rob     *robQ
 	iqCount int
 	ready   readyHeap
-	events  eventHeap
+	events  eventWheel
 	delayed []*uop // gateSSNCommit uops parked until SSN.Commit advances
 
 	fq            []fetchEntry // ring of fqCap entries
@@ -132,7 +144,7 @@ type Core struct {
 	// of recently retired instructions, and the fault injector (nil when
 	// injection is disabled).
 	simErr    *SimError
-	retireLog [retireLogCap]RetireRecord
+	retireLog [retireLogCap]retireEntry
 	inj       *faults.Injector
 
 	// Commit-stream observer (difftest lockstep; nil when unattached).
@@ -144,7 +156,9 @@ type Core struct {
 	drainHook func(e *sbEntry)
 
 	// trackInval: record recently written lines for invalidation
-	// injection (periodic or fault-injected).
+	// injection (periodic or fault-injected), and tick the injection
+	// check in step. Decided once in New so a core without injection
+	// pays one predictable branch per cycle.
 	trackInval bool
 
 	// Remote-invalidation injection state (paper §IV-F).
@@ -163,17 +177,13 @@ type Core struct {
 	lsnRetire  int64
 	pendingFwd *fwdRing
 
-	// Free lists and per-cycle scratch: the steady-state cycle loop must
+	// Free list and per-cycle scratch: the steady-state cycle loop must
 	// not allocate (see the allocation-regression guard in core tests).
-	// Retired instructions and their uops are recycled here; squashed ones
-	// are abandoned to the GC (flushes are rare, and recycling them would
-	// require proving no stale reference survives the squash).
-	instPool  []*inst
-	uopPool   []*uop
-	stash     []*uop    // issue(): uops popped but not issuable this cycle
-	srcRegBuf []isa.Reg // srcPhys(): logical source scratch
-	srcBuf    []int     // srcPhys(): physical source scratch
-	sbRefBuf  []int     // flush(): surviving store-buffer register refs
+	// Retired and squashed instructions, with their inline uops, are
+	// recycled here.
+	instPool []*inst
+	stash    []*uop // issue(): uops popped but not issuable this cycle
+	sbRefBuf []int  // flush(): surviving store-buffer register refs
 
 	// onDepMispredict, when set, observes each dependence exception
 	// (diagnostics/tests).
@@ -198,22 +208,20 @@ func New(cfg config.Config, tr *trace.Trace) (*Core, error) {
 		tr.InitMem = mem.NewImage()
 	}
 	c := &Core{
-		cfg:       cfg,
-		tr:        tr,
-		hier:      cache.NewHierarchy(cfg.Hierarchy),
-		tlb:       tlb.New(cfg.TLB),
-		bp:        bpred.New(cfg.BPred),
-		tssbf:     memdep.NewTSSBF(cfg.TSSBF),
-		sdp:       newDistancePredictor(cfg),
-		sets:      memdep.NewStoreSets(cfg.SSITEntries, cfg.StoreSetCount),
-		image:     tr.InitMem.Clone(),
-		rf:        newRegFile(cfg.PhysRegs),
-		rob:       newRobQ(cfg.ROBSize),
-		sb:        newStoreBuffer(cfg.StoreBufferSize, cfg.Consistency == config.RMO),
-		srb:       newStoreRegBuffer(cfg.ROBSize + cfg.StoreBufferSize + 2),
-		fq:        make([]fetchEntry, fqCap),
-		srcRegBuf: make([]isa.Reg, 0, 3),
-		srcBuf:    make([]int, 0, 3),
+		cfg:   cfg,
+		tr:    tr,
+		hier:  cache.NewHierarchy(cfg.Hierarchy),
+		tlb:   tlb.New(cfg.TLB),
+		bp:    bpred.New(cfg.BPred),
+		tssbf: memdep.NewTSSBF(cfg.TSSBF),
+		sdp:   newDistancePredictor(cfg),
+		sets:  memdep.NewStoreSets(cfg.SSITEntries, cfg.StoreSetCount),
+		image: tr.InitMem.Clone(),
+		rf:    newRegFile(cfg.PhysRegs),
+		rob:   newRobQ(cfg.ROBSize),
+		sb:    newStoreBuffer(cfg.StoreBufferSize, cfg.Consistency == config.RMO),
+		srb:   newStoreRegBuffer(cfg.ROBSize + cfg.StoreBufferSize + 2),
+		fq:    make([]fetchEntry, fqCap),
 	}
 	n := nextPow2(cfg.ROBSize + 1)
 	c.instBySeq = make([]*inst, n)
@@ -247,9 +255,13 @@ const cancelPollInterval = 4096
 // fired deadline surfaces within microseconds of wall clock, never
 // mid-cycle: the returned SimError carries a consistent pipeline
 // snapshot. A nil ctx behaves as context.Background().
+//
+// The returned Stats is a copy: holding it does not keep the core (its
+// cache arrays, memory image and pools) reachable.
 func (c *Core) RunContext(ctx context.Context) (*Stats, error) {
 	if len(c.tr.Entries) == 0 {
-		return &c.stats, nil
+		st := c.stats
+		return &st, nil
 	}
 	start := time.Now()
 	window := c.cfg.Watchdog.NoRetireWindow
@@ -295,7 +307,8 @@ func (c *Core) RunContext(ctx context.Context) (*Stats, error) {
 	c.stats.DRAMAccesses = c.hier.DRAM.Reads + c.hier.DRAM.Writes
 	c.stats.TLBAccesses = c.tlb.Accesses
 	c.stats.SimWallClockNS = time.Since(start).Nanoseconds()
-	return &c.stats, nil
+	st := c.stats
+	return &st, nil
 }
 
 // SetProgressFn registers fn to observe simulation progress (retired
@@ -310,11 +323,8 @@ func (c *Core) SetProgressFn(fn func(retired, cycles int64)) { c.progressFn = fn
 func (c *Core) step(window, maxCycles int64) {
 	c.now++
 	c.progress = false
-	if c.inj != nil && c.inj.InvalidateLine() {
-		c.injectInvalidation()
-	}
-	if c.cfg.InvalidationInterval > 0 && c.now%c.cfg.InvalidationInterval == 0 {
-		c.injectInvalidation()
+	if c.trackInval {
+		c.tickInvalidations()
 	}
 	c.commitStores()
 	c.handleEvents()
@@ -437,6 +447,17 @@ func newDistancePredictor(cfg config.Config) memdep.DistancePredictor {
 	return memdep.NewSDP(cfg.SDP)
 }
 
+// tickInvalidations runs the per-cycle invalidation injection: the
+// fault injector's draw and the periodic tick.
+func (c *Core) tickInvalidations() {
+	if c.inj != nil && c.inj.InvalidateLine() {
+		c.injectInvalidation()
+	}
+	if c.cfg.InvalidationInterval > 0 && c.now%c.cfg.InvalidationInterval == 0 {
+		c.injectInvalidation()
+	}
+}
+
 // injectInvalidation models remote-core consistency traffic (paper
 // §IV-F): a recently written cache line is invalidated; its words enter
 // the T-SSBF with SSNcommit+1 so vulnerable in-flight loads re-execute.
@@ -555,29 +576,30 @@ func (c *Core) commitStores() {
 // advances SSNcommit.
 func (c *Core) finishCommit(i int) {
 	c.progress = true
-	e := c.sb.entries[i]
+	e := &c.sb.entries[i]
+	ssn := e.ssn
 	c.image.Write(e.addr, e.size, e.value)
 	if c.drainHook != nil {
-		c.drainHook(&e)
+		c.drainHook(e)
 	}
 	if c.trackInval {
 		line := e.addr &^ uint32(c.hier.LineBytes()-1)
 		if len(c.recentLines) < 8 {
 			c.recentLines = append(c.recentLines, line)
 		} else {
-			c.recentLines[int(e.ssn)%8] = line
+			c.recentLines[int(ssn)%8] = line
 		}
 	}
 	c.rf.dropConsumer(e.dataPhys)
 	c.rf.dropConsumer(e.addrPhys)
 	c.checkRefs(e.idx)
-	c.srb.remove(e.ssn)
-	c.sb.entries = append(c.sb.entries[:i], c.sb.entries[i+1:]...)
+	c.srb.remove(ssn)
+	c.sb.entries = append(c.sb.entries[:i], c.sb.entries[i+1:]...) // e is invalid from here on
 	c.stats.StoresCommitted++
 
 	var newCommit int64
 	if c.cfg.Consistency == config.TSO {
-		newCommit = e.ssn
+		newCommit = ssn
 	} else {
 		// RMO: SSNcommit trails the oldest store still pending. Every
 		// retired store passes through the buffer, so when it drains,
@@ -658,7 +680,6 @@ func (c *Core) dispatchReady(u *uop) {
 		}
 		// Parked loads leave the IQ for the (unlimited) delayed-load
 		// structure (paper §V: NoSQ's delayed-load storage).
-		u.parked = true
 		c.leaveIQ(u)
 		c.delayed = append(c.delayed, u)
 	case gateStoreExec:
@@ -681,7 +702,6 @@ func (c *Core) completeUop(u *uop) {
 		return
 	}
 	u.done = true
-	u.doneAt = c.now
 	in := u.inst
 
 	switch u.kind {
@@ -785,8 +805,7 @@ func (c *Core) issueUop(u *uop) bool {
 	c.progress = true
 	in := u.inst
 	c.leaveIQ(u)
-	u.parked = false
-	c.stats.RegReads += int64(srcCount(u))
+	c.stats.RegReads += int64(u.nsrc)
 
 	switch u.kind {
 	case uopLoad:
@@ -804,16 +823,6 @@ func (c *Core) issueUop(u *uop) bool {
 		c.events.schedule(c.now+1, u)
 	}
 	return false
-}
-
-func srcCount(u *uop) int {
-	n := 0
-	for _, s := range u.srcs {
-		if s >= 0 {
-			n++
-		}
-	}
-	return n
 }
 
 func (c *Core) latencyFor(u *uop) int64 {
@@ -870,18 +879,6 @@ func (c *Core) rename() {
 	}
 }
 
-// allocUop takes a zeroed uop from the free list (or the heap).
-func (c *Core) allocUop() *uop {
-	n := len(c.uopPool)
-	if n == 0 {
-		return &uop{}
-	}
-	u := c.uopPool[n-1]
-	c.uopPool[n-1] = nil
-	c.uopPool = c.uopPool[:n-1]
-	return u
-}
-
 // allocInst takes a reset inst from the free list (or the heap).
 func (c *Core) allocInst() *inst {
 	n := len(c.instPool)
@@ -894,22 +891,21 @@ func (c *Core) allocInst() *inst {
 	return in
 }
 
-// poolInst resets in and its uops and pushes them onto the free lists.
-// Callers must guarantee no live reference to them survives the call.
+// poolInst resets in's scalar state (its seq becomes 0, so seq
+// validation rejects stale pointers to it) and pushes it onto the free
+// list. The inline uops are not cleared: newUop initialises every slot it
+// hands out. Callers must guarantee no live reference to in or its uops
+// survives the call.
 func (c *Core) poolInst(in *inst) {
-	for _, u := range in.uops {
-		*u = uop{}
-		c.uopPool = append(c.uopPool, u)
-	}
-	uops, auxLog, auxPhys := in.uops[:0], in.auxLog[:0], in.auxPhys[:0]
-	ew := in.execWaiters[:0]
-	*in = inst{uops: uops, auxLog: auxLog, auxPhys: auxPhys, execWaiters: ew}
+	in.instState = instState{}
+	in.auxLog, in.auxPhys = in.auxLog[:0], in.auxPhys[:0]
+	in.execWaiters = in.execWaiters[:0]
 	c.instPool = append(c.instPool, in)
 }
 
 // recycleInst returns a retired instruction and its uops to the free
-// lists. Safe because a retiring instruction has no pending uops: none of
-// them sit in the event heap, ready queue, delayed-load structure or
+// list. Safe because a retiring instruction has no pending uops: none of
+// them sit in the event wheel, ready queue, delayed-load structure or
 // register waiter lists, and uops gated on a pooled store validate
 // gateSeq against gateInst.seq before trusting the pointer.
 func (c *Core) recycleInst(in *inst) {
@@ -919,23 +915,25 @@ func (c *Core) recycleInst(in *inst) {
 	c.poolInst(in)
 }
 
-// newUop allocates a uop, wiring operand wakeup.
+// newUop claims in's next inline uop slot, wiring operand wakeup.
 func (c *Core) newUop(in *inst, kind uopKind, class isa.Class, srcs []int, dst int) *uop {
 	c.uopSeq++
-	u := c.allocUop()
-	u.kind = kind
-	u.class = class
-	u.inst = in
-	u.seq = c.uopSeq
-	u.dst = dst
-	u.srcs = [3]int{-1, -1, -1}
-	for i, s := range srcs {
-		u.srcs[i] = s
-		if s >= 0 && c.rf.await(s, u) {
-			u.waitCnt++
+	u := &in.uops[in.nUops]
+	in.nUops++
+	// Field by field: the slot holds a previous incarnation's uop, and
+	// one composite-literal store would build and copy a whole temporary.
+	u.kind, u.class, u.inst, u.seq, u.dst = kind, class, in, c.uopSeq, dst
+	u.nsrc, u.waitCnt = 0, 0
+	u.gate, u.gateSSN, u.gateInst, u.gateSeq = gateNone, 0, nil, 0
+	u.counted, u.cmovSel, u.issued, u.done, u.squashed = false, false, false, false, false
+	for _, s := range srcs {
+		if s >= 0 {
+			u.nsrc++
+			if c.rf.await(s, u) {
+				u.waitCnt++
+			}
 		}
 	}
-	in.uops = append(in.uops, u)
 	in.pending++
 	if kind != uopCloakTrack {
 		u.counted = true
@@ -993,6 +991,7 @@ func (c *Core) renameOne(idx int, hist uint32) *inst {
 	in.histAtRen = hist
 	c.stats.ROBWrites++
 	op := e.Instr.Op
+	in.class = op.Class()
 
 	switch {
 	case op == isa.OpNOP || op == isa.OpHALT || op == isa.OpJ:
@@ -1001,25 +1000,25 @@ func (c *Core) renameOne(idx int, hist uint32) *inst {
 		dst := c.mapDest(in, isa.RA)
 		u := c.newUop(in, uopALU, isa.ClassALU, nil, dst)
 		c.finishUopSetup(u)
-	case op.IsLoad():
+	case in.class == isa.ClassLoad:
 		c.renameLoad(in)
-	case op.IsStore():
+	case in.class == isa.ClassStore:
 		c.renameStore(in)
-	case op.IsBranch() || op == isa.OpJR || op == isa.OpJALR:
-		srcs := c.srcPhys(e)
+	case in.class == isa.ClassBranch: // conditional branches, JR, JALR
+		srcs, n := c.srcPhys(e)
 		dst := -1
 		if op == isa.OpJALR && e.Instr.Dest() != isa.NoReg {
 			dst = c.mapDest(in, e.Instr.Dest())
 		}
-		u := c.newUop(in, uopBranch, isa.ClassBranch, srcs, dst)
+		u := c.newUop(in, uopBranch, isa.ClassBranch, srcs[:n], dst)
 		c.finishUopSetup(u)
 	default:
-		srcs := c.srcPhys(e)
+		srcs, n := c.srcPhys(e)
 		dst := -1
 		if d := e.Instr.Dest(); d != isa.NoReg {
 			dst = c.mapDest(in, d)
 		}
-		u := c.newUop(in, uopALU, op.Class(), srcs, dst)
+		u := c.newUop(in, uopALU, in.class, srcs[:n], dst)
 		c.finishUopSetup(u)
 	}
 
@@ -1027,16 +1026,13 @@ func (c *Core) renameOne(idx int, hist uint32) *inst {
 	return in
 }
 
-// srcPhys maps an instruction's logical sources through the RAT. The
-// returned slice aliases per-core scratch: it is only valid until the
-// next call (newUop copies it immediately).
-func (c *Core) srcPhys(e *trace.Entry) []int {
-	logical := e.Instr.Srcs(c.srcRegBuf[:0])
-	out := c.srcBuf[:0]
-	for _, l := range logical {
-		out = append(out, c.rf.rat[l])
+// srcPhys maps an instruction's logical sources through the RAT.
+func (c *Core) srcPhys(e *trace.Entry) (srcs [2]int, n int) {
+	regs, n := e.Instr.SrcRegs()
+	for k := 0; k < n; k++ {
+		srcs[k] = c.rf.rat[regs[k]]
 	}
-	return out
+	return srcs, n
 }
 
 // ---------- fetch ----------
@@ -1191,7 +1187,7 @@ func (c *Core) retireCommon(in *inst) {
 		}
 	} else {
 		c.stats.Instructions++
-		n := int64(len(in.uops))
+		n := int64(in.nUops)
 		if n == 0 {
 			n = 1
 		}
@@ -1241,17 +1237,17 @@ func (c *Core) flush(refetchIdx int) {
 	c.progress = true
 	// A flush squashes the whole window, so every reference to an
 	// in-flight instruction dies with it: the ready queue, delayed-load
-	// structure, event heap and register waiter lists hold only stale
+	// structure, event wheel and register waiter lists hold only stale
 	// entries afterwards and are cleared below (resetToARAT empties the
 	// waiter lists). That makes it safe to recycle the squashed
-	// instructions and uops instead of abandoning them to the GC.
+	// instructions and their uops instead of abandoning them to the GC.
 	for i := 0; i < c.rob.len(); i++ {
 		in := c.rob.at(i)
 		if c.tracer != nil {
 			c.tracer.onSquash(in.idx)
 		}
-		for _, u := range in.uops {
-			if !u.done {
+		for k := range in.uops[:in.nUops] {
+			if !in.uops[k].done {
 				c.stats.SquashedUops++
 			}
 		}
@@ -1261,7 +1257,7 @@ func (c *Core) flush(refetchIdx int) {
 	c.iqCount = 0
 	c.ready = c.ready[:0]
 	c.delayed = c.delayed[:0]
-	c.events = c.events[:0]
+	c.events.reset()
 
 	c.ssn.Rename = c.ssn.Retire
 	c.lsnRename = c.lsnRetire

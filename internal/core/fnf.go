@@ -66,7 +66,6 @@ func (c *Core) renameStoreFnF(in *inst) {
 	}
 	target := c.lsnRename + 1 + pred.LoadDist
 	c.pendingFwd.put(target, in.ssn)
-	in.fnfTarget = target
 }
 
 // renameLoadFnF claims a pending forward registered for this load's LSN,

@@ -137,7 +137,6 @@ func (c *Core) renameLoadSQFree(in *inst) {
 			pred.Confident = false
 		}
 	}
-	in.predHit = hit
 
 	var se *srbEntry
 	if hit {
@@ -306,7 +305,6 @@ func (c *Core) issueLoadBaseline(u *uop) bool {
 		// Partial overlap: wait for the store to commit, then retry.
 		u.gate = gateSSNCommit
 		u.gateSSN = found.ssn
-		u.parked = true
 		c.delayed = append(c.delayed, u)
 		return true
 	}
@@ -338,7 +336,6 @@ func (c *Core) completeLoadAccess(u *uop) {
 		// The LD half of a predication: keep the cache value; the
 		// selected CMOV publishes the final result.
 		in.cacheValue = c.readCacheValue(e)
-		in.cacheValueSeen = true
 		in.ssnNvul = c.ssn.Commit
 		c.writeback(u.dst)
 		return
@@ -436,11 +433,9 @@ func (c *Core) checkViolations(st *inst) {
 			continue // the store is younger in program order
 		}
 		issued := false
-		resolved := false
-		for _, lu := range l.uops {
-			if lu.kind == uopLoad {
+		for k := range l.uops[:l.nUops] {
+			if lu := &l.uops[k]; lu.kind == uopLoad {
 				issued = lu.issued
-				resolved = lu.done
 			}
 		}
 		if !issued {
@@ -449,7 +444,6 @@ func (c *Core) checkViolations(st *inst) {
 		if l.srcSSN >= st.ssn {
 			continue // got data from this store or a younger one
 		}
-		_ = resolved
 		l.violated = true
 		c.stats.Violations++
 		c.sets.OnViolation(le.PC, se.PC)
@@ -487,7 +481,7 @@ func (c *Core) verifyLoad(in *inst) verifyResult {
 		c.progress = true
 		ssn, tagMatch, covered := c.tssbf.LookupCovering(in.e.WordAddr(), in.e.BAB())
 		c.stats.TSSBFReads++
-		in.tssbfSSN, in.tssbfMatch, in.tssbfCovered = ssn, tagMatch, covered
+		in.tssbfSSN, in.tssbfMatch = ssn, tagMatch
 		if in.readCache {
 			in.needReexec = memdep.NeedsReexecCacheSourced(ssn, in.ssnNvul)
 		} else {

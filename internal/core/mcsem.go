@@ -92,9 +92,9 @@ type mcSem struct {
 	pc     []uint32
 	halted []bool
 
-	shmem *mem.Image            // current globally visible bytes
-	hist  map[uint32]*wordHist  // word addr -> version history
-	sbs   [][]semStore          // per-core semantic store buffers (TSO)
+	shmem *mem.Image           // current globally visible bytes
+	hist  map[uint32]*wordHist // word addr -> version history
+	sbs   [][]semStore         // per-core semantic store buffers (TSO)
 
 	// divergence records a desync detected inside a memory callback
 	// (which cannot return an error); retire surfaces it as a veto.

@@ -277,6 +277,7 @@ func (m *Machine) coreFinished(i int) bool {
 }
 
 // Run steps all cores to completion and returns the machine statistics.
+// Like Core.Run, it returns a copy that does not keep the machine alive.
 func (m *Machine) Run() (*MachineStats, error) {
 	start := time.Now()
 	for {
@@ -322,7 +323,8 @@ func (m *Machine) Run() (*MachineStats, error) {
 		m.stats.Instructions += c.stats.Instructions
 	}
 	m.stats.SimWallClockNS = time.Since(start).Nanoseconds()
-	return &m.stats, nil
+	st := m.stats
+	return &st, nil
 }
 
 // finalizeCore mirrors the stats finalization RunContext performs for a

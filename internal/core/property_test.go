@@ -85,30 +85,162 @@ func TestReadyHeapPopsInSeqOrder(t *testing.T) {
 	}
 }
 
-func TestEventHeapPopDue(t *testing.T) {
-	var h eventHeap
-	u1, u2, u3, u4 := &uop{seq: 1}, &uop{seq: 2}, &uop{seq: 3}, &uop{seq: 4}
-	h.schedule(10, u3)
-	h.schedule(5, u1)
-	h.schedule(5, u2)
-	h.schedule(20, u4)
-	u2.squashed = true
+// eventQueue is the completion-event queue contract the core relies on.
+type eventQueue interface {
+	schedule(at int64, u *uop)
+	popDue(now int64) *uop
+	nextAt() int64
+	reset()
+}
 
-	if got := h.popDue(4); got != nil {
-		t.Fatalf("nothing due at 4, got %v", got.seq)
+// heapQueue is the reference event queue: everything in one binary heap
+// ordered by (cycle, seq).
+type heapQueue struct{ h eventHeap }
+
+func (q *heapQueue) schedule(at int64, u *uop) { q.h.push(event{at: at, seq: u.seq, u: u}) }
+
+func (q *heapQueue) popDue(now int64) *uop {
+	for len(q.h) > 0 && q.h[0].at <= now {
+		if e := q.h.popMin(); !e.u.squashed {
+			return e.u
+		}
 	}
-	if got := h.popDue(5); got != u1 {
-		t.Fatal("u1 due first (same-cycle ties break by seq)")
+	return nil
+}
+
+func (q *heapQueue) nextAt() int64 {
+	if len(q.h) == 0 {
+		return -1
 	}
-	// u2 is squashed: skipped silently.
-	if got := h.popDue(10); got != u3 {
-		t.Fatal("u3 due at 10 after squashed u2 skipped")
+	return q.h[0].at
+}
+
+func (q *heapQueue) reset() { q.h = q.h[:0] }
+
+// TestEventHeapPopDue holds the fixed cases for both event queues: the
+// timing wheel and the reference heap must pop them identically.
+func TestEventHeapPopDue(t *testing.T) {
+	for name, q := range map[string]eventQueue{"wheel": &eventWheel{}, "heap": &heapQueue{}} {
+		u1, u2, u3, u4 := &uop{seq: 1}, &uop{seq: 2}, &uop{seq: 3}, &uop{seq: 4}
+		q.schedule(10, u3)
+		q.schedule(5, u1)
+		q.schedule(5, u2)
+		q.schedule(20, u4)
+		u2.squashed = true
+
+		if got := q.popDue(4); got != nil {
+			t.Fatalf("%s: nothing due at 4, got %v", name, got.seq)
+		}
+		if got := q.popDue(5); got != u1 {
+			t.Fatalf("%s: u1 due first (same-cycle ties break by seq)", name)
+		}
+		// u2 is squashed: skipped silently.
+		if got := q.popDue(10); got != u3 {
+			t.Fatalf("%s: u3 due at 10 after squashed u2 skipped", name)
+		}
+		if got := q.popDue(10); got != nil {
+			t.Fatalf("%s: u4 not due yet", name)
+		}
+		if q.nextAt() != 20 {
+			t.Fatalf("%s: nextAt %d", name, q.nextAt())
+		}
+		// Late (already past) and far (past the wheel horizon) events
+		// order with the rest by (cycle, seq).
+		u5, u6, u7 := &uop{seq: 5}, &uop{seq: 6}, &uop{seq: 7}
+		q.schedule(20+3*wheelSize, u5)
+		q.schedule(9, u6)
+		q.schedule(20, u7)
+		for i, want := range []*uop{u6, u4, u7} {
+			if got := q.popDue(20); got != want {
+				t.Fatalf("%s: pop %d at 20: got %v", name, i, got)
+			}
+		}
+		if q.nextAt() != 20+3*wheelSize {
+			t.Fatalf("%s: nextAt %d, want the far event", name, q.nextAt())
+		}
+		q.reset()
+		if q.nextAt() != -1 || q.popDue(1<<40) != nil {
+			t.Fatalf("%s: reset left events behind", name)
+		}
 	}
-	if got := h.popDue(10); got != nil {
-		t.Fatal("u4 not due yet")
+}
+
+// TestEventWheelMatchesHeap drives the timing wheel and the reference
+// heap with the same random schedule/popDue/nextAt/reset sequences and
+// requires the same pop order and the same nextAt answers. Sequences mix
+// events due at or before the current cycle, within the horizon, past
+// it, squashed uops, out-of-order seqs, flush resets, and clock jumps
+// like the core's idle-cycle fast-forward.
+func TestEventWheelMatchesHeap(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		w, h := &eventWheel{}, &heapQueue{}
+		var seq int64
+		var fresh []*uop // created, not yet scheduled (random issue order)
+		now := int64(r.Intn(3))
+		for step := 0; step < 3000; step++ {
+			switch op := r.Intn(20); {
+			case op < 8: // schedule
+				for len(fresh) < 4 {
+					seq++
+					fresh = append(fresh, &uop{seq: seq})
+				}
+				k := r.Intn(len(fresh))
+				u := fresh[k]
+				fresh = append(fresh[:k], fresh[k+1:]...)
+				var at int64
+				switch r.Intn(10) {
+				case 0:
+					at = now - int64(r.Intn(5)) // at or before now
+				case 1:
+					at = now + wheelSize - 2 + int64(r.Intn(4)) // horizon edge
+				case 2:
+					at = now + int64(r.Intn(5*wheelSize)) // often past it
+				default:
+					at = now + 1 + int64(r.Intn(30))
+				}
+				w.schedule(at, u)
+				h.schedule(at, u)
+			case op < 9: // squash a random not-yet-popped uop
+				if len(h.h) > 0 {
+					h.h[r.Intn(len(h.h))].u.squashed = true
+				}
+			case op < 15: // one cycle: drain everything due
+				now++
+				fallthrough
+			case op < 16: // drain again within the same cycle
+				for {
+					got, want := w.popDue(now), h.popDue(now)
+					if got != want {
+						t.Logf("seed %d step %d now %d: wheel popped %v, heap %v", seed, step, now, got, want)
+						return false
+					}
+					if got == nil {
+						break
+					}
+				}
+			case op < 19: // fast-forward: jump to just before the next event
+				a, b := w.nextAt(), h.nextAt()
+				if a != b {
+					t.Logf("seed %d step %d: nextAt wheel %d, heap %d", seed, step, a, b)
+					return false
+				}
+				if a > now+1 {
+					now = a - 1
+				} else if r.Intn(4) == 0 {
+					now += int64(r.Intn(3 * wheelSize))
+				}
+			default: // flush
+				if r.Intn(5) == 0 {
+					w.reset()
+					h.reset()
+				}
+			}
+		}
+		return true
 	}
-	if h.nextAt() != 20 {
-		t.Fatalf("nextAt %d", h.nextAt())
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+
+	"dmdp/internal/isa"
 )
 
 // This file is the diagnostic side of the hardening layer: every internal
@@ -46,11 +48,10 @@ func Canceled(err error) bool {
 }
 
 // retireLogCap is the depth of the retired-instruction ring buffer kept
-// for diagnostics.
+// for diagnostics (a power of two: the ring is indexed by mask).
 const retireLogCap = 16
 
-// RetireRecord is one retired instruction remembered by the diagnostic
-// ring buffer.
+// RetireRecord is one recently retired instruction in a SimError.
 type RetireRecord struct {
 	Cycle  int64
 	Idx    int // trace index
@@ -151,24 +152,30 @@ func (c *Core) fail(e *SimError) {
 	c.done = true
 }
 
-// recordRetire appends in to the diagnostic ring buffer; call after
-// c.retired has been incremented. The disassembly string is NOT built
-// here — recordRetire runs once per retired instruction, so the ring
-// only stores the trace index and retireTail materializes Disasm on the
-// (cold) SimError path.
-func (c *Core) recordRetire(in *inst) {
-	r := RetireRecord{Cycle: c.now, Idx: in.idx, PC: in.e.PC}
-	switch {
-	case in.isLoad():
-		r.Value, r.IsMem = in.gotValue, true
-	case in.isStore():
-		r.Value, r.IsMem = in.e.Value, true
-	}
-	c.retireLog[int((c.retired-1)%retireLogCap)] = r
+// retireEntry is one slot of the diagnostic ring buffer: only what the
+// trace cannot reproduce. PC, disassembly and the memory flag are
+// derived from the trace entry on the (cold) SimError path.
+type retireEntry struct {
+	cycle int64
+	idx   int    // trace index
+	value uint32 // load result / store data
 }
 
-// retireTail returns the ring buffer's contents oldest-first, filling in
-// the lazily-built disassembly.
+// recordRetire appends in to the diagnostic ring buffer; call after
+// c.retired has been incremented.
+func (c *Core) recordRetire(in *inst) {
+	r := retireEntry{cycle: c.now, idx: in.idx}
+	switch in.class {
+	case isa.ClassLoad:
+		r.value = in.gotValue
+	case isa.ClassStore:
+		r.value = in.e.Value
+	}
+	c.retireLog[(c.retired-1)&(retireLogCap-1)] = r
+}
+
+// retireTail returns the ring buffer's contents oldest-first as
+// RetireRecords, filling in what the trace entries hold.
 func (c *Core) retireTail() []RetireRecord {
 	n := c.retired
 	if n > retireLogCap {
@@ -176,9 +183,12 @@ func (c *Core) retireTail() []RetireRecord {
 	}
 	out := make([]RetireRecord, 0, n)
 	for i := c.retired - n; i < c.retired; i++ {
-		r := c.retireLog[int(i%retireLogCap)]
-		r.Disasm = c.tr.Entries[r.Idx].Instr.String()
-		out = append(out, r)
+		r := c.retireLog[i&(retireLogCap-1)]
+		e := &c.tr.Entries[r.idx]
+		out = append(out, RetireRecord{
+			Cycle: r.cycle, Idx: r.idx, PC: e.PC, Disasm: e.Instr.String(),
+			Value: r.value, IsMem: e.IsLoad() || e.IsStore(),
+		})
 	}
 	return out
 }

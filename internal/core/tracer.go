@@ -53,7 +53,7 @@ func (p *PipeTracer) onRetire(in *inst, now int64) {
 		ValueAt:  in.valueAt,
 		IsLoad:   in.isLoad(),
 		Cat:      in.cat,
-		Uops:     len(in.uops),
+		Uops:     int(in.nUops),
 		Squashes: p.squashes[in.idx],
 	})
 }

@@ -29,82 +29,91 @@ const (
 	// through the ordinary operand-wakeup path (issueLoadBaseline).
 )
 
-// uop is one scheduled micro-operation.
+// uop is one scheduled micro-operation. Uops live inline in their inst
+// (inst.uops) and are recycled with it. Word-sized fields come first and
+// the one-byte fields last, so the struct carries no padding holes.
 type uop struct {
-	kind  uopKind
-	class isa.Class // execution class (latency / functional unit)
-	inst  *inst
-	seq   int64 // global dispatch order (issue priority)
+	inst *inst
+	seq  int64 // global dispatch order (issue priority)
+	// next links the uop into its timing-wheel bucket while it waits for
+	// its completion cycle (see eventWheel).
+	next *uop
 
-	srcs    [3]int // physical register sources (-1 = unused)
-	dst     int    // physical register destination (-1 = none)
-	waitCnt int    // unready sources remaining
+	dst     int // physical register destination (-1 = none)
+	waitCnt int // unready sources remaining
 
-	gate     gateKind
 	gateSSN  int64
 	gateInst *inst
 	gateSeq  int64 // gateInst's seq when the gate was set (staleness check: insts are pooled)
-	parked   bool  // moved into the delayed-load structure
-	counted  bool  // currently occupies an IQ slot
 
+	kind  uopKind
+	class isa.Class // execution class (latency / functional unit)
+	gate  gateKind
+	nsrc  uint8 // physical register sources (register-file reads at issue)
+
+	counted bool // currently occupies an IQ slot
 	// cmovSel: for uopCMOV, true when this is the predicate-true arm
 	// (selects the store data).
-	cmovSel bool
-
+	cmovSel  bool
 	issued   bool
 	done     bool
-	doneAt   int64
 	squashed bool
 }
 
+// maxUops is the most uops one instruction cracks into: a predicated
+// load (AGI, LD, CMP and two CMOVs).
+const maxUops = 5
+
 // inst is one in-flight dynamic instruction (a trace entry instance).
+// Instructions are pooled per core: recycling zeroes instState and
+// truncates the slices, while the inline uops keep their stale contents
+// until newUop re-initialises each slot it hands out.
 type inst struct {
-	idx int          // trace index
-	e   *trace.Entry // the entry (correct-path ground truth)
-	seq int64        // unique dynamic number (monotone across squashes)
+	idx int // trace index (set at every rename)
+	instState
 
-	uops    []*uop
-	pending int // uops not yet done
+	uops [maxUops]uop // uops[:nUops] belong to this incarnation
 
-	// Rename state.
-	destLog  int // logical destination (-1 = none); loads with predication also map HwTmp/HwPred
-	destPhys int
 	// auxiliary logical mappings created by cracking (HwAddr, HwTmp,
 	// HwPred): recorded so retire updates the ARAT for them too.
 	auxLog  []int
 	auxPhys []int
 
-	renamedAt int64
+	// execWaiters are uops gated on this (store) instruction's address
+	// resolution (store sets).
+	execWaiters []*uop
+}
+
+// instState is the scalar per-incarnation state of an inst. The fields
+// every instruction touches from rename to retire come first; the flags
+// are packed at the end.
+type instState struct {
+	e       *trace.Entry // the entry (correct-path ground truth)
+	seq     int64        // unique dynamic number (monotone across squashes)
+	pending int          // uops not yet done
+
+	// Rename state.
+	destLog  int // logical destination (-1 = none); loads with predication also map HwTmp/HwPred
+	destPhys int
+
+	renamedAt   int64
+	completedAt int64
 
 	// Store state.
-	ssn       int64
-	dataPhys  int // store data register (consumer-counted until commit)
-	addrPhys  int // AGI destination (address register)
-	addrReady bool
+	ssn      int64
+	dataPhys int // store data register (consumer-counted until commit)
+	addrPhys int // AGI destination (address register)
 
 	// Load state.
-	cat         LoadCategory
-	lowConf     bool
-	predHit     bool  // SDP produced a prediction
-	usedDist    int64 // predicted store distance
-	ssnByp      int64 // predicted colliding store SSN (0 = none used)
-	predIdx     int   // trace index of the predicted store (-1 = none)
-	histAtRen   uint32
-	actualInFly bool // ground truth: DepStore was in flight at rename
-
-	predicate     bool // CMP outcome: predicted store forwards
-	predicateDone bool
-
-	gotValue  uint32 // value the load obtained speculatively
-	valueAt   int64  // cycle the value became available
-	readCache bool   // value came from the cache (vs an in-flight store)
-	ssnNvul   int64  // SSN.Commit captured when the cache was read
+	usedDist int64 // predicted store distance
+	ssnByp   int64 // predicted colliding store SSN (0 = none used)
+	predIdx  int   // trace index of the predicted store (-1 = none)
+	valueAt  int64 // cycle the value became available
+	ssnNvul  int64 // SSN.Commit captured when the cache was read
 
 	// Fire-and-Forget state.
-	lsn       int64 // load sequence number
-	fnfTarget int64 // store: target LSN of the registered forward (0 = none)
+	lsn int64 // load sequence number
 
-	violated   bool  // baseline: ordering violation -> recover at head
 	srcSSN     int64 // baseline: SSN of the store that supplied the value (-1 = cache read pending)
 	forwardIdx int   // baseline: trace index of the forwarding store (-1 = none)
 
@@ -112,45 +121,58 @@ type inst struct {
 	predAddrPhys int
 	predDataPhys int
 
-	cacheValue     uint32 // raw cache-read result (predication keeps it separate)
-	cacheValueSeen bool
-
 	// Retire-time verification state machine.
+	tssbfSSN int64
+	reexecAt int64 // completion cycle of the re-execution (0 = not issued)
+
+	histAtRen  uint32
+	gotValue   uint32 // value the load obtained speculatively
+	cacheValue uint32 // raw cache-read result (predication keeps it separate)
+
+	class isa.Class // the opcode's execution class, decoded once at rename
+	nUops uint8
+	cat   LoadCategory
+
+	addrReady     bool
+	lowConf       bool
+	actualInFly   bool // ground truth: DepStore was in flight at rename
+	predicate     bool // CMP outcome: predicted store forwards
+	predicateDone bool
+	readCache     bool // value came from the cache (vs an in-flight store)
+	violated      bool // baseline: ordering violation -> recover at head
 	verifyChecked bool
 	needReexec    bool
 	didReexec     bool // the SVW check forced a retire-time re-execution
-	tssbfSSN      int64
 	tssbfMatch    bool
-	tssbfCovered  bool
-	reexecAt      int64 // completion cycle of the re-execution (0 = not issued)
-	recoverAfter  bool  // exception: flush younger instructions after this retires
-
-	// execWaiters are uops gated on this (store) instruction's address
-	// resolution (store sets).
-	execWaiters []*uop
-
-	completedAt int64
-	squashed    bool
+	recoverAfter  bool // exception: flush younger instructions after this retires
+	squashed      bool
 }
 
-func (in *inst) isLoad() bool  { return in.e.IsLoad() }
-func (in *inst) isStore() bool { return in.e.IsStore() }
+func (in *inst) isLoad() bool  { return in.class == isa.ClassLoad }
+func (in *inst) isStore() bool { return in.class == isa.ClassStore }
 
 // complete reports whether the instruction can retire (all uops done).
 func (in *inst) complete() bool { return in.pending == 0 }
 
 // ---------- ready queue (issue priority by age) ----------
 
-// readyHeap is a hand-rolled binary min-heap ordered by uop.seq. It
+// readyEntry carries its uop's seq inline so heap sifts compare without
+// dereferencing uops.
+type readyEntry struct {
+	seq int64
+	u   *uop
+}
+
+// readyHeap is a hand-rolled binary min-heap ordered by uop seq. It
 // deliberately avoids container/heap: the interface indirection costs a
 // dynamic dispatch per sift step, and this queue sits on the per-cycle
 // issue path.
-type readyHeap []*uop
+type readyHeap []readyEntry
 
 func (h readyHeap) Len() int { return len(h) }
 
 func (h *readyHeap) push(u *uop) {
-	a := append(*h, u)
+	a := append(*h, readyEntry{seq: u.seq, u: u})
 	i := len(a) - 1
 	for i > 0 {
 		p := (i - 1) / 2
@@ -165,17 +187,17 @@ func (h *readyHeap) push(u *uop) {
 
 func (h *readyHeap) pop() *uop {
 	a := *h
-	u := a[0]
+	u := a[0].u
 	n := len(a) - 1
 	a[0] = a[n]
-	a[n] = nil
+	a[n] = readyEntry{}
 	a = a[:n]
 	siftDownReady(a, 0)
 	*h = a
 	return u
 }
 
-func siftDownReady(a []*uop, i int) {
+func siftDownReady(a []readyEntry, i int) {
 	n := len(a)
 	for {
 		l := 2*i + 1
@@ -192,94 +214,4 @@ func siftDownReady(a []*uop, i int) {
 		a[i], a[m] = a[m], a[i]
 		i = m
 	}
-}
-
-// ---------- completion events ----------
-
-type event struct {
-	at int64
-	u  *uop
-}
-
-func (e event) before(o event) bool {
-	if e.at != o.at {
-		return e.at < o.at
-	}
-	return e.u.seq < o.u.seq
-}
-
-// eventHeap is a hand-rolled binary min-heap of completion events ordered
-// by (cycle, uop seq). Like readyHeap it avoids container/heap — and in
-// particular the event-struct-to-interface boxing that used to allocate
-// on every schedule call.
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-
-func (h *eventHeap) schedule(at int64, u *uop) {
-	a := append(*h, event{at: at, u: u})
-	i := len(a) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if a[p].before(a[i]) {
-			break
-		}
-		a[p], a[i] = a[i], a[p]
-		i = p
-	}
-	*h = a
-}
-
-func (h *eventHeap) popMin() event {
-	a := *h
-	e := a[0]
-	n := len(a) - 1
-	a[0] = a[n]
-	a[n] = event{}
-	a = a[:n]
-	siftDownEvent(a, 0)
-	*h = a
-	return e
-}
-
-func siftDownEvent(a []event, i int) {
-	n := len(a)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
-		}
-		m := l
-		if r := l + 1; r < n && a[r].before(a[l]) {
-			m = r
-		}
-		if a[i].before(a[m]) {
-			return
-		}
-		a[i], a[m] = a[m], a[i]
-		i = m
-	}
-}
-
-// popDue removes and returns the next event due at or before now, or nil.
-func (h *eventHeap) popDue(now int64) *uop {
-	for h.Len() > 0 {
-		if (*h)[0].at > now {
-			return nil
-		}
-		e := h.popMin()
-		if e.u.squashed {
-			continue
-		}
-		return e.u
-	}
-	return nil
-}
-
-// nextAt returns the cycle of the earliest pending event, or -1.
-func (h eventHeap) nextAt() int64 {
-	if len(h) == 0 {
-		return -1
-	}
-	return h[0].at
 }

@@ -133,58 +133,56 @@ const (
 	ClassNop
 )
 
-// Class returns the execution class of the opcode.
-func (o Op) Class() Class {
-	switch o {
-	case OpLB, OpLBU, OpLH, OpLHU, OpLW:
-		return ClassLoad
-	case OpSB, OpSH, OpSW:
-		return ClassStore
-	case OpBEQ, OpBNE, OpBLEZ, OpBGTZ, OpBLTZ, OpBGEZ, OpJ, OpJAL, OpJR, OpJALR:
-		return ClassBranch
-	case OpMUL, OpMULH:
-		return ClassMul
-	case OpDIVOP, OpREMOP:
-		return ClassDiv
-	case OpFADD, OpFMUL:
-		return ClassFP
-	case OpFDIV:
-		return ClassFPDiv
-	case OpNOP, OpHALT:
-		return ClassNop
-	}
-	return ClassALU
+// opClass and opFlags are the per-opcode decode tables: the class and
+// control-flow predicates below are single indexed loads, sized for every
+// Op value so out-of-range opcodes decode as ClassALU with no flags.
+var opClass = [256]Class{
+	OpLB: ClassLoad, OpLBU: ClassLoad, OpLH: ClassLoad, OpLHU: ClassLoad, OpLW: ClassLoad,
+	OpSB: ClassStore, OpSH: ClassStore, OpSW: ClassStore,
+	OpBEQ: ClassBranch, OpBNE: ClassBranch, OpBLEZ: ClassBranch, OpBGTZ: ClassBranch,
+	OpBLTZ: ClassBranch, OpBGEZ: ClassBranch,
+	OpJ: ClassBranch, OpJAL: ClassBranch, OpJR: ClassBranch, OpJALR: ClassBranch,
+	OpMUL: ClassMul, OpMULH: ClassMul,
+	OpDIVOP: ClassDiv, OpREMOP: ClassDiv,
+	OpFADD: ClassFP, OpFMUL: ClassFP,
+	OpFDIV: ClassFPDiv,
+	OpNOP:  ClassNop, OpHALT: ClassNop,
 }
 
+const (
+	flagBranch uint8 = 1 << iota // conditional branch
+	flagJump                     // unconditional control transfer
+	flagIType                    // I-type ALU (Rt = dest, Rs = source)
+)
+
+var opFlags = [256]uint8{
+	OpBEQ: flagBranch, OpBNE: flagBranch, OpBLEZ: flagBranch, OpBGTZ: flagBranch,
+	OpBLTZ: flagBranch, OpBGEZ: flagBranch,
+	OpJ: flagJump, OpJAL: flagJump, OpJR: flagJump, OpJALR: flagJump,
+	OpADDI: flagIType, OpADDIU: flagIType, OpANDI: flagIType, OpORI: flagIType,
+	OpXORI: flagIType, OpSLTI: flagIType, OpSLTIU: flagIType, OpLUI: flagIType,
+}
+
+// Class returns the execution class of the opcode.
+func (o Op) Class() Class { return opClass[o] }
+
 // IsLoad reports whether the opcode reads memory.
-func (o Op) IsLoad() bool { return o.Class() == ClassLoad }
+func (o Op) IsLoad() bool { return opClass[o] == ClassLoad }
 
 // IsStore reports whether the opcode writes memory.
-func (o Op) IsStore() bool { return o.Class() == ClassStore }
+func (o Op) IsStore() bool { return opClass[o] == ClassStore }
 
 // IsMem reports whether the opcode accesses memory.
 func (o Op) IsMem() bool { return o.IsLoad() || o.IsStore() }
 
 // IsBranch reports whether the opcode is a conditional branch.
-func (o Op) IsBranch() bool {
-	switch o {
-	case OpBEQ, OpBNE, OpBLEZ, OpBGTZ, OpBLTZ, OpBGEZ:
-		return true
-	}
-	return false
-}
+func (o Op) IsBranch() bool { return opFlags[o]&flagBranch != 0 }
 
 // IsJump reports whether the opcode is an unconditional control transfer.
-func (o Op) IsJump() bool {
-	switch o {
-	case OpJ, OpJAL, OpJR, OpJALR:
-		return true
-	}
-	return false
-}
+func (o Op) IsJump() bool { return opFlags[o]&flagJump != 0 }
 
 // IsControl reports whether the opcode changes control flow.
-func (o Op) IsControl() bool { return o.IsBranch() || o.IsJump() }
+func (o Op) IsControl() bool { return opFlags[o]&(flagBranch|flagJump) != 0 }
 
 // MemBytes returns the access size in bytes for memory opcodes, 0 otherwise.
 func (o Op) MemBytes() uint32 {

@@ -36,14 +36,15 @@ type sdpEntry struct {
 }
 
 type sdpTable struct {
-	sets [][]sdpEntry
+	sets [][]sdpEntry // per-set views into one backing array
 	tick int64
 }
 
 func newSDPTable(sets, ways int) *sdpTable {
 	t := &sdpTable{sets: make([][]sdpEntry, sets)}
+	entries := make([]sdpEntry, sets*ways)
 	for i := range t.sets {
-		t.sets[i] = make([]sdpEntry, ways)
+		t.sets[i] = entries[i*ways : (i+1)*ways : (i+1)*ways]
 	}
 	return t
 }

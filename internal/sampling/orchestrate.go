@@ -98,6 +98,9 @@ func autoChunkLen(budget int64) int {
 // Either way the intervals run on a deterministic worker pool and combine
 // into a Combined that is byte-identical at any Jobs width.
 func Execute(ctx context.Context, cfg config.Config, req Request) (*Outcome, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err // before warming builds caches from cfg
+	}
 	if err := req.Spec.Validate(); err != nil {
 		return nil, err
 	}

@@ -32,6 +32,10 @@ type TLB struct {
 	cfg     Config
 	entries []entry
 	tick    int64
+	// last is the entry the previous translation hit or filled. Fills
+	// happen only on a miss, so a VPN is never resident twice and a
+	// matching last entry is the one the full scan would find.
+	last int
 
 	Accesses, Misses int64
 }
@@ -48,11 +52,16 @@ func (t *TLB) Translate(addr uint32) int64 {
 	t.tick++
 	t.Accesses++
 	vpn := addr / t.cfg.PageBytes
+	if e := &t.entries[t.last]; e.valid && e.vpn == vpn {
+		e.used = t.tick
+		return 0
+	}
 	victim := 0
 	for i := range t.entries {
 		e := &t.entries[i]
 		if e.valid && e.vpn == vpn {
 			e.used = t.tick
+			t.last = i
 			return 0
 		}
 		if !t.entries[victim].valid {
@@ -64,6 +73,7 @@ func (t *TLB) Translate(addr uint32) int64 {
 	}
 	t.Misses++
 	t.entries[victim] = entry{vpn: vpn, valid: true, used: t.tick}
+	t.last = victim
 	return t.cfg.MissPenalty
 }
 

@@ -64,6 +64,7 @@ func (t *TLB) LoadWarmState(buf []byte) (int, error) {
 		off += 4
 	}
 	t.tick = int64(len(t.entries))
+	t.last = 0 // entry 0 is the first match whatever the loaded bytes hold
 	return off, nil
 }
 
@@ -72,6 +73,7 @@ func (t *TLB) LoadWarmState(buf []byte) (int, error) {
 func (t *TLB) CopyWarmFrom(src *TLB) {
 	copy(t.entries, src.entries)
 	t.tick = src.tick
+	t.last = 0
 }
 
 // PageBytes exposes the page size so the warm hot loop can implement a
