@@ -1,6 +1,7 @@
 package artifact
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -94,5 +95,38 @@ func TestEnforceCapAtBoundary(t *testing.T) {
 	s.enforceCap()
 	if got := survivors(t, dir); len(got) != 3 {
 		t.Fatalf("survivors = %v, want all three (total == cap must not evict)", got)
+	}
+}
+
+// A store far below its cap walks its directory once, at the first
+// publish, and afterwards only advances its running size estimate instead
+// of walking on every publish. Once the estimate passes the cap, every
+// publish walks and evicts down to the cap again.
+func TestPublishWalksOnlyPastCap(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, RW, 1<<30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 1000; i++ {
+		s.publish(filepath.Join(dir, fmt.Sprintf("entry-%04d", i)), make([]byte, 64))
+	}
+	if s.capWalks != 1 {
+		t.Fatalf("1,000 publishes far below the cap walked the directory %d times, want 1", s.capWalks)
+	}
+
+	dir = t.TempDir()
+	if s, err = Open(dir, RW, 10*100); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 15; i++ {
+		s.publish(filepath.Join(dir, fmt.Sprintf("entry-%04d", i)), make([]byte, 100))
+	}
+	if s.capWalks != 6 {
+		t.Errorf("walks = %d, want 6 (the first publish, then each of the 5 past the cap)", s.capWalks)
+	}
+	got := survivors(t, dir)
+	if len(got) != 10 || got["entry-0004"] || !got["entry-0005"] {
+		t.Fatalf("survivors = %v, want entry-0005..entry-0014", got)
 	}
 }

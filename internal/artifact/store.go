@@ -165,7 +165,15 @@ type Store struct {
 	degradedWhy atomic.Value // string
 	warnFn      func(msg string)
 
-	evictMu sync.Mutex // serializes size-cap walks
+	// evictMu serializes size-cap walks and guards the running estimate
+	// that decides when one is due: the directory's total at the last
+	// walk plus every byte this store published since (dirKnown is false
+	// until the first walk). Another process's writes to the directory
+	// are counted at the next walk.
+	evictMu  sync.Mutex
+	dirBytes int64
+	dirKnown bool
+	capWalks int64
 
 	// loaded memoizes decoded traces per key, tagged with the identity
 	// of the file they were decoded from (see traceio.go). Reloading an
@@ -205,7 +213,8 @@ type fileID struct {
 // Open creates (if needed) the cache directory and returns a store in
 // the given mode. Mode Off returns (nil, nil): the nil store misses
 // everything and persists nothing. maxBytes <= 0 means DefaultMaxBytes;
-// the cap is enforced after each write in a read-write mode.
+// in a read-write mode, writes evict down to the cap once the store's
+// running size estimate passes it (see noteWrite).
 func Open(dir string, mode Mode, maxBytes int64) (*Store, error) {
 	if mode == Off {
 		return nil, nil
@@ -423,7 +432,20 @@ func (s *Store) publish(path string, data []byte) {
 	}
 	s.writes.Add(1)
 	s.bytesWritten.Add(int64(len(data)))
-	s.enforceCap()
+	s.noteWrite(int64(len(data)))
+}
+
+// noteWrite advances the running size estimate by a published entry of n
+// bytes. The directory is walked (enforceCap) only on the first publish
+// and once the estimate passes maxBytes.
+func (s *Store) noteWrite(n int64) {
+	s.evictMu.Lock()
+	s.dirBytes += n
+	due := !s.dirKnown || s.dirBytes > s.maxBytes
+	s.evictMu.Unlock()
+	if due {
+		s.enforceCap()
+	}
 }
 
 // touch refreshes a file's mtime so LRU eviction sees the hit. Read-only
@@ -444,12 +466,14 @@ func (s *Store) drop(path string) {
 }
 
 // enforceCap deletes least-recently-used cache files until the directory
-// is under maxBytes. Only complete entries (never tmp files being
-// written elsewhere) are considered; races with concurrent writers are
-// benign because entries are immutable once renamed in.
+// is under maxBytes, and resets the running size estimate to what is
+// left. Only complete entries (never tmp files being written elsewhere)
+// are considered; races with concurrent writers are benign because
+// entries are immutable once renamed in.
 func (s *Store) enforceCap() {
 	s.evictMu.Lock()
 	defer s.evictMu.Unlock()
+	s.capWalks++
 	ents, err := os.ReadDir(s.dir)
 	if err != nil {
 		return
@@ -479,6 +503,7 @@ func (s *Store) enforceCap() {
 			mtime: info.ModTime().UnixNano(),
 		})
 	}
+	s.dirBytes, s.dirKnown = total, true
 	if total <= s.maxBytes {
 		return
 	}
@@ -503,4 +528,5 @@ func (s *Store) enforceCap() {
 			s.evictions.Add(1)
 		}
 	}
+	s.dirBytes = total
 }

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"dmdp/internal/config"
+	"dmdp/internal/workload"
 )
 
 // bigOCPattern is the occasionally-colliding pointer sweep of ocPattern
@@ -78,4 +80,36 @@ func TestCycleLoopDoesNotAllocate(t *testing.T) {
 			t.Errorf("%s: 5,000 steady-state cycles allocate %.0f objects, want 0", m, total)
 		}
 	}
+}
+
+// TestNewAllocationBound bounds what core.New allocates on lbm at 20k
+// instructions, whose initial image is a 6 MiB data segment: the core
+// shares the trace's pages copy-on-write, so what remains is the cache,
+// predictor and window state. A page-by-page copy of the image would
+// allocate about 7.3 MB per call, paid again by every short run (the
+// suite's 20k cells, sampled intervals).
+func TestNewAllocationBound(t *testing.T) {
+	s, ok := workload.Get("lbm")
+	if !ok {
+		t.Fatal("lbm proxy missing")
+	}
+	tr, err := s.BuildTrace(20_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := config.Default(config.DMDP)
+	const runs, limit = 5, 1_500_000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := New(cfg, tr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perNew := (after.TotalAlloc - before.TotalAlloc) / runs
+	if perNew > limit {
+		t.Fatalf("core.New on lbm@20k allocates %d bytes, limit %d", perNew, limit)
+	}
+	t.Logf("core.New on lbm@20k: %d bytes", perNew)
 }

@@ -27,7 +27,7 @@ func mcBenchmarks(r *Runner) []string {
 }
 
 // McIPCRuns declares no cached runs: every cell is a multicore machine
-// simulation executed inline by McIPC (the core.Stats result cache only
+// simulation that McIPC runs itself (the core.Stats result cache only
 // understands single-core runs).
 func McIPCRuns(r *Runner) []RunSpec { return nil }
 
@@ -57,38 +57,39 @@ func mcRun(tr *trace.Trace, model config.Model, n int) (*core.MachineStats, erro
 // same address stream is the worst case for coherence (every store
 // invalidates every remote L1 and stamps its T-SSBF), so per-core IPC
 // degrades with the core count while DMDP's margin over the baseline
-// persists.
+// persists. The machines run on the runner's worker pool, each into its
+// own slot; a proxy whose trace or any machine failed is left out.
 func McIPC(r *Runner) (string, error) {
 	t := stats.NewTable("Multicore: aggregate IPC over a shared L2 (same trace per core)",
 		"bench", "base 1c", "base 2c", "base 4c", "dmdp 1c", "dmdp 2c", "dmdp 4c", "dmdp stamps 4c")
-	for _, b := range mcBenchmarks(r) {
-		tr, err := r.Trace(b)
+	benches := mcBenchmarks(r)
+	models := []config.Model{config.Baseline, config.DMDP}
+	perBench := len(models) * len(mcCoreCounts)
+	cells := make([]*core.MachineStats, len(benches)*perBench)
+	r.forEachPooled(r.ctx(), len(cells), func(i int) {
+		tr, err := r.Trace(benches[i/perBench])
 		if err != nil {
-			continue // trace build failure already recorded by the runner
+			return // trace build failure already recorded by the runner
 		}
-		row := []any{b}
-		var stamps int64
-		ok := true
-		for _, model := range []config.Model{config.Baseline, config.DMDP} {
-			for _, n := range mcCoreCounts {
-				st, err := mcRun(tr, model, n)
-				if err != nil {
-					ok = false
-					break
-				}
-				row = append(row, st.IPC())
-				if model == config.DMDP && n == mcCoreCounts[len(mcCoreCounts)-1] {
-					stamps = st.RemoteStamps
-				}
-			}
-			if !ok {
+		j := i % perBench
+		if st, err := mcRun(tr, models[j/len(mcCoreCounts)], mcCoreCounts[j%len(mcCoreCounts)]); err == nil {
+			cells[i] = st
+		}
+	})
+	for b, name := range benches {
+		row := []any{name}
+		for _, st := range cells[b*perBench : (b+1)*perBench] {
+			if st == nil {
+				row = nil
 				break
 			}
+			row = append(row, st.IPC())
 		}
-		if !ok {
+		if row == nil {
 			continue
 		}
-		row = append(row, fmt.Sprintf("%d", stamps))
+		// The row's last machine is the 4-core DMDP one.
+		row = append(row, fmt.Sprintf("%d", cells[(b+1)*perBench-1].RemoteStamps))
 		t.AddF(3, row...)
 	}
 	out := t.String()
