@@ -455,9 +455,9 @@ func printStats(model dmdp.Model, st *dmdp.Stats) {
 			float64(st.SimWallClockNS)/1e9, st.SimIPS())
 	}
 	if st.Faults.Total() > 0 {
-		fmt.Printf("injected faults    %d (flips %d, lowconf %d, predicate %d, inval %d, value %d)\n",
+		fmt.Printf("injected faults    %d (flips %d, lowconf %d, predicate %d, value %d)\n",
 			st.Faults.Total(), st.Faults.PredictionFlips, st.Faults.ForcedLowConf,
-			st.Faults.PredicateCorruptions, st.Faults.LineInvalidations, st.Faults.ValueCorruptions)
+			st.Faults.PredicateCorruptions, st.Faults.ValueCorruptions)
 	}
 }
 

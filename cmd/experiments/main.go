@@ -112,7 +112,10 @@ func main() {
 			brokenExperiments++
 			continue
 		}
-		fmt.Printf("==== %s — %s (%.1fs) ====\n", e.ID, e.Title, time.Since(t0).Seconds())
+		// Stdout carries only results, so that it is byte-identical
+		// across cache modes; the render time goes to stderr.
+		fmt.Fprintf(os.Stderr, "experiments: %s rendered in %.1fs\n", e.ID, time.Since(t0).Seconds())
+		fmt.Printf("==== %s — %s ====\n", e.ID, e.Title)
 		fmt.Println(out)
 		if *outDir != "" {
 			if err := os.MkdirAll(*outDir, 0o755); err != nil {

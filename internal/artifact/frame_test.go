@@ -28,7 +28,9 @@ func testPlan() *PlanRecord {
 // TestFramedEncodingsPinned pins the exact file bytes of each framed kind
 // for a fixed record, as written by the per-kind encoders the shared
 // frame replaced. A changed magic, header layout, field order or width
-// changes the hash; the round trips elsewhere cannot see that.
+// changes the hash; the round trips elsewhere cannot see that. The
+// result record carries the canonical Stats, so a Stats schema bump
+// re-records its pin (schema v2: 644 bytes).
 func TestFramedEncodingsPinned(t *testing.T) {
 	st := &core.Stats{Cycles: 123, Instructions: 456, L1MissRate: 0.25, SimWallClockNS: 999}
 	st.LoadCount[1] = 7
@@ -41,7 +43,7 @@ func TestFramedEncodingsPinned(t *testing.T) {
 	}{
 		{"checkpoint", checkpointKind.encodeFile(testCheckpoint()), 8360, "5ea23a338361be17b603de685bf87202411986971618a55042df6ed5ec7665c9"},
 		{"plan", planKind.encodeFile(testPlan()), 100, "9f7db1b63c475789b391158a49ba2667cd820221a0109e31f5c1199b01fe1045"},
-		{"result", resultKind.encodeFile(st), 652, "c4d1d9d07bc9b90fa284405300dc8b7c89645a6b22ed1d2d8a365d6c824a18f1"},
+		{"result", resultKind.encodeFile(st), 644, "0f4954ffcb4f625f06660f7b7d601fda848ac37950a5d335300965e80251489e"},
 		{"warm", warmKind.encodeFile(&WarmRecord{At: 4096, BaseAt: 2048, Payload: []byte("fixed warm payload")}), 46, "7ff5d1386d8011e4c3a3ef1207bdf0f4570d9b81da6a5424f2e249a3f495d7ea"},
 	} {
 		sum := sha256.Sum256(c.data)

@@ -143,13 +143,6 @@ type Config struct {
 	// related-work section proposes, §VII).
 	UseTAGE bool
 
-	// InvalidationInterval, when positive, injects a remote-core cache
-	// line invalidation every that-many cycles (multi-core consistency
-	// traffic, paper §IV-F): a recently written line is dropped from the
-	// hierarchy and its words enter the T-SSBF with SSNcommit+1, forcing
-	// vulnerable in-flight loads to re-execute.
-	InvalidationInterval int64
-
 	// WarmupInstructions, when positive, discards the statistics of the
 	// first N retired instructions: caches and predictors stay warm but
 	// counters restart. The paper's checkpoints start cold and
@@ -249,13 +242,6 @@ func (c Config) WithSilentStorePolicy(on bool) Config {
 // WithTAGE returns a copy using the TAGE-like Store Distance Predictor.
 func (c Config) WithTAGE(on bool) Config {
 	c.UseTAGE = on
-	return c
-}
-
-// WithInvalidations returns a copy injecting a remote invalidation every
-// interval cycles (0 disables).
-func (c Config) WithInvalidations(interval int64) Config {
-	c.InvalidationInterval = interval
 	return c
 }
 

@@ -103,7 +103,6 @@ func TestDigestWithHelpers(t *testing.T) {
 		base.WithCoalescing(false),
 		base.WithPrefetch(true),
 		base.WithSilentStorePolicy(false),
-		base.WithInvalidations(2000),
 		base.WithWarmup(1000),
 		base.WithFastForward(false),
 	}

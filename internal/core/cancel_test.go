@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
 	"dmdp/internal/config"
+	"dmdp/internal/trace"
 	"dmdp/internal/workload"
 )
 
@@ -121,5 +123,40 @@ func TestProgressFn(t *testing.T) {
 	}
 	if samples == 0 {
 		t.Fatal("progress callback never fired")
+	}
+}
+
+// TestMachineRunContext: an already-cancelled context aborts a machine
+// run with a structured ErrCanceled SimError, and a live one leaves the
+// run's digest lines equal to a plain Run's.
+func TestMachineRunContext(t *testing.T) {
+	s, _ := workload.Get("hmmer")
+	tr, err := s.BuildTrace(20_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultMachineConfig(2, config.DMDP, MemTSO)
+	cfg.Semantics = false
+	runCtx := func(ctx context.Context) (*MachineStats, error) {
+		m, err := NewMachine(cfg, []*trace.Trace{tr, tr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m.RunContext(ctx)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := runCtx(ctx); !Canceled(err) {
+		t.Fatalf("err=%v, want ErrCanceled SimError", err)
+	}
+	ctx, cancel = context.WithTimeout(context.Background(), time.Hour)
+	defer cancel()
+	live, err := runCtx(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, plain := runMachine(t, cfg, []*trace.Trace{tr, tr})
+	if a, b := strings.Join(live.DigestLines(), "\n"), strings.Join(plain.DigestLines(), "\n"); a != b {
+		t.Fatalf("RunContext with unfired deadline changed the digest:\n%s\n----\n%s", a, b)
 	}
 }

@@ -133,9 +133,8 @@ type Core struct {
 	// cycle changed any simulation state; a cycle that provably did
 	// nothing lets the core jump straight to the next deadline (see
 	// fastForward). ffEnabled gates the whole mechanism — off when the
-	// config disables it and under fault injection (the injector draws
-	// from its PRNG every cycle, so skipping cycles would change the
-	// fault schedule).
+	// config disables it and under fault injection, whose runs keep the
+	// plain stepped schedule.
 	progress  bool
 	ffEnabled bool
 
@@ -154,16 +153,6 @@ type Core struct {
 	// globally visible (finishCommit). The multicore Machine uses it as
 	// the TSO store-visibility point; nil when unattached.
 	drainHook func(e *sbEntry)
-
-	// trackInval: record recently written lines for invalidation
-	// injection (periodic or fault-injected), and tick the injection
-	// check in step. Decided once in New so a core without injection
-	// pays one predictable branch per cycle.
-	trackInval bool
-
-	// Remote-invalidation injection state (paper §IV-F).
-	recentLines []uint32
-	invalPick   uint32
 
 	// Warmup bookkeeping: the cycle and cache counters at the end of
 	// the measurement warmup.
@@ -233,7 +222,6 @@ func New(cfg config.Config, tr *trace.Trace) (*Core, error) {
 	if cfg.Faults.Enabled() {
 		c.inj = faults.NewInjector(cfg.Faults)
 	}
-	c.trackInval = cfg.InvalidationInterval > 0 || (c.inj != nil && c.inj.WantsInvalidations())
 	c.ffEnabled = !cfg.DisableFastForward && c.inj == nil
 	return c, nil
 }
@@ -323,9 +311,6 @@ func (c *Core) SetProgressFn(fn func(retired, cycles int64)) { c.progressFn = fn
 func (c *Core) step(window, maxCycles int64) {
 	c.now++
 	c.progress = false
-	if c.trackInval {
-		c.tickInvalidations()
-	}
 	c.commitStores()
 	c.handleEvents()
 	c.retire()
@@ -353,11 +338,11 @@ func (c *Core) step(window, maxCycles int64) {
 // every intermediate cycle is identical to the current one and stepping
 // through them one by one would only burn host time. The core jumps to
 // one cycle before the earliest deadline — the next completion event,
-// store write-back, front-end resume, re-execution finish, invalidation
-// tick or watchdog expiry — and credits the per-cycle stall counters
-// (fetch stall, re-execution stall, store-buffer-full stall) for the
-// skipped cycles exactly as stepping would have. Statistics are therefore
-// bit-identical with the switch on or off (TestFastForwardEquivalence).
+// store write-back, front-end resume, re-execution finish or watchdog
+// expiry — and credits the per-cycle stall counters (fetch stall,
+// re-execution stall, store-buffer-full stall) for the skipped cycles
+// exactly as stepping would have. Statistics are therefore bit-identical
+// with the switch on or off (TestFastForwardEquivalence).
 func (c *Core) fastForward(window, maxCycles int64) {
 	if !c.ffEnabled || c.done || c.simErr != nil || c.ready.Len() > 0 {
 		return
@@ -388,9 +373,6 @@ func (c *Core) fastForward(window, maxCycles int64) {
 		if head.reexecAt > 0 {
 			add(head.reexecAt)
 		}
-	}
-	if iv := c.cfg.InvalidationInterval; iv > 0 {
-		add(c.now + iv - c.now%iv)
 	}
 	if maxCycles > 0 {
 		add(maxCycles)
@@ -445,35 +427,6 @@ func newDistancePredictor(cfg config.Config) memdep.DistancePredictor {
 		return memdep.NewTAGESDP(memdep.DefaultTAGEConfig(cfg.SDP.Biased))
 	}
 	return memdep.NewSDP(cfg.SDP)
-}
-
-// tickInvalidations runs the per-cycle invalidation injection: the
-// fault injector's draw and the periodic tick.
-func (c *Core) tickInvalidations() {
-	if c.inj != nil && c.inj.InvalidateLine() {
-		c.injectInvalidation()
-	}
-	if c.cfg.InvalidationInterval > 0 && c.now%c.cfg.InvalidationInterval == 0 {
-		c.injectInvalidation()
-	}
-}
-
-// injectInvalidation models remote-core consistency traffic (paper
-// §IV-F): a recently written cache line is invalidated; its words enter
-// the T-SSBF with SSNcommit+1 so vulnerable in-flight loads re-execute.
-func (c *Core) injectInvalidation() {
-	c.progress = true
-	if len(c.recentLines) == 0 {
-		return
-	}
-	line := c.recentLines[int(c.invalPick)%len(c.recentLines)]
-	c.invalPick++
-	c.hier.Invalidate(line)
-	if c.cfg.Model != config.Baseline {
-		c.tssbf.InvalidateLine(line, c.hier.LineBytes())
-		c.stats.TSSBFWrites += int64(c.hier.LineBytes() / 4)
-	}
-	c.stats.Invalidations++
 }
 
 // ---------- store commit ----------
@@ -581,14 +534,6 @@ func (c *Core) finishCommit(i int) {
 	c.image.Write(e.addr, e.size, e.value)
 	if c.drainHook != nil {
 		c.drainHook(e)
-	}
-	if c.trackInval {
-		line := e.addr &^ uint32(c.hier.LineBytes()-1)
-		if len(c.recentLines) < 8 {
-			c.recentLines = append(c.recentLines, line)
-		} else {
-			c.recentLines[int(ssn)%8] = line
-		}
 	}
 	c.rf.dropConsumer(e.dataPhys)
 	c.rf.dropConsumer(e.addrPhys)

@@ -65,8 +65,6 @@ func TestBenignFaultClassesConverge(t *testing.T) {
 			func(c faults.Counts) int64 { return c.ForcedLowConf }, false},
 		{"predicate-corrupt", faults.Config{Seed: 3, PredicateCorruptRate: 0.05},
 			func(c faults.Counts) int64 { return c.PredicateCorruptions }, true},
-		{"line-invalidate", faults.Config{Seed: 4, LineInvalidateRate: 0.005},
-			func(c faults.Counts) int64 { return c.LineInvalidations }, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -65,9 +66,8 @@ type MachineConfig struct {
 	Cores int
 	// Core is the per-core timing configuration. The machine forces
 	// DisableFastForward (lockstep stepping needs every core on the same
-	// global clock), clears fault injection and the synthetic
-	// invalidation interval (real cross-core traffic replaces it), and
-	// requires TSO store-buffer draining.
+	// global clock), clears fault injection, and requires TSO
+	// store-buffer draining.
 	Core config.Config
 	// MemModel selects the store-visibility point and the contract the
 	// semantic layer enforces.
@@ -209,7 +209,6 @@ func NewMachine(cfg MachineConfig, traces []*trace.Trace) (*Machine, error) {
 	}
 	cc := cfg.Core
 	cc.DisableFastForward = true
-	cc.InvalidationInterval = 0
 	cc.Faults = faults.Config{}
 
 	m := &Machine{
@@ -278,8 +277,15 @@ func (m *Machine) coreFinished(i int) bool {
 
 // Run steps all cores to completion and returns the machine statistics.
 // Like Core.Run, it returns a copy that does not keep the machine alive.
-func (m *Machine) Run() (*MachineStats, error) {
+func (m *Machine) Run() (*MachineStats, error) { return m.RunContext(context.Background()) }
+
+// RunContext is Run bounded by ctx: like Core.RunContext it polls ctx
+// every cancelPollInterval global cycles and fails with a structured
+// ErrCanceled SimError once ctx is done. The poll does not touch
+// simulation state, so an unfired ctx leaves the statistics unchanged.
+func (m *Machine) RunContext(ctx context.Context) (*MachineStats, error) {
 	start := time.Now()
+	done := ctx.Done()
 	for {
 		alive := false
 		for i := range m.cores {
@@ -295,6 +301,14 @@ func (m *Machine) Run() (*MachineStats, error) {
 		if max := m.cfg.MaxGlobalCycles; max > 0 && m.g > max {
 			return nil, &SimError{Kind: ErrWatchdog, Idx: -1,
 				Msg: fmt.Sprintf("machine: global cycle budget %d exhausted", max)}
+		}
+		if done != nil && m.g%cancelPollInterval == 0 {
+			select {
+			case <-done:
+				return nil, &SimError{Kind: ErrCanceled, Idx: -1, Cycle: m.g, Model: m.cfg.Core.Model.String(),
+					Msg: fmt.Sprintf("machine: run cancelled: %v", ctx.Err())}
+			default:
+			}
 		}
 		for i, c := range m.cores {
 			if m.coreFinished(i) || m.g <= m.stagger[i] {

@@ -11,6 +11,7 @@ import (
 	"dmdp/internal/asm"
 	"dmdp/internal/config"
 	"dmdp/internal/emu"
+	"dmdp/internal/trace"
 )
 
 // ---------- model-based robQ check ----------
@@ -351,8 +352,9 @@ func TestRandomProgramSoundness(t *testing.T) {
 }
 
 // TestRandomProgramConfigMatrix runs a few random programs across the
-// configuration axes (width, ROB, SB, consistency, predictor, prefetch,
-// invalidations) to shake out interactions.
+// configuration axes (width, ROB, SB, consistency, predictor, prefetch)
+// to shake out interactions. Remote invalidations are covered by
+// TestRandomProgramRemoteInvalidations.
 func TestRandomProgramConfigMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -364,7 +366,6 @@ func TestRandomProgramConfigMatrix(t *testing.T) {
 		config.Default(config.DMDP).WithConsistency(config.RMO),
 		config.Default(config.NoSQ).WithTAGE(true),
 		config.Default(config.DMDP).WithPrefetch(true),
-		config.Default(config.DMDP).WithInvalidations(500),
 		config.Default(config.FnF).WithStoreBuffer(8),
 		config.Default(config.Baseline).WithIssueWidth(4),
 		config.Default(config.NoSQ).WithSilentStorePolicy(false),
@@ -387,6 +388,47 @@ func TestRandomProgramConfigMatrix(t *testing.T) {
 			}
 			if _, err := c.Run(); err != nil {
 				t.Fatalf("seed %d cfg %d (%s): %v", seed, i, cfg.Model, err)
+			}
+		}
+	}
+}
+
+// TestRandomProgramRemoteInvalidations runs the matrix's random programs
+// replicated on a 2-core timing-only Machine under every model. Each
+// store one core drains invalidates the other core's L1 line and, except
+// under Baseline, stamps its T-SSBF, so loads that read the line early
+// re-execute at retire. Both cores must still retire every instruction
+// with every oracle check passing.
+func TestRandomProgramRemoteInvalidations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	for seed := 100; seed < 106; seed++ {
+		r := rand.New(rand.NewSource(int64(seed)))
+		p, err := asm.Assemble(genProgram(r))
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		tr, err := emu.Run(p, 10_000)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for _, m := range allModels {
+			cfg := DefaultMachineConfig(2, m, MemTSO)
+			cfg.Semantics = false
+			cfg.Seed = uint64(seed)
+			_, st := runMachine(t, cfg, []*trace.Trace{tr, tr})
+			for i, c := range st.PerCore {
+				if c.Instructions != int64(len(tr.Entries)) || c.OracleChecks != c.Instructions {
+					t.Fatalf("seed %d/%s core %d: retired %d/%d with %d oracle checks",
+						seed, m, i, c.Instructions, len(tr.Entries), c.OracleChecks)
+				}
+			}
+			if st.PerCore[0].Invalidations == 0 {
+				t.Errorf("seed %d/%s: core 0 received no invalidations", seed, m)
+			}
+			if stamped := st.RemoteStamps > 0; stamped != (m != config.Baseline) {
+				t.Errorf("seed %d/%s: %d remote T-SSBF stamps", seed, m, st.RemoteStamps)
 			}
 		}
 	}

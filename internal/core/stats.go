@@ -107,7 +107,7 @@ type Stats struct {
 	Cloaks              int64                    `digest:"cloak"`   // loads renamed onto a store's data register
 	DelayedLoads        int64                    `digest:"delay"`   // NoSQ delayed loads
 	Violations          int64                    `digest:"viol"`    // baseline memory ordering violations
-	Invalidations       int64                    `digest:"inval"`   // injected remote-core line invalidations (§IV-F)
+	Invalidations       int64                    `digest:"inval"`   // line invalidations received from other cores (Machine, §IV-F)
 
 	// Front end.
 	BranchMispredicts int64 `digest:"bmiss"`

@@ -14,7 +14,7 @@ import (
 // a Stats field is added, removed, renamed, reordered or retyped —
 // TestStatsSchemaGuard fails until this constant and the recorded field
 // list fingerprint are updated together.
-const StatsSchemaVersion = 1
+const StatsSchemaVersion = 2
 
 // statsField is one canonical Stats field, resolved once from the struct
 // tags (see Stats). Faults' members flatten into one field each.

@@ -251,11 +251,12 @@ func parseBudget(raw json.RawMessage, def int64) (int64, error) {
 }
 
 // run executes a planned job. Named proxies go through the budget's
-// experiments runner (trace/result caching, retry policy, negative
-// caching of deterministic failures); inline programs are assembled,
-// emulated and simulated here, with results persisted to the artifact
-// store unless fault injection is on. Sampled jobs stream regardless of
-// workload form and return a *sampling.Combined instead of *core.Stats.
+// experiments runner (trace/result caching, one attempt per run,
+// negative caching of deterministic failures); inline programs are
+// assembled, emulated and simulated here, with results persisted to the
+// artifact store unless fault injection is on. Sampled jobs stream
+// regardless of workload form and return a *sampling.Combined instead of
+// *core.Stats.
 func (s *Server) run(ctx context.Context, p *jobPlan) (any, error) {
 	if p.chaos {
 		panic("chaos: injected job panic (requested via chaos_panic)")

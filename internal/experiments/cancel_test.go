@@ -27,6 +27,9 @@ func TestCancelledRunNotNegativelyCached(t *testing.T) {
 	if !IsCanceled(err) {
 		t.Fatalf("err=%v, want cancellation", err)
 	}
+	if n := r.Sims(); n != 0 {
+		t.Fatalf("run cancelled before it started simulated %d times", n)
+	}
 	// The failure row is recorded (partial FailureTable support)...
 	if fs := r.Failures(); len(fs) != 1 {
 		t.Fatalf("failure rows: %+v", fs)

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -289,5 +291,29 @@ func TestDefaultOptionsFillIn(t *testing.T) {
 	}
 	if len(r.Benchmarks()) != 21 {
 		t.Fatal("benchmarks not defaulted")
+	}
+}
+
+// TestAblInvalRowsSeeTraffic: in every abl-inval row, core 0 of the
+// 2-core machine received invalidations from the other core.
+func TestAblInvalRowsSeeTraffic(t *testing.T) {
+	r := smallRunner()
+	out, err := AblInvalidations(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := 0
+	for _, line := range strings.Split(out, "\n") {
+		f := strings.Fields(line)
+		if len(f) != 6 || !slices.Contains(r.Benchmarks(), f[0]) {
+			continue
+		}
+		rows++
+		if n, err := strconv.Atoi(f[3]); err != nil || n <= 0 {
+			t.Errorf("%s: invals %q, want a positive count", f[0], f[3])
+		}
+	}
+	if rows != len(r.Benchmarks()) {
+		t.Errorf("%d rows for %d benchmarks:\n%s", rows, len(r.Benchmarks()), out)
 	}
 }

@@ -30,9 +30,6 @@ type Failure struct {
 	// Panicked reports that the core panicked (the runner converted the
 	// panic into an error with a trimmed stack).
 	Panicked bool
-	// Retried reports that the run was retried once (with the pipeline
-	// tracer attached) before being declared failed.
-	Retried bool
 	// Diagnostic is the structured bundle for SimErrors (cycle, PC,
 	// disassembly, last-retired ring, pipeline occupancy), empty
 	// otherwise — the panic stack already lives in Err.

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -11,8 +12,8 @@ import (
 )
 
 // poisonedRunner makes hmmer's default DMDP machine fail: a run with
-// value corruption enabled produces a genuine oracle failure (with retry
-// and diagnostics), and its cached result is then aliased onto the
+// value corruption enabled produces a genuine oracle failure (with
+// diagnostics), and its cached result is then aliased onto the
 // default DMDP digest. Results are keyed by machine digest, so the
 // faulted config alone would (correctly) never be consulted by the
 // experiments — these tests exercise failure isolation regardless of how
@@ -50,6 +51,10 @@ func hasRow(table, bench string) bool {
 // the other benchmarks still render, and the failure table names it.
 func TestExperimentsSurvivePoisonedBenchmark(t *testing.T) {
 	r := poisonedRunner(t)
+	// Simulations are deterministic: the failing run simulated once.
+	if n := r.Sims(); n != 1 {
+		t.Errorf("failing run simulated %d times, want 1", n)
+	}
 
 	out, err := TableVI(r)
 	if err != nil {
@@ -72,9 +77,6 @@ func TestExperimentsSurvivePoisonedBenchmark(t *testing.T) {
 	if f.Bench != "hmmer" || f.Label != "dmdp" {
 		t.Errorf("failure misattributed: %+v", f)
 	}
-	if !f.Retried {
-		t.Error("failed run was not retried before being declared failed")
-	}
 	var se *core.SimError
 	if !errors.As(f.Err, &se) || se.Kind != core.ErrOracle {
 		t.Errorf("failure does not carry the oracle SimError: %v", f.Err)
@@ -92,8 +94,7 @@ func TestExperimentsSurvivePoisonedBenchmark(t *testing.T) {
 }
 
 // The negative cache must return the same failure without re-simulating
-// (and without consuming another retry) and must not duplicate the
-// failure record.
+// and must not duplicate the failure record.
 func TestFailureNegativelyCached(t *testing.T) {
 	r := poisonedRunner(t)
 	sims := r.sims.Load()
@@ -159,5 +160,35 @@ func TestPanicConvertedToFailure(t *testing.T) {
 	}
 	if !strings.Contains(fs[0].Err.Error(), "panic:") {
 		t.Errorf("error does not carry the panic: %v", fs[0].Err)
+	}
+}
+
+// A failed multicore machine reaches the failure table under a label
+// naming the machine, as a failed single-core run does, and so does a
+// machine whose trace could not be built. A cancellation carries no
+// diagnostic bundle.
+func TestMachineFailuresRecorded(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	r := NewRunner(Options{Budget: 50_000, Benchmarks: []string{"hmmer"}, Parallel: false, Context: ctx})
+	if _, err := r.Trace("hmmer"); err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	if st := r.runMachine("hmmer", config.DMDP, 2); st != nil {
+		t.Fatal("machine under a cancelled context returned stats")
+	}
+	if st := r.runMachine("nosuch", config.Baseline, 4); st != nil {
+		t.Fatal("machine over an unknown benchmark returned stats")
+	}
+	fs := r.Failures()
+	if len(fs) != 2 {
+		t.Fatalf("%d failures recorded, want 2: %+v", len(fs), fs)
+	}
+	if f := fs[0]; f.Bench != "hmmer" || f.Label != "dmdp-2c" || !core.Canceled(f.Err) || f.Diagnostic != "" {
+		t.Errorf("cancelled machine recorded as %+v", f)
+	}
+	if f := fs[1]; f.Bench != "nosuch" || f.Label != "baseline-4c" {
+		t.Errorf("failed trace build recorded as %+v", f)
 	}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"dmdp/internal/config"
@@ -31,11 +32,11 @@ func mcBenchmarks(r *Runner) []string {
 // understands single-core runs).
 func McIPCRuns(r *Runner) []RunSpec { return nil }
 
-// mcRun executes one N-core machine with the workload trace replicated
-// on every core: a homogeneous-rate contention study over the shared
-// L2 (timing only — the semantic coupling layer is for litmus programs
-// whose addresses are independent of shared data).
-func mcRun(tr *trace.Trace, model config.Model, n int) (*core.MachineStats, error) {
+// mcRun executes one N-core machine under ctx with the workload trace
+// replicated on every core: a homogeneous-rate contention study over the
+// shared L2 (timing only — the semantic coupling layer is for litmus
+// programs whose addresses are independent of shared data).
+func mcRun(ctx context.Context, tr *trace.Trace, model config.Model, n int) (*core.MachineStats, error) {
 	cfg := core.DefaultMachineConfig(n, model, core.MemTSO)
 	cfg.Semantics = false
 	// Litmus-grade interleaving jitter is noise for an IPC study: run
@@ -49,7 +50,24 @@ func mcRun(tr *trace.Trace, model config.Model, n int) (*core.MachineStats, erro
 	if err != nil {
 		return nil, err
 	}
-	return m.Run()
+	return m.RunContext(ctx)
+}
+
+// runMachine runs mcRun for one proxy under the runner's context. As Run
+// does for single-core runs, a failed trace build or machine is recorded
+// (see Failures) under a label naming the machine, such as "dmdp-2c",
+// and the result is nil so the caller leaves its row out.
+func (r *Runner) runMachine(name string, model config.Model, n int) *core.MachineStats {
+	tr, err := r.Trace(name)
+	var st *core.MachineStats
+	if err == nil {
+		st, err = mcRun(r.ctx(), tr, model, n)
+	}
+	if err != nil {
+		r.recordFailure(Failure{Bench: name, Label: fmt.Sprintf("%s-%dc", model, n),
+			Err: err, Diagnostic: diagnosticFor(err)})
+	}
+	return st
 }
 
 // McIPC renders the multicore scaling table: aggregate IPC of 1, 2 and
@@ -58,7 +76,8 @@ func mcRun(tr *trace.Trace, model config.Model, n int) (*core.MachineStats, erro
 // invalidates every remote L1 and stamps its T-SSBF), so per-core IPC
 // degrades with the core count while DMDP's margin over the baseline
 // persists. The machines run on the runner's worker pool, each into its
-// own slot; a proxy whose trace or any machine failed is left out.
+// own slot; a proxy whose trace or any machine failed is left out, and
+// the failure is recorded.
 func McIPC(r *Runner) (string, error) {
 	t := stats.NewTable("Multicore: aggregate IPC over a shared L2 (same trace per core)",
 		"bench", "base 1c", "base 2c", "base 4c", "dmdp 1c", "dmdp 2c", "dmdp 4c", "dmdp stamps 4c")
@@ -67,14 +86,8 @@ func McIPC(r *Runner) (string, error) {
 	perBench := len(models) * len(mcCoreCounts)
 	cells := make([]*core.MachineStats, len(benches)*perBench)
 	r.forEachPooled(r.ctx(), len(cells), func(i int) {
-		tr, err := r.Trace(benches[i/perBench])
-		if err != nil {
-			return // trace build failure already recorded by the runner
-		}
 		j := i % perBench
-		if st, err := mcRun(tr, models[j/len(mcCoreCounts)], mcCoreCounts[j%len(mcCoreCounts)]); err == nil {
-			cells[i] = st
-		}
+		cells[i] = r.runMachine(benches[i/perBench], models[j/len(mcCoreCounts)], mcCoreCounts[j%len(mcCoreCounts)])
 	})
 	for b, name := range benches {
 		row := []any{name}

@@ -18,13 +18,11 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"dmdp/internal/artifact"
 	"dmdp/internal/config"
 	"dmdp/internal/core"
 	"dmdp/internal/power"
-	"dmdp/internal/retry"
 	"dmdp/internal/sampling"
 	"dmdp/internal/sched"
 	"dmdp/internal/trace"
@@ -54,9 +52,6 @@ type Options struct {
 	// done, in-flight simulations abort with a structured canceled error
 	// and pooled warm-ups stop claiming new work. Nil means no bound.
 	Context context.Context
-	// Retry is the transient-failure policy for simulations (zero value:
-	// DefaultRetry — one immediate-ish retry with the tracer attached).
-	Retry retry.Policy
 	// Sample overrides the samp-err experiment's sampling spec (zero
 	// value: a budget-derived default, see Runner.sampSpec).
 	Sample sampling.Spec
@@ -68,14 +63,6 @@ type Options struct {
 	// paper's checkpoint semantics) and with cache/TLB/predictor tag
 	// state installed from the profiling pass.
 	SampleWarm bool
-}
-
-// DefaultRetry preserves the historical retry-once behavior with the
-// shared backoff machinery: 2 attempts, a short jittered pause between
-// them (deterministically seeded), context-aware.
-func DefaultRetry() retry.Policy {
-	return retry.Policy{MaxAttempts: 2, BaseDelay: 2 * time.Millisecond,
-		MaxDelay: 50 * time.Millisecond, Multiplier: 2, Jitter: 1, Seed: 1}
 }
 
 // DefaultOptions runs the full suite at 300k instructions per proxy.
@@ -103,12 +90,11 @@ type runKey struct {
 // runResult is one completed (or failed) simulation. Failures are cached
 // too (negative caching): a deterministic failure would fail again, so
 // experiments sharing the run all see the same error without
-// re-simulating — and without consuming the retry a second time.
+// re-simulating.
 type runResult struct {
 	st         *core.Stats
 	err        error // bare cause; labels are attached per caller
 	panicked   bool
-	retried    bool
 	canceled   bool // context cancellation, never negative-cached
 	diagnostic string
 }
@@ -155,9 +141,6 @@ func NewRunner(opt Options) *Runner {
 	}
 	if len(opt.Benchmarks) == 0 {
 		opt.Benchmarks = workload.Names()
-	}
-	if opt.Retry.MaxAttempts == 0 {
-		opt.Retry = DefaultRetry()
 	}
 	return &Runner{
 		opt:    opt,
@@ -288,10 +271,9 @@ func (r *Runner) traceLen(name string) int {
 // Run simulates the benchmark under cfg, caching by (benchmark, config
 // digest, budget) — the label only names the run in tables and failure
 // rows. Concurrent callers requesting the same machine share one
-// simulation. A failed run (error or panic) is retried under the
-// runner's retry policy with the pipeline tracer attached; if it keeps
-// failing the failure is cached and recorded (see Failures) so the rest
-// of the suite proceeds without it.
+// simulation. A failed run (error or panic) runs once: simulations are
+// deterministic, so the failure is cached and recorded (see Failures)
+// and the rest of the suite proceeds without it.
 func (r *Runner) Run(name string, cfg config.Config, label string) (*core.Stats, error) {
 	return r.RunCtx(r.ctx(), name, cfg, label)
 }
@@ -334,9 +316,8 @@ func (r *Runner) RunCtx(ctx context.Context, name string, cfg config.Config, lab
 
 // execute performs the out-of-memory-cache simulation: persistent result
 // store first (a hit skips even the trace build; in verify mode the hit
-// is re-simulated and compared), then trace build + run under the retry
-// policy (later attempts carry the pipeline tracer). Fault-injected
-// configurations and failed runs are never persisted.
+// is re-simulated and compared), then trace build + one run.
+// Fault-injected configurations and failed runs are never persisted.
 func (r *Runner) execute(ctx context.Context, name string, cfg config.Config, label string) runResult {
 	resultKey, keyed := r.traceKey(name)
 	persistable := keyed && !cfg.Faults.Enabled()
@@ -356,35 +337,17 @@ func (r *Runner) execute(ctx context.Context, name string, cfg config.Config, la
 		// request (longer deadline) rebuilds.
 		return runResult{err: err, canceled: IsCanceled(err)}
 	}
-	var st *core.Stats
-	var runErr error
-	var panicked bool
-	attempts := 0
-	doErr := r.opt.Retry.Do(ctx, func(attempt int) error {
-		attempts = attempt
-		r.sims.Add(1)
-		// Later attempts run with the tracer attached: a transient
-		// failure recovers, a deterministic one is declared failed with
-		// stage-timing diagnostics.
-		st, runErr, panicked = simulate(ctx, cfg, tr, attempt > 1)
-		if runErr == nil {
-			return nil
-		}
-		if core.Canceled(runErr) {
-			return retry.Permanent(runErr) // deadline hit: retrying cannot help
-		}
-		return runErr
-	})
-	retried := attempts > 1
-	if runErr == nil && doErr != nil {
-		// Cancelled before the first attempt started.
-		runErr = doErr
+	if err := ctx.Err(); err != nil {
+		// Cancelled before the run started.
+		return runResult{err: err, canceled: true}
 	}
-	if runErr != nil {
+	r.sims.Add(1)
+	st, err, panicked := simulate(ctx, cfg, tr)
+	if err != nil {
 		return runResult{
-			err: runErr, panicked: panicked, retried: retried,
-			canceled:   core.Canceled(runErr) || ctx.Err() != nil,
-			diagnostic: diagnosticFor(runErr),
+			err: err, panicked: panicked,
+			canceled:   core.Canceled(err) || ctx.Err() != nil,
+			diagnostic: diagnosticFor(err),
 		}
 	}
 	if persistable {
@@ -405,7 +368,7 @@ func (r *Runner) verifyHit(ctx context.Context, name, label string, cfg config.C
 		return runResult{err: err}
 	}
 	r.sims.Add(1)
-	fresh, runErr, panicked := simulate(ctx, cfg, tr, false)
+	fresh, runErr, panicked := simulate(ctx, cfg, tr)
 	if runErr != nil {
 		return runResult{
 			err: runErr, panicked: panicked,
@@ -428,8 +391,7 @@ func (r *Runner) deliver(name, label string, res runResult) (*core.Stats, error)
 	if res.err != nil {
 		r.recordFailure(Failure{
 			Bench: name, Label: label, Err: res.err,
-			Panicked: res.panicked, Retried: res.retried,
-			Diagnostic: res.diagnostic,
+			Panicked: res.panicked, Diagnostic: res.diagnostic,
 		})
 		return nil, fmt.Errorf("experiments: %s (%s): %w", name, label, res.err)
 	}
@@ -456,7 +418,7 @@ func WithProgress(ctx context.Context, fn ProgressFn) context.Context {
 // simulate builds a core and runs it to completion under ctx, converting
 // panics into errors so one corrupted benchmark cannot take down the
 // suite.
-func simulate(ctx context.Context, cfg config.Config, tr *trace.Trace, withTracer bool) (st *core.Stats, err error, panicked bool) {
+func simulate(ctx context.Context, cfg config.Config, tr *trace.Trace) (st *core.Stats, err error, panicked bool) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			st = nil
@@ -470,9 +432,6 @@ func simulate(ctx context.Context, cfg config.Config, tr *trace.Trace, withTrace
 	}
 	if fn, ok := ctx.Value(progressKey{}).(ProgressFn); ok && fn != nil {
 		c.SetProgressFn(fn)
-	}
-	if withTracer {
-		c.AttachTracer(64)
 	}
 	st, err = c.RunContext(ctx)
 	return st, err, false

@@ -2,10 +2,10 @@
 // timing core's hardening tests.
 //
 // Two families of faults exist. Benign faults (prediction flips, forced
-// low confidence, predicate corruption, cache line invalidations) attack
-// the *speculative* machinery: the SVW/T-SSBF verification must absorb
-// them and still converge to the architecturally correct final state —
-// only IPC may change. Architectural corruption (value corruption at
+// low confidence, predicate corruption) attack the *speculative*
+// machinery: the SVW/T-SSBF verification must absorb them and still
+// converge to the architecturally correct final state — only IPC may
+// change. Architectural corruption (value corruption at
 // retire) attacks the *committed* state: the commit-time oracle must
 // catch it and abort the run with a structured diagnostic.
 //
@@ -18,8 +18,8 @@ import "math/rand"
 
 // Config enables and rates the injector's fault classes. The zero value
 // disables injection entirely. Rates are probabilities in [0, 1],
-// evaluated once per opportunity (per prediction, per CMP, per cycle,
-// per retiring load).
+// evaluated once per opportunity (per prediction, per CMP, per retiring
+// load).
 type Config struct {
 	// Seed initializes the injector PRNG (0 behaves as 1).
 	Seed int64
@@ -36,9 +36,6 @@ type Config struct {
 	// PredicateCorruptRate flips a computed CMOV predicate so the wrong
 	// predication arm publishes the value (per CMP completion).
 	PredicateCorruptRate float64
-	// LineInvalidateRate invalidates a recently written cache line, as
-	// remote-core consistency traffic would (per cycle).
-	LineInvalidateRate float64
 
 	// Architectural corruption: must be caught by the commit-time
 	// oracle, never silently retired.
@@ -51,14 +48,13 @@ type Config struct {
 // Enabled reports whether any fault class is active.
 func (c Config) Enabled() bool {
 	return c.PredictionFlipRate > 0 || c.ForceLowConfRate > 0 ||
-		c.PredicateCorruptRate > 0 || c.LineInvalidateRate > 0 ||
-		c.ValueCorruptRate > 0
+		c.PredicateCorruptRate > 0 || c.ValueCorruptRate > 0
 }
 
 // Valid reports whether every rate is a probability.
 func (c Config) Valid() bool {
 	for _, r := range []float64{c.PredictionFlipRate, c.ForceLowConfRate,
-		c.PredicateCorruptRate, c.LineInvalidateRate, c.ValueCorruptRate} {
+		c.PredicateCorruptRate, c.ValueCorruptRate} {
 		if r < 0 || r > 1 {
 			return false
 		}
@@ -72,14 +68,13 @@ type Counts struct {
 	PredictionFlips      int64
 	ForcedLowConf        int64
 	PredicateCorruptions int64
-	LineInvalidations    int64
 	ValueCorruptions     int64
 }
 
 // Total returns the number of faults injected across all classes.
 func (c Counts) Total() int64 {
 	return c.PredictionFlips + c.ForcedLowConf + c.PredicateCorruptions +
-		c.LineInvalidations + c.ValueCorruptions
+		c.ValueCorruptions
 }
 
 // Injector is one run's deterministic fault source. Not safe for
@@ -139,16 +134,6 @@ func (i *Injector) CorruptPredicate() bool {
 	return false
 }
 
-// InvalidateLine reports whether to invalidate a recently written cache
-// line this cycle.
-func (i *Injector) InvalidateLine() bool {
-	if i.roll(i.cfg.LineInvalidateRate) {
-		i.Counts.LineInvalidations++
-		return true
-	}
-	return false
-}
-
 // CorruptValue reports whether to corrupt this load's retiring value.
 func (i *Injector) CorruptValue() bool {
 	if i.roll(i.cfg.ValueCorruptRate) {
@@ -157,7 +142,3 @@ func (i *Injector) CorruptValue() bool {
 	}
 	return false
 }
-
-// WantsInvalidations reports whether the line-invalidation class is
-// active (the core then tracks recently written lines).
-func (i *Injector) WantsInvalidations() bool { return i.cfg.LineInvalidateRate > 0 }

@@ -12,16 +12,12 @@ func TestZeroConfigDisabled(t *testing.T) {
 	}
 	i := NewInjector(c)
 	for k := 0; k < 100; k++ {
-		if i.FlipPrediction() || i.ForceLowConf() || i.CorruptPredicate() ||
-			i.InvalidateLine() || i.CorruptValue() {
+		if i.FlipPrediction() || i.ForceLowConf() || i.CorruptPredicate() || i.CorruptValue() {
 			t.Fatal("disabled injector fired")
 		}
 	}
 	if i.Counts.Total() != 0 {
 		t.Fatalf("disabled injector counted %d faults", i.Counts.Total())
-	}
-	if i.WantsInvalidations() {
-		t.Fatal("disabled injector wants invalidations")
 	}
 }
 
@@ -84,20 +80,17 @@ func TestSeedZeroBehavesAsOne(t *testing.T) {
 }
 
 func TestCountsTally(t *testing.T) {
-	i := NewInjector(Config{Seed: 3, PredictionFlipRate: 1, PredicateCorruptRate: 1, LineInvalidateRate: 1})
+	i := NewInjector(Config{Seed: 3, PredictionFlipRate: 1, PredicateCorruptRate: 1, ValueCorruptRate: 1})
 	for k := 0; k < 5; k++ {
 		i.FlipPrediction()
 		i.CorruptPredicate()
 	}
-	i.InvalidateLine()
-	want := Counts{PredictionFlips: 5, PredicateCorruptions: 5, LineInvalidations: 1}
+	i.CorruptValue()
+	want := Counts{PredictionFlips: 5, PredicateCorruptions: 5, ValueCorruptions: 1}
 	if i.Counts != want {
 		t.Fatalf("counts %+v, want %+v", i.Counts, want)
 	}
 	if i.Counts.Total() != 11 {
 		t.Fatalf("total %d, want 11", i.Counts.Total())
-	}
-	if !i.WantsInvalidations() {
-		t.Fatal("invalidation class active but WantsInvalidations false")
 	}
 }
