@@ -166,7 +166,7 @@ func main() {
 	}
 	nModels := len(opt.Models)
 	if nModels == 0 {
-		nModels = len(difftest.AllModels)
+		nModels = len(config.Models)
 	}
 	fmt.Printf("difftest: %d seeds x %d models clean, %d lockstep runs, digest %x\n",
 		*seeds, nModels, runs, h.Sum(nil)[:8])
@@ -176,15 +176,11 @@ func parseModels(s string) ([]config.Model, error) {
 	if s == "" {
 		return nil, nil
 	}
-	byName := map[string]config.Model{}
-	for _, m := range difftest.AllModels {
-		byName[m.String()] = m
-	}
 	var out []config.Model
 	for _, name := range strings.Split(s, ",") {
-		m, ok := byName[strings.TrimSpace(name)]
-		if !ok {
-			return nil, fmt.Errorf("-models: unknown model %q", name)
+		m, err := config.ParseModel(strings.TrimSpace(name))
+		if err != nil {
+			return nil, fmt.Errorf("-models: %w", err)
 		}
 		out = append(out, m)
 	}

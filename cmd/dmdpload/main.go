@@ -245,19 +245,8 @@ func verifyBits(byKey map[string]string, budget int64) int {
 		if len(parts) != 3 || strings.HasPrefix(parts[0], "inline:") {
 			continue
 		}
-		var model config.Model
-		switch parts[1] {
-		case "baseline":
-			model = config.Baseline
-		case "nosq":
-			model = config.NoSQ
-		case "dmdp":
-			model = config.DMDP
-		case "perfect":
-			model = config.Perfect
-		case "fnf":
-			model = config.FnF
-		default:
+		model, err := config.ParseModel(parts[1])
+		if err != nil {
 			continue
 		}
 		cfg := config.Default(model)

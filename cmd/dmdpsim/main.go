@@ -25,6 +25,7 @@ import (
 	"dmdp/internal/artifact"
 	"dmdp/internal/asm"
 	"dmdp/internal/cliutil"
+	"dmdp/internal/config"
 	"dmdp/internal/core"
 	"dmdp/internal/isa"
 	"dmdp/internal/profiling"
@@ -92,7 +93,7 @@ func main() {
 		}
 	}()
 
-	model, err := parseModel(*modelName)
+	model, err := config.ParseModel(*modelName)
 	if err != nil {
 		fatal(err)
 	}
@@ -151,23 +152,18 @@ func main() {
 	// loadTrace builds the trace through the trace store: decode on hit,
 	// build + persist on miss.
 	loadTrace := func() *dmdp.Trace {
-		if tr, ok := store.LoadTrace(traceKey); ok {
-			return tr
-		}
-		var tr *dmdp.Trace
-		var err error
-		switch {
-		case *file != "" && len(fileData) >= 4 && string(fileData[:4]) == "DMO1":
-			tr, err = dmdp.LoadObject(fileData, budget)
-		case *file != "":
-			tr, err = dmdp.BuildTrace(string(fileData), budget)
-		default:
-			tr, err = dmdp.BuildWorkloadTrace(*benchName, budget)
-		}
+		tr, err := store.Trace(traceKey, func() (*dmdp.Trace, error) {
+			switch {
+			case *file != "" && len(fileData) >= 4 && string(fileData[:4]) == "DMO1":
+				return dmdp.LoadObject(fileData, budget)
+			case *file != "":
+				return dmdp.BuildTrace(string(fileData), budget)
+			}
+			return dmdp.BuildWorkloadTrace(*benchName, budget)
+		})
 		if err != nil {
 			fatal(err)
 		}
-		store.StoreTrace(traceKey, tr)
 		return tr
 	}
 
@@ -219,34 +215,18 @@ func main() {
 		return
 	}
 
-	// Plain runs go through the result store. Fault-injected runs are
-	// deliberately never persisted: hardening demos should always
-	// exercise the real simulator.
-	useResults := store != nil && *flipRate == 0
+	// Plain runs go through the result store. Fault-injected runs take
+	// the zero key, which is never persisted: hardening demos should
+	// always exercise the real simulator.
 	var resultKey artifact.Key
-	if useResults {
+	if *flipRate == 0 {
 		resultKey = artifact.ResultKey(traceKey, cfg.Digest(), budget)
-		if st, path, ok := store.LoadStats(resultKey); ok {
-			if store.VerifyEnabled() {
-				fresh, err := dmdp.Run(cfg, loadTrace())
-				if err != nil {
-					fatal(err)
-				}
-				cb, fb := st.MarshalCanonical(), fresh.MarshalCanonical()
-				if string(cb) != string(fb) {
-					fatal(artifact.NewVerifyError(resultKey, path, workloadName(*benchName, *file), model.String(), cb, fb))
-				}
-			}
-			printStats(model, st)
-			return
-		}
 	}
-	st, err := dmdp.Run(cfg, loadTrace())
+	st, err := store.Result(resultKey, workloadName(*benchName, *file), model.String(), func() (*dmdp.Stats, error) {
+		return dmdp.Run(cfg, loadTrace())
+	})
 	if err != nil {
 		fatal(err)
-	}
-	if useResults {
-		store.StoreStats(resultKey, st)
 	}
 	printStats(model, st)
 }
@@ -406,22 +386,6 @@ func runMulticore(cfg dmdp.Config, model dmdp.Model, n int, seed uint64, tr *dmd
 	if st.SimWallClockNS > 0 {
 		fmt.Fprintf(os.Stderr, "sim wall clock     %.3fs\n", float64(st.SimWallClockNS)/1e9)
 	}
-}
-
-func parseModel(s string) (dmdp.Model, error) {
-	switch strings.ToLower(s) {
-	case "baseline":
-		return dmdp.Baseline, nil
-	case "nosq":
-		return dmdp.NoSQ, nil
-	case "dmdp":
-		return dmdp.DMDP, nil
-	case "perfect":
-		return dmdp.Perfect, nil
-	case "fnf":
-		return dmdp.FnF, nil
-	}
-	return 0, fmt.Errorf("unknown model %q (baseline|nosq|dmdp|perfect|fnf)", s)
 }
 
 func printStats(model dmdp.Model, st *dmdp.Stats) {

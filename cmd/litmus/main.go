@@ -26,7 +26,7 @@ import (
 func main() {
 	var (
 		modelName = flag.String("model", "sc", "memory model to enforce and verify: sc | tso")
-		coreName  = flag.String("core", "dmdp", "per-core timing model: baseline | dmdp")
+		coreName  = flag.String("core", "dmdp", "per-core timing model: baseline | nosq | dmdp | perfect | fnf")
 		shapes    = flag.String("shapes", "all", "comma-separated named shapes (SB,MP,LB,IRIW,CoRR), all, or none")
 		random    = flag.Int("random", 0, "number of seeded random litmus tests to add")
 		firstSeed = flag.Uint64("firstseed", 0, "first random-test generator seed")
@@ -42,14 +42,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var coreModel config.Model
-	switch strings.ToLower(*coreName) {
-	case "baseline":
-		coreModel = config.Baseline
-	case "dmdp":
-		coreModel = config.DMDP
-	default:
-		fatal(fmt.Errorf("unknown core model %q (baseline|dmdp)", *coreName))
+	coreModel, err := config.ParseModel(*coreName)
+	if err != nil {
+		fatal(fmt.Errorf("-core: %w", err))
 	}
 
 	var names []string

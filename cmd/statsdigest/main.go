@@ -23,6 +23,7 @@ import (
 	"dmdp"
 	"dmdp/internal/artifact"
 	"dmdp/internal/cliutil"
+	"dmdp/internal/config"
 )
 
 func main() {
@@ -48,8 +49,6 @@ func main() {
 	if *bench != "" {
 		benches = strings.Split(*bench, ",")
 	}
-	models := []dmdp.Model{dmdp.Baseline, dmdp.NoSQ, dmdp.DMDP, dmdp.Perfect, dmdp.FnF}
-
 	bad := false
 	for _, b := range benches {
 		tr, traceKey, err := buildTrace(store, b, budget)
@@ -58,7 +57,7 @@ func main() {
 			bad = true
 			continue
 		}
-		for _, m := range models {
+		for _, m := range config.Models {
 			st, err := run(store, tr, traceKey, m, budget, b)
 			if err != nil {
 				fmt.Printf("%-12s %-8s error: %v\n", b, m, err)
@@ -77,24 +76,16 @@ func main() {
 }
 
 // buildTrace fetches (or builds and persists) the proxy's trace through
-// the artifact store. The trace is lazy for result-store hits only in
-// the experiments runner; here the digest always needs the trace's
-// benchmarks simulated, so the trace is resolved up front.
+// the artifact store. The digest simulates every model of the proxy, so
+// the trace is resolved up front rather than per result miss.
 func buildTrace(store *artifact.Store, bench string, budget int64) (*dmdp.Trace, artifact.Key, error) {
 	src, err := dmdp.WorkloadSource(bench)
 	if err != nil {
 		return nil, artifact.Key{}, err
 	}
 	key := artifact.TraceKey(sha256.Sum256([]byte(src)), budget)
-	if tr, ok := store.LoadTrace(key); ok {
-		return tr, key, nil
-	}
-	tr, err := dmdp.BuildWorkloadTrace(bench, budget)
-	if err != nil {
-		return nil, artifact.Key{}, err
-	}
-	store.StoreTrace(key, tr)
-	return tr, key, nil
+	tr, err := store.Trace(key, func() (*dmdp.Trace, error) { return dmdp.BuildWorkloadTrace(bench, budget) })
+	return tr, key, err
 }
 
 // run simulates one (proxy, model) pair through the result store. In
@@ -103,24 +94,5 @@ func buildTrace(store *artifact.Store, bench string, budget int64) (*dmdp.Trace,
 func run(store *artifact.Store, tr *dmdp.Trace, traceKey artifact.Key, m dmdp.Model, budget int64, bench string) (*dmdp.Stats, error) {
 	cfg := dmdp.DefaultConfig(m)
 	key := artifact.ResultKey(traceKey, cfg.Digest(), budget)
-	if st, path, ok := store.LoadStats(key); ok {
-		if !store.VerifyEnabled() {
-			return st, nil
-		}
-		fresh, err := dmdp.Run(cfg, tr)
-		if err != nil {
-			return nil, err
-		}
-		cb, fb := st.MarshalCanonical(), fresh.MarshalCanonical()
-		if string(cb) != string(fb) {
-			return nil, artifact.NewVerifyError(key, path, bench, m.String(), cb, fb)
-		}
-		return st, nil
-	}
-	st, err := dmdp.Run(cfg, tr)
-	if err != nil {
-		return nil, err
-	}
-	store.StoreStats(key, st)
-	return st, nil
+	return store.Result(key, bench, m.String(), func() (*dmdp.Stats, error) { return dmdp.Run(cfg, tr) })
 }

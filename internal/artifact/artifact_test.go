@@ -222,7 +222,7 @@ func TestReadOnlyStoreNeverWrites(t *testing.T) {
 
 func TestNilStoreIsSafe(t *testing.T) {
 	var s *Store
-	if s.Mode() != Off || s.Dir() != "" || s.Summary() != "" || s.VerifyEnabled() {
+	if s.Mode() != Off || s.Dir() != "" || s.Summary() != "" {
 		t.Fatal("nil store accessors wrong")
 	}
 	if _, ok := s.LoadTrace(Key{}); ok {

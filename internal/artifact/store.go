@@ -36,8 +36,8 @@ const (
 	RO
 	// RW reads and writes (the normal warm-cache mode).
 	RW
-	// Verify reads and writes like RW, but callers re-simulate every
-	// result hit and fail loudly on mismatch (the stale-artifact
+	// Verify reads and writes like RW, but Store.Result re-simulates
+	// every result hit and fails loudly on mismatch (the stale-artifact
 	// oracle); see VerifyError.
 	Verify
 )
@@ -295,10 +295,6 @@ func (s *Store) Dir() string {
 	return s.dir
 }
 
-// VerifyEnabled reports whether result hits must be re-simulated and
-// compared.
-func (s *Store) VerifyEnabled() bool { return s != nil && s.mode == Verify }
-
 func (s *Store) writable() bool { return s != nil && s.mode != RO && !s.degraded.Load() }
 
 // Counters returns a snapshot of the store's activity (zero for a nil
@@ -374,9 +370,9 @@ func (e *VerifyError) Error() string {
 		e.Bench, e.Label, e.CachedSHA, e.FreshSHA, e.FirstDiff, e.Key, e.Path)
 }
 
-// NewVerifyError builds the structured diagnostic for a poisoned result
+// newVerifyError builds the structured diagnostic for a poisoned result
 // entry from the two canonical encodings.
-func NewVerifyError(key Key, path, bench, label string, cached, fresh []byte) *VerifyError {
+func newVerifyError(key Key, path, bench, label string, cached, fresh []byte) *VerifyError {
 	diff := len(cached)
 	if len(fresh) < diff {
 		diff = len(fresh)

@@ -434,6 +434,22 @@ func (s *Store) LoadTrace(key Key) (*trace.Trace, bool) {
 	return tr, true
 }
 
+// Trace is the get-or-build path for one trace: a hit returns the
+// stored trace (see LoadTrace), and a miss calls build, stores the
+// trace it returns and returns it. A failed build is returned and
+// nothing is stored. A nil store always builds.
+func (s *Store) Trace(key Key, build func() (*trace.Trace, error)) (*trace.Trace, error) {
+	if tr, ok := s.LoadTrace(key); ok {
+		return tr, nil
+	}
+	tr, err := build()
+	if err != nil {
+		return nil, err
+	}
+	s.StoreTrace(key, tr)
+	return tr, nil
+}
+
 // StoreTrace persists tr under key (no-op for nil or read-only stores,
 // or for traces the format cannot hold).
 func (s *Store) StoreTrace(key Key, tr *trace.Trace) {

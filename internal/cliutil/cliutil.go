@@ -1,6 +1,8 @@
 // Package cliutil holds flag helpers shared by the dmdp command-line
-// tools, so the three binaries parse identical syntax for identical
-// concepts (instruction budgets, artifact-cache configuration).
+// tools and the daemon's job parser, so they parse identical syntax for
+// identical concepts: instruction budgets (six binaries), sampling specs
+// and the artifact-cache flags (the four that take -cache: dmdpsim,
+// experiments, statsdigest and dmdpd).
 package cliutil
 
 import (

@@ -6,6 +6,9 @@
 package config
 
 import (
+	"fmt"
+	"strings"
+
 	"dmdp/internal/bpred"
 	"dmdp/internal/cache"
 	"dmdp/internal/faults"
@@ -69,6 +72,21 @@ func (m Model) String() string {
 		return "fnf"
 	}
 	return "model?"
+}
+
+// Models lists every model in paper order.
+var Models = []Model{Baseline, NoSQ, DMDP, Perfect, FnF}
+
+// ParseModel is the case-insensitive inverse of Model.String.
+func ParseModel(s string) (Model, error) {
+	names := make([]string, len(Models))
+	for i, m := range Models {
+		if strings.EqualFold(s, m.String()) {
+			return m, nil
+		}
+		names[i] = m.String()
+	}
+	return 0, fmt.Errorf("unknown model %q (%s)", s, strings.Join(names, "|"))
 }
 
 // Consistency selects the store buffer's commit ordering.

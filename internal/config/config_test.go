@@ -1,6 +1,9 @@
 package config
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestDefaultValidates(t *testing.T) {
 	for _, m := range []Model{Baseline, NoSQ, DMDP, Perfect} {
@@ -79,5 +82,22 @@ func TestStringers(t *testing.T) {
 	}
 	if TSO.String() != "tso" || RMO.String() != "rmo" {
 		t.Fatal("consistency names")
+	}
+}
+
+// ParseModel inverts String for every model, in any case, and names the
+// valid models when it rejects one.
+func TestParseModel(t *testing.T) {
+	for _, m := range Models {
+		for _, s := range []string{m.String(), strings.ToUpper(m.String())} {
+			got, err := ParseModel(s)
+			if err != nil || got != m {
+				t.Errorf("ParseModel(%q) = %v, %v; want %v", s, got, err, m)
+			}
+		}
+	}
+	_, err := ParseModel("quantum")
+	if err == nil || !strings.Contains(err.Error(), "baseline|nosq|dmdp|perfect|fnf") {
+		t.Errorf("unknown model error %v does not list the models", err)
 	}
 }

@@ -41,23 +41,17 @@ import (
 	"dmdp/internal/trace"
 )
 
-// AllModels is the full model sweep: every store-load communication
-// mechanism the core implements.
-var AllModels = []config.Model{
-	config.Baseline, config.NoSQ, config.DMDP, config.Perfect, config.FnF,
-}
-
 // Options configure a differential run.
 type Options struct {
 	Budget   int64          // dynamic instruction budget per program
-	Models   []config.Model // nil = AllModels
+	Models   []config.Model // nil = config.Models
 	Faults   faults.Config  // zero value = no injection
 	PhysRegs int            // physical register file size (0 = model default)
 }
 
 func (o Options) models() []config.Model {
 	if len(o.Models) == 0 {
-		return AllModels
+		return config.Models
 	}
 	return o.Models
 }

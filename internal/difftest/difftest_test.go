@@ -25,8 +25,8 @@ func TestLockstepCleanSweep(t *testing.T) {
 			if div != nil {
 				t.Fatalf("divergence:\n%s", div.Bundle())
 			}
-			if len(lines) != len(AllModels) {
-				t.Fatalf("seed %d: %d digest lines, want %d", seed, len(lines), len(AllModels))
+			if len(lines) != len(config.Models) {
+				t.Fatalf("seed %d: %d digest lines, want %d", seed, len(lines), len(config.Models))
 			}
 		}
 	}
@@ -133,7 +133,7 @@ func TestLockstepFinalMemoryIncludesPendingStores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range AllModels {
+	for _, m := range config.Models {
 		if _, err := Lockstep(config.Default(m), tr); err != nil {
 			t.Fatalf("model %s: %v", m, err)
 		}

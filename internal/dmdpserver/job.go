@@ -23,6 +23,7 @@ import (
 	"dmdp/internal/isa"
 	"dmdp/internal/sampling"
 	"dmdp/internal/sched"
+	"dmdp/internal/trace"
 	"dmdp/internal/workload"
 )
 
@@ -143,23 +144,13 @@ func (s *Server) parseJob(req *jobRequest) (*jobPlan, error) {
 		return nil, fmt.Errorf("chaos_panic requires a daemon started with -chaos")
 	}
 
+	var err error
 	model := req.Model
 	if model == "" {
 		model = "dmdp"
 	}
-	switch strings.ToLower(model) {
-	case "baseline":
-		p.model = config.Baseline
-	case "nosq":
-		p.model = config.NoSQ
-	case "dmdp":
-		p.model = config.DMDP
-	case "perfect":
-		p.model = config.Perfect
-	case "fnf":
-		p.model = config.FnF
-	default:
-		return nil, fmt.Errorf("unknown model %q (baseline|nosq|dmdp|perfect|fnf)", model)
+	if p.model, err = config.ParseModel(model); err != nil {
+		return nil, err
 	}
 
 	budget, err := parseBudget(req.Budget, s.cfg.defaultBudget())
@@ -302,46 +293,36 @@ func (s *Server) runSampled(ctx context.Context, p *jobPlan) (*sampling.Combined
 	return out.Combined, nil
 }
 
-// runInline simulates an inline assembly program, using the artifact
-// store for trace and result caching (keyed by the source hash, exactly
-// like cmd/dmdpsim -file).
+// runInline simulates an inline assembly program through the artifact
+// store's trace and result paths, keyed by the source hash exactly like
+// cmd/dmdpsim -file. Fault-injected runs take the zero result key, so
+// they are never persisted.
 func (s *Server) runInline(ctx context.Context, p *jobPlan) (*core.Stats, error) {
 	traceKey := artifact.TraceKey(sha256.Sum256([]byte(p.source)), p.budget)
-	persistable := !p.cfg.Faults.Enabled()
 	var resultKey artifact.Key
-	if persistable {
+	if !p.cfg.Faults.Enabled() {
 		resultKey = artifact.ResultKey(traceKey, p.cfg.Digest(), p.budget)
-		if st, _, hit := s.cfg.Cache.LoadStats(resultKey); hit && !s.cfg.Cache.VerifyEnabled() {
-			return st, nil
-		}
 	}
-	tr, hit := s.cfg.Cache.LoadTrace(traceKey)
-	if !hit {
-		prog, err := asm.Assemble(p.source)
-		if err != nil {
-			return nil, fmt.Errorf("assemble: %w", err)
-		}
-		tr, err = emu.RunCtx(ctx, prog, p.budget)
+	return s.cfg.Cache.Result(resultKey, p.workload, p.model.String(), func() (*core.Stats, error) {
+		tr, err := s.cfg.Cache.Trace(traceKey, func() (*trace.Trace, error) {
+			prog, err := asm.Assemble(p.source)
+			if err != nil {
+				return nil, fmt.Errorf("assemble: %w", err)
+			}
+			return emu.RunCtx(ctx, prog, p.budget)
+		})
 		if err != nil {
 			return nil, err
 		}
-		s.cfg.Cache.StoreTrace(traceKey, tr)
-	}
-	c, err := core.New(p.cfg, tr)
-	if err != nil {
-		return nil, err
-	}
-	if fn := progressFrom(ctx); fn != nil {
-		c.SetProgressFn(fn)
-	}
-	st, err := c.RunContext(ctx)
-	if err != nil {
-		return nil, err
-	}
-	if persistable {
-		s.cfg.Cache.StoreStats(resultKey, st)
-	}
-	return st, nil
+		c, err := core.New(p.cfg, tr)
+		if err != nil {
+			return nil, err
+		}
+		if fn := progressFrom(ctx); fn != nil {
+			c.SetProgressFn(fn)
+		}
+		return c.RunContext(ctx)
+	})
 }
 
 // inlineProgressKey lets runInline receive the same per-job tap the

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"dmdp/internal/artifact"
 	"dmdp/internal/config"
 	"dmdp/internal/experiments"
 	"dmdp/internal/sched"
@@ -154,6 +155,45 @@ func TestInlineSourceJob(t *testing.T) {
 		t.Fatalf("resubmission diverged: %d %v vs %v", code2, out2["stats_sha256"], out["stats_sha256"])
 	}
 	_ = srv
+}
+
+// TestVerifyModeCatchesPoisonedInlineResult: under a verify-mode store
+// an inline job's stored result is re-simulated and compared like every
+// other result hit, so a poisoned entry fails the job with a verify
+// mismatch instead of being served, and the entry is left as it was.
+func TestVerifyModeCatchesPoisonedInlineResult(t *testing.T) {
+	dir := t.TempDir()
+	rw, err := artifact.Open(dir, artifact.RW, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{Workers: 1, Cache: rw})
+	job := map[string]any{"source": inlineProgram, "model": "baseline", "budget": "20k"}
+	if code, out := postJob(t, ts.URL, job); code != http.StatusOK {
+		t.Fatalf("status %d: %v", code, out)
+	}
+
+	cfg := config.Default(config.Baseline)
+	key := artifact.ResultKey(artifact.TraceKey(sha256.Sum256([]byte(inlineProgram)), 20_000), cfg.Digest(), 20_000)
+	st, _, ok := rw.LoadStats(key)
+	if !ok {
+		t.Fatal("inline result was not stored")
+	}
+	st.Cycles += 1_000_000
+	rw.StoreStats(key, st)
+
+	verify, err := artifact.Open(dir, artifact.Verify, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, vts := newTestServer(t, Config{Workers: 1, Cache: verify})
+	code, out := postJob(t, vts.URL, job)
+	if msg, _ := out["error"].(string); code != http.StatusInternalServerError || !strings.Contains(msg, "verify mismatch") {
+		t.Fatalf("poisoned inline result under verify: status %d %v; want 500 with a verify mismatch", code, out)
+	}
+	if got, _, _ := verify.LoadStats(key); got == nil || got.Cycles != st.Cycles {
+		t.Error("verify mode rewrote the poisoned entry")
+	}
 }
 
 func TestConcurrentIdenticalJobsSimulateOnce(t *testing.T) {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"dmdp/internal/config"
@@ -16,12 +17,10 @@ import (
 // distance predictor (related work, §VII) and remote-core invalidation
 // traffic (§IV-F).
 
-// AblSilentPolicyRuns declares the silent-store ablation's simulations.
-func AblSilentPolicyRuns(r *Runner) []RunSpec {
-	return r.suite(
-		RunSpec{Cfg: config.Default(config.NoSQ), Label: "nosq"},
-		RunSpec{Cfg: config.Default(config.NoSQ).WithSilentStorePolicy(false), Label: "nosq-nosilent"},
-	)
+// ablSilentRuns are the silent-store ablation's simulations.
+var ablSilentRuns = []RunSpec{
+	modelSpec(config.NoSQ),
+	{Cfg: config.Default(config.NoSQ).WithSilentStorePolicy(false), Label: "nosq-nosilent"},
 }
 
 // AblSilentPolicy compares NoSQ with and without the silent-store-aware
@@ -31,34 +30,25 @@ func AblSilentPolicy(r *Runner) (string, error) {
 	t := stats.NewTable("Ablation: silent-store-aware predictor update (NoSQ)",
 		"bench", "aware IPC", "original IPC", "aware MPKI", "orig MPKI", "aware reexec/1k", "orig reexec/1k")
 	var ratios []float64
-	for _, b := range r.Benchmarks() {
-		on, err := r.Run(b, config.Default(config.NoSQ), "nosq")
-		if err != nil {
-			continue // failure recorded; row omitted
-		}
-		off, err := r.Run(b, config.Default(config.NoSQ).WithSilentStorePolicy(false), "nosq-nosilent")
-		if err != nil {
-			continue // failure recorded; row omitted
-		}
+	r.rows(ablSilentRuns, func(b string, st []*core.Stats) {
+		on, off := st[0], st[1]
 		ratios = append(ratios, on.IPC()/off.IPC())
 		t.AddF(2, b, on.IPC(), off.IPC(), on.MPKI(), off.MPKI(),
 			on.ReexecStallsPerKilo(), off.ReexecStallsPerKilo())
-	}
+	})
 	out := t.String()
 	out += fmt.Sprintf("geomean aware/original: %s (paper: aware wins overall, loses on hmmer)\n",
 		stats.Pct(stats.Geomean(ratios)))
 	return out, nil
 }
 
-// AblBiasedConfidenceRuns declares the confidence ablation's simulations.
-func AblBiasedConfidenceRuns(r *Runner) []RunSpec {
-	balancedCfg := config.Default(config.DMDP)
-	balancedCfg.SDP.Biased = false
-	return r.suite(
-		RunSpec{Cfg: config.Default(config.DMDP), Label: "dmdp"},
-		RunSpec{Cfg: balancedCfg, Label: "dmdp-balanced"},
-	)
-}
+// ablBiasedRuns are the confidence ablation's simulations: DMDP with
+// its biased confidence update and with a balanced one.
+var ablBiasedRuns = func() []RunSpec {
+	balanced := config.Default(config.DMDP)
+	balanced.SDP.Biased = false
+	return []RunSpec{modelSpec(config.DMDP), {Cfg: balanced, Label: "dmdp-balanced"}}
+}()
 
 // AblBiasedConfidence compares DMDP with the biased (divide-by-two)
 // confidence update against a balanced (-1) variant: the bias trades
@@ -67,34 +57,23 @@ func AblBiasedConfidence(r *Runner) (string, error) {
 	t := stats.NewTable("Ablation: biased vs balanced confidence update (DMDP)",
 		"bench", "biased IPC", "balanced IPC", "biased MPKI", "bal MPKI", "biased pred#", "bal pred#")
 	var ratios []float64
-	balancedCfg := config.Default(config.DMDP)
-	balancedCfg.SDP.Biased = false
-	for _, b := range r.Benchmarks() {
-		bi, err := r.Run(b, config.Default(config.DMDP), "dmdp")
-		if err != nil {
-			continue // failure recorded; row omitted
-		}
-		ba, err := r.Run(b, balancedCfg, "dmdp-balanced")
-		if err != nil {
-			continue // failure recorded; row omitted
-		}
+	r.rows(ablBiasedRuns, func(b string, st []*core.Stats) {
+		bi, ba := st[0], st[1]
 		ratios = append(ratios, bi.IPC()/ba.IPC())
 		t.AddF(2, b, bi.IPC(), ba.IPC(), bi.MPKI(), ba.MPKI(), bi.Predications, ba.Predications)
-	}
+	})
 	out := t.String()
 	out += fmt.Sprintf("geomean biased/balanced: %s (paper: fewer mispredictions at the cost of more predications)\n",
 		stats.Pct(stats.Geomean(ratios)))
 	return out, nil
 }
 
-// AblTAGERuns declares the TAGE ablation's simulations.
-func AblTAGERuns(r *Runner) []RunSpec {
-	return r.suite(
-		RunSpec{Cfg: config.Default(config.DMDP), Label: "dmdp"},
-		RunSpec{Cfg: config.Default(config.DMDP).WithTAGE(true), Label: "dmdp-tage"},
-		RunSpec{Cfg: config.Default(config.NoSQ), Label: "nosq"},
-		RunSpec{Cfg: config.Default(config.NoSQ).WithTAGE(true), Label: "nosq-tage"},
-	)
+// ablTAGERuns are the TAGE ablation's simulations.
+var ablTAGERuns = []RunSpec{
+	modelSpec(config.DMDP),
+	{Cfg: config.Default(config.DMDP).WithTAGE(true), Label: "dmdp-tage"},
+	modelSpec(config.NoSQ),
+	{Cfg: config.Default(config.NoSQ).WithTAGE(true), Label: "nosq-tage"},
 }
 
 // AblTAGE swaps the two-table Store Distance Predictor for the TAGE-like
@@ -103,39 +82,22 @@ func AblTAGE(r *Runner) (string, error) {
 	t := stats.NewTable("Ablation: TAGE-like store distance predictor",
 		"bench", "dmdp", "dmdp+tage", "nosq", "nosq+tage")
 	var dr, nr []float64
-	for _, b := range r.Benchmarks() {
-		d, err := r.Run(b, config.Default(config.DMDP), "dmdp")
-		if err != nil {
-			continue // failure recorded; row omitted
-		}
-		dt, err := r.Run(b, config.Default(config.DMDP).WithTAGE(true), "dmdp-tage")
-		if err != nil {
-			continue // failure recorded; row omitted
-		}
-		n, err := r.Run(b, config.Default(config.NoSQ), "nosq")
-		if err != nil {
-			continue // failure recorded; row omitted
-		}
-		nt, err := r.Run(b, config.Default(config.NoSQ).WithTAGE(true), "nosq-tage")
-		if err != nil {
-			continue // failure recorded; row omitted
-		}
+	r.rows(ablTAGERuns, func(b string, st []*core.Stats) {
+		d, dt, n, nt := st[0], st[1], st[2], st[3]
 		dr = append(dr, dt.IPC()/d.IPC())
 		nr = append(nr, nt.IPC()/n.IPC())
 		t.AddF(3, b, d.IPC(), dt.IPC(), n.IPC(), nt.IPC())
-	}
+	})
 	out := t.String()
 	out += fmt.Sprintf("geomean tage/classic: dmdp %s, nosq %s\n",
 		stats.Pct(stats.Geomean(dr)), stats.Pct(stats.Geomean(nr)))
 	return out, nil
 }
 
-// AblCoalescingRuns declares the coalescing ablation's simulations.
-func AblCoalescingRuns(r *Runner) []RunSpec {
-	return r.suite(
-		RunSpec{Cfg: config.Default(config.DMDP), Label: "dmdp"},
-		RunSpec{Cfg: config.Default(config.DMDP).WithCoalescing(false), Label: "dmdp-nocoalesce"},
-	)
+// ablCoalesceRuns are the coalescing ablation's simulations.
+var ablCoalesceRuns = []RunSpec{
+	modelSpec(config.DMDP),
+	{Cfg: config.Default(config.DMDP).WithCoalescing(false), Label: "dmdp-nocoalesce"},
 }
 
 // AblCoalescing disables TSO store coalescing: consecutive same-word
@@ -145,30 +107,15 @@ func AblCoalescing(r *Runner) (string, error) {
 	t := stats.NewTable("Ablation: store coalescing (DMDP)",
 		"bench", "on IPC", "off IPC", "coalesced#", "sbstall-on/1k", "sbstall-off/1k")
 	var ratios []float64
-	for _, b := range r.Benchmarks() {
-		on, err := r.Run(b, config.Default(config.DMDP), "dmdp")
-		if err != nil {
-			continue // failure recorded; row omitted
-		}
-		off, err := r.Run(b, config.Default(config.DMDP).WithCoalescing(false), "dmdp-nocoalesce")
-		if err != nil {
-			continue // failure recorded; row omitted
-		}
+	r.rows(ablCoalesceRuns, func(b string, st []*core.Stats) {
+		on, off := st[0], st[1]
 		ratios = append(ratios, on.IPC()/off.IPC())
 		t.AddF(2, b, on.IPC(), off.IPC(), on.StoresCoalesced,
 			on.SBStallsPerKilo(), off.SBStallsPerKilo())
-	}
+	})
 	out := t.String()
 	out += fmt.Sprintf("geomean on/off: %s\n", stats.Pct(stats.Geomean(ratios)))
 	return out, nil
-}
-
-// AblInvalidationsRuns declares the invalidation ablation's cached runs:
-// the quiet single-core DMDP machine. AblInvalidations runs the noisy
-// 2-core machines itself (the result cache only understands single-core
-// runs).
-func AblInvalidationsRuns(r *Runner) []RunSpec {
-	return r.suite(RunSpec{Cfg: config.Default(config.DMDP), Label: "dmdp"})
 }
 
 // AblInvalidations measures remote-core consistency traffic (§IV-F) from
@@ -177,8 +124,10 @@ func AblInvalidationsRuns(r *Runner) []RunSpec {
 // cores over a shared L2 (mcRun). Every store the other core drains
 // invalidates core 0's L1 line and stamps its T-SSBF, so loads that read
 // the line early re-execute at retire: the traffic costs re-executions,
-// never correctness. The machines run on the runner's worker pool, each
-// into its own slot, and the rows render in proxy order.
+// never correctness. The quiet runs are dmdpRuns; the noisy machines run
+// here, on the runner's worker pool, each into its own slot (the result
+// cache only understands single-core runs), and the rows render in
+// proxy order.
 func AblInvalidations(r *Runner) (string, error) {
 	t := stats.NewTable("Ablation: remote invalidations from a second core running the same trace (DMDP)",
 		"bench", "quiet IPC", "noisy IPC", "invals", "reexec-quiet", "reexec-noisy")
@@ -188,15 +137,15 @@ func AblInvalidations(r *Runner) (string, error) {
 		noisy[i] = r.runMachine(benches[i], config.DMDP, 2)
 	})
 	var ratios []float64
-	for i, b := range benches {
-		q, err := r.Run(b, config.Default(config.DMDP), "dmdp")
-		if err != nil || noisy[i] == nil {
-			continue // failure recorded; row omitted
+	r.rows(dmdpRuns, func(b string, st []*core.Stats) {
+		m := noisy[slices.Index(benches, b)]
+		if m == nil {
+			return // failure recorded; row omitted
 		}
-		n := &noisy[i].PerCore[0]
+		q, n := st[0], &m.PerCore[0]
 		ratios = append(ratios, n.IPC()/q.IPC())
 		t.AddF(2, b, q.IPC(), n.IPC(), n.Invalidations, q.Reexecs, n.Reexecs)
-	}
+	})
 	var out strings.Builder
 	out.WriteString(t.String())
 	fmt.Fprintf(&out, "geomean noisy/quiet: %s (consistency traffic costs re-executions, never correctness)\n",
@@ -205,12 +154,10 @@ func AblInvalidations(r *Runner) (string, error) {
 	return out.String(), nil
 }
 
-// AblPrefetchRuns declares the prefetcher ablation's simulations.
-func AblPrefetchRuns(r *Runner) []RunSpec {
-	return r.suite(
-		RunSpec{Cfg: config.Default(config.DMDP), Label: "dmdp"},
-		RunSpec{Cfg: config.Default(config.DMDP).WithPrefetch(true), Label: "dmdp-prefetch"},
-	)
+// ablPrefetchRuns are the prefetcher ablation's simulations.
+var ablPrefetchRuns = []RunSpec{
+	modelSpec(config.DMDP),
+	{Cfg: config.Default(config.DMDP).WithPrefetch(true), Label: "dmdp-prefetch"},
 }
 
 // AblPrefetch measures the interaction between a next-line L1 prefetcher
@@ -221,19 +168,12 @@ func AblPrefetch(r *Runner) (string, error) {
 	t := stats.NewTable("Ablation: next-line L1 prefetcher (DMDP)",
 		"bench", "off IPC", "on IPC", "gain", "L1 miss off", "L1 miss on")
 	var ratios []float64
-	for _, b := range r.Benchmarks() {
-		off, err := r.Run(b, config.Default(config.DMDP), "dmdp")
-		if err != nil {
-			continue // failure recorded; row omitted
-		}
-		on, err := r.Run(b, config.Default(config.DMDP).WithPrefetch(true), "dmdp-prefetch")
-		if err != nil {
-			continue // failure recorded; row omitted
-		}
+	r.rows(ablPrefetchRuns, func(b string, st []*core.Stats) {
+		off, on := st[0], st[1]
 		ratios = append(ratios, on.IPC()/off.IPC())
 		t.AddF(3, b, off.IPC(), on.IPC(), stats.Pct(on.IPC()/off.IPC()),
 			stats.F(100*off.L1MissRate, 1), stats.F(100*on.L1MissRate, 1))
-	}
+	})
 	out := t.String()
 	out += fmt.Sprintf("geomean on/off: %s\n", stats.Pct(stats.Geomean(ratios)))
 	return out, nil

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -93,4 +94,44 @@ func TestWarmUpCancellation(t *testing.T) {
 	}
 	// The failure table renders (partial results path does not panic).
 	_ = r.FailureTable()
+}
+
+// TestSampErrRecordsFailedSampledRuns: a samp-err render whose runner
+// is cancelled after the warm-up reads its full runs from the cache,
+// but every sampled run fails. Each row drops out, and the failure
+// table says why: the first failed sampled run of each row is recorded
+// under "<model>-sampled" or "<model>-sampled+warm", with no diagnostic
+// bundle, as for any cancellation.
+func TestSampErrRecordsFailedSampledRuns(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	r := NewRunner(Options{Budget: 20_000, Benchmarks: []string{"hmmer", "mcf"},
+		Parallel: false, Context: ctx, SampleWarm: true})
+	e, _ := ByID("samp-err")
+	if err := r.WarmUp(e); err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	out, err := e.Run(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range r.Benchmarks() {
+		if hasRow(out, b) {
+			t.Errorf("%s kept a row after its sampled runs failed:\n%s", b, out)
+		}
+	}
+	var got []string
+	for _, f := range r.Failures() {
+		got = append(got, f.Bench+"/"+f.Label)
+		if !IsCanceled(f.Err) || f.Diagnostic != "" {
+			t.Errorf("%s/%s: err %v, diagnostic %q; want a cancellation without a bundle",
+				f.Bench, f.Label, f.Err, f.Diagnostic)
+		}
+	}
+	want := []string{"hmmer/baseline-sampled", "hmmer/baseline-sampled+warm",
+		"mcf/baseline-sampled", "mcf/baseline-sampled+warm"}
+	if !slices.Equal(got, want) {
+		t.Errorf("failures %v, want %v", got, want)
+	}
 }

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 
+	"dmdp/internal/artifact"
 	"dmdp/internal/core"
 )
 
@@ -97,13 +98,19 @@ func (r *Runner) FailureTable() string {
 }
 
 // diagnosticFor extracts the structured diagnostic bundle when err wraps
-// a core.SimError. Cancellations carry no bundle: a deadline hit is a
-// scheduling outcome, and pages of pipeline state per cancelled run
-// would drown the failure table's real diagnostics.
+// a core.SimError, and a verify mismatch's full message (key, file,
+// both hashes) when it is an *artifact.VerifyError. Cancellations carry
+// no bundle: a deadline hit is a scheduling outcome, and pages of
+// pipeline state per cancelled run would drown the failure table's real
+// diagnostics.
 func diagnosticFor(err error) string {
 	var se *core.SimError
 	if errors.As(err, &se) && se.Kind != core.ErrCanceled {
 		return se.Bundle()
+	}
+	var ve *artifact.VerifyError
+	if errors.As(err, &ve) {
+		return ve.Error()
 	}
 	return ""
 }

@@ -6,37 +6,32 @@ import (
 
 	"dmdp/internal/config"
 	"dmdp/internal/core"
+	"dmdp/internal/power"
 	"dmdp/internal/stats"
 )
 
-// Fig2Runs declares Figure 2's simulations: NoSQ on every proxy.
-func Fig2Runs(r *Runner) []RunSpec { return r.suite(modelSpec(config.NoSQ)) }
+// noSQRuns are Figure 2's and Figure 3's simulations: NoSQ on every
+// proxy.
+var noSQRuns = modelSpecs(config.NoSQ)
 
 // Fig2 reproduces Figure 2: how NoSQ loads obtain their values (Direct
 // access / Bypassing / Delayed access).
 func Fig2(r *Runner) (string, error) {
 	t := stats.NewTable("Figure 2: NoSQ load instruction distribution (%)",
 		"bench", "direct", "bypassing", "delayed")
-	for _, b := range r.Benchmarks() {
-		st, err := r.RunModel(b, config.NoSQ)
-		if err != nil {
-			continue // failure recorded; row omitted
-		}
-		loads := float64(st.TotalLoads())
+	r.rows(noSQRuns, func(b string, st []*core.Stats) {
+		loads := float64(st[0].TotalLoads())
 		if loads == 0 {
 			t.Add(b, "-", "-", "-")
-			continue
+			return
 		}
 		pct := func(c core.LoadCategory) float64 {
-			return 100 * float64(st.LoadCount[c]) / loads
+			return 100 * float64(st[0].LoadCount[c]) / loads
 		}
 		t.AddF(1, b, pct(core.LoadDirect), pct(core.LoadBypass), pct(core.LoadDelayed))
-	}
+	})
 	return t.String(), nil
 }
-
-// Fig3Runs declares Figure 3's simulations: NoSQ on every proxy.
-func Fig3Runs(r *Runner) []RunSpec { return r.suite(modelSpec(config.NoSQ)) }
 
 // Fig3 reproduces Figure 3: mean execution time of Delayed-access loads
 // relative to Bypassing loads under NoSQ. Ratios above 1 mean delayed
@@ -46,21 +41,17 @@ func Fig3(r *Runner) (string, error) {
 	t := stats.NewTable("Figure 3: delayed vs bypassing load execution time (NoSQ)",
 		"bench", "bypass(cyc)", "delayed(cyc)", "ratio")
 	var ratios []float64
-	for _, b := range r.Benchmarks() {
-		st, err := r.RunModel(b, config.NoSQ)
-		if err != nil {
-			continue // failure recorded; row omitted
-		}
-		byp := st.MeanExecTime(core.LoadBypass)
-		del := st.MeanExecTime(core.LoadDelayed)
+	r.rows(noSQRuns, func(b string, st []*core.Stats) {
+		byp := st[0].MeanExecTime(core.LoadBypass)
+		del := st[0].MeanExecTime(core.LoadDelayed)
 		if byp <= 0 || del <= 0 {
 			t.Add(b, stats.F(byp, 2), stats.F(del, 2), "-")
-			continue
+			return
 		}
 		ratio := del / byp
 		ratios = append(ratios, ratio)
 		t.AddF(2, b, byp, del, ratio)
-	}
+	})
 	out := t.String()
 	if len(ratios) > 0 {
 		out += fmt.Sprintf("geomean ratio: %.2fx (paper: ~7x, mcf inverted)\n", stats.Geomean(ratios))
@@ -68,8 +59,9 @@ func Fig3(r *Runner) (string, error) {
 	return out, nil
 }
 
-// Fig5Runs declares Figure 5's simulations: DMDP on every proxy.
-func Fig5Runs(r *Runner) []RunSpec { return r.suite(modelSpec(config.DMDP)) }
+// dmdpRuns are Figure 5's simulations, DMDP on every proxy, and
+// abl-inval's quiet reference runs.
+var dmdpRuns = modelSpecs(config.DMDP)
 
 // Fig5 reproduces Figure 5: ground-truth outcomes of low-confidence load
 // predictions under DMDP — IndepStore should dominate everywhere.
@@ -77,15 +69,12 @@ func Fig5(r *Runner) (string, error) {
 	t := stats.NewTable("Figure 5: low-confidence load prediction outcomes (DMDP, %)",
 		"bench", "lowconf", "IndepStore", "DiffStore", "Correct")
 	var indepTot, allTot float64
-	for _, b := range r.Benchmarks() {
-		st, err := r.RunModel(b, config.DMDP)
-		if err != nil {
-			continue // failure recorded; row omitted
-		}
+	r.rows(dmdpRuns, func(b string, sts []*core.Stats) {
+		st := sts[0]
 		n := float64(st.LowConfCount)
 		if n == 0 {
 			t.Add(b, "0", "-", "-", "-")
-			continue
+			return
 		}
 		ind := 100 * float64(st.LowConfOutcomes[core.LowConfIndepStore]) / n
 		dif := 100 * float64(st.LowConfOutcomes[core.LowConfDiffStore]) / n
@@ -93,7 +82,7 @@ func Fig5(r *Runner) (string, error) {
 		indepTot += float64(st.LowConfOutcomes[core.LowConfIndepStore])
 		allTot += n
 		t.AddF(1, b, st.LowConfCount, ind, dif, cor)
-	}
+	})
 	out := t.String()
 	if allTot > 0 {
 		out += fmt.Sprintf("overall IndepStore share: %.1f%% (paper: dominates every benchmark)\n",
@@ -102,11 +91,8 @@ func Fig5(r *Runner) (string, error) {
 	return out, nil
 }
 
-// Fig12Runs declares Figure 12's simulations: the four default models.
-func Fig12Runs(r *Runner) []RunSpec {
-	return r.suite(modelSpec(config.Baseline), modelSpec(config.NoSQ),
-		modelSpec(config.DMDP), modelSpec(config.Perfect))
-}
+// fig12Runs are Figure 12's simulations: the four default models.
+var fig12Runs = modelSpecs(config.Baseline, config.NoSQ, config.DMDP, config.Perfect)
 
 // Fig12 reproduces Figure 12: IPC of NoSQ, DMDP and Perfect normalized to
 // the baseline store-queue machine, with Integer/Float geometric means.
@@ -117,23 +103,8 @@ func Fig12(r *Runner) (string, error) {
 	type accum struct{ nosq, dmdp, perfect, rel []float64 }
 	byClass := map[string]*accum{"Int": {}, "FP": {}}
 
-	for _, b := range r.Benchmarks() {
-		base, err := r.RunModel(b, config.Baseline)
-		if err != nil {
-			continue // failure recorded; row omitted
-		}
-		nosq, err := r.RunModel(b, config.NoSQ)
-		if err != nil {
-			continue // failure recorded; row omitted
-		}
-		dmdp, err := r.RunModel(b, config.DMDP)
-		if err != nil {
-			continue // failure recorded; row omitted
-		}
-		perf, err := r.RunModel(b, config.Perfect)
-		if err != nil {
-			continue // failure recorded; row omitted
-		}
+	r.rows(fig12Runs, func(b string, st []*core.Stats) {
+		base, nosq, dmdp, perf := st[0], st[1], st[2], st[3]
 		bn := nosq.IPC() / base.IPC()
 		bd := dmdp.IPC() / base.IPC()
 		bp := perf.IPC() / base.IPC()
@@ -148,7 +119,7 @@ func Fig12(r *Runner) (string, error) {
 		a.perfect = append(a.perfect, bp)
 		a.rel = append(a.rel, rel)
 		t.AddF(3, b, bn, bd, bp, rel)
-	}
+	})
 	var b strings.Builder
 	b.WriteString(t.String())
 	for _, cls := range []string{"Int", "FP"} {
@@ -164,18 +135,13 @@ func Fig12(r *Runner) (string, error) {
 	return b.String(), nil
 }
 
-// Fig14Runs declares Figure 14's simulations: the DMDP store-buffer
-// sweep. (The 32-entry point is the default DMDP machine, so the digest
-// cache folds it into the shared "dmdp" run.)
-func Fig14Runs(r *Runner) []RunSpec {
-	var specs []RunSpec
-	for _, n := range []int{16, 32, 64} {
-		specs = append(specs, RunSpec{
-			Cfg:   config.Default(config.DMDP).WithStoreBuffer(n),
-			Label: fmt.Sprintf("dmdp-sb%d", n),
-		})
-	}
-	return r.suite(specs...)
+// fig14Runs are Figure 14's simulations: the DMDP store-buffer sweep.
+// (The 32-entry point is the default DMDP machine, so the digest cache
+// folds it into the shared "dmdp" run.)
+var fig14Runs = []RunSpec{
+	{Cfg: config.Default(config.DMDP).WithStoreBuffer(16), Label: "dmdp-sb16"},
+	{Cfg: config.Default(config.DMDP).WithStoreBuffer(32), Label: "dmdp-sb32"},
+	{Cfg: config.Default(config.DMDP).WithStoreBuffer(64), Label: "dmdp-sb64"},
 }
 
 // Fig14 reproduces Figure 14: DMDP with 32- and 64-entry store buffers
@@ -184,28 +150,13 @@ func Fig14Runs(r *Runner) []RunSpec {
 func Fig14(r *Runner) (string, error) {
 	t := stats.NewTable("Figure 14: store buffer size sweep (DMDP, speedup vs 16-entry)",
 		"bench", "sb32/sb16", "sb64/sb16", "stall16/1k", "stall32/1k", "stall64/1k")
-	sizes := []int{16, 32, 64}
 	type acc struct{ s32, s64 []float64 }
 	byClass := map[string]*acc{"Int": {}, "FP": {}}
 	var stalls [3]float64
 	count := 0
 
-	for _, b := range r.Benchmarks() {
-		var st [3]*core.Stats
-		ok := true
-		for i, n := range sizes {
-			cfg := config.Default(config.DMDP).WithStoreBuffer(n)
-			s, err := r.Run(b, cfg, fmt.Sprintf("dmdp-sb%d", n))
-			if err != nil {
-				ok = false // failure recorded; benchmark omitted
-				break
-			}
-			st[i] = s
-		}
-		if !ok {
-			continue
-		}
-		for i := range sizes {
+	r.rows(fig14Runs, func(b string, st []*core.Stats) {
+		for i := range stalls {
 			stalls[i] += st[i].SBStallsPerKilo()
 		}
 		count++
@@ -221,7 +172,7 @@ func Fig14(r *Runner) (string, error) {
 			stats.F(st[0].SBStallsPerKilo(), 1),
 			stats.F(st[1].SBStallsPerKilo(), 1),
 			stats.F(st[2].SBStallsPerKilo(), 1))
-	}
+	})
 	var b strings.Builder
 	b.WriteString(t.String())
 	for _, cls := range []string{"Int", "FP"} {
@@ -240,11 +191,9 @@ func Fig14(r *Runner) (string, error) {
 	return b.String(), nil
 }
 
-// Fig15Runs declares Figure 15's simulations: NoSQ and DMDP (the power
-// model evaluates on their cached stats).
-func Fig15Runs(r *Runner) []RunSpec {
-	return r.suite(modelSpec(config.NoSQ), modelSpec(config.DMDP))
-}
+// noSQDMDPRuns are the simulations of Figure 15 (the power model
+// evaluates on their stats) and of Tables V–VII: NoSQ and DMDP.
+var noSQDMDPRuns = modelSpecs(config.NoSQ, config.DMDP)
 
 // Fig15 reproduces Figure 15: DMDP's energy-delay product normalized to
 // NoSQ (paper: saves 8.5% Int, 5.1% FP; ~6.7% overall).
@@ -253,23 +202,9 @@ func Fig15(r *Runner) (string, error) {
 		"bench", "energy ratio", "delay ratio", "EDP ratio")
 	type acc struct{ edp []float64 }
 	byClass := map[string]*acc{"Int": {}, "FP": {}}
-	for _, b := range r.Benchmarks() {
-		en, err := r.Energy(b, config.NoSQ)
-		if err != nil {
-			continue // failure recorded; row omitted
-		}
-		ed, err := r.Energy(b, config.DMDP)
-		if err != nil {
-			continue // failure recorded; row omitted
-		}
-		sn, err := r.RunModel(b, config.NoSQ)
-		if err != nil {
-			continue
-		}
-		sd, err := r.RunModel(b, config.DMDP)
-		if err != nil {
-			continue
-		}
+	r.rows(noSQDMDPRuns, func(b string, st []*core.Stats) {
+		sn, sd := st[0], st[1]
+		en, ed := power.Compute(sn, power.DefaultParams()), power.Compute(sd, power.DefaultParams())
 		eratio := ed.TotalPJ / en.TotalPJ
 		dratio := float64(sd.Cycles) / float64(sn.Cycles)
 		edp := ed.EDP / en.EDP
@@ -279,7 +214,7 @@ func Fig15(r *Runner) (string, error) {
 		}
 		byClass[cls].edp = append(byClass[cls].edp, edp)
 		t.AddF(3, b, eratio, dratio, edp)
-	}
+	})
 	var b strings.Builder
 	b.WriteString(t.String())
 	for _, cls := range []string{"Int", "FP"} {

@@ -5,14 +5,12 @@ import (
 	"strings"
 
 	"dmdp/internal/config"
+	"dmdp/internal/core"
 	"dmdp/internal/stats"
 )
 
-// AltFnFRuns declares the Fire-and-Forget comparison's simulations.
-func AltFnFRuns(r *Runner) []RunSpec {
-	return r.suite(modelSpec(config.Baseline), modelSpec(config.FnF),
-		modelSpec(config.NoSQ), modelSpec(config.DMDP))
-}
+// altFnFRuns are the Fire-and-Forget comparison's simulations.
+var altFnFRuns = modelSpecs(config.Baseline, config.FnF, config.NoSQ, config.DMDP)
 
 // AltFnF compares the three store-queue-free designs: NoSQ (load-side
 // path-sensitive prediction), FnF (store-side, path-insensitive
@@ -24,28 +22,13 @@ func AltFnF(r *Runner) (string, error) {
 	t := stats.NewTable("Alt: Fire-and-Forget vs NoSQ vs DMDP (IPC vs baseline)",
 		"bench", "fnf", "nosq", "dmdp", "fnf MPKI", "nosq MPKI")
 	var rel []float64
-	for _, b := range r.Benchmarks() {
-		base, err := r.RunModel(b, config.Baseline)
-		if err != nil {
-			return "", err
-		}
-		fnf, err := r.RunModel(b, config.FnF)
-		if err != nil {
-			return "", err
-		}
-		nosq, err := r.RunModel(b, config.NoSQ)
-		if err != nil {
-			return "", err
-		}
-		dmdp, err := r.RunModel(b, config.DMDP)
-		if err != nil {
-			return "", err
-		}
+	r.rows(altFnFRuns, func(b string, st []*core.Stats) {
+		base, fnf, nosq, dmdp := st[0], st[1], st[2], st[3]
 		rel = append(rel, nosq.IPC()/fnf.IPC())
 		t.AddF(3, b,
 			fnf.IPC()/base.IPC(), nosq.IPC()/base.IPC(), dmdp.IPC()/base.IPC(),
 			stats.F(fnf.MPKI(), 2), stats.F(nosq.MPKI(), 2))
-	}
+	})
 	var out strings.Builder
 	out.WriteString(t.String())
 	fmt.Fprintf(&out, "geomean nosq over fnf: %s (paper's rationale: store-side prediction is path-insensitive)\n",

@@ -91,6 +91,40 @@ func TestExperimentsSurvivePoisonedBenchmark(t *testing.T) {
 			t.Errorf("failure table missing %q:\n%s", want, table)
 		}
 	}
+
+	// Every other render degrades the same way: no render aborts, the
+	// healthy benchmark keeps its row, and the poisoned one loses its
+	// row exactly where the render reads the broken machine.
+	def := config.Default(config.DMDP)
+	broken := def.Digest()
+	for _, e := range All() {
+		out, err := e.Run(r)
+		if err != nil {
+			t.Errorf("%s aborted instead of degrading: %v", e.ID, err)
+			continue
+		}
+		if e.ID == "alt-prf160" {
+			continue // summary-only output
+		}
+		readsBroken := false
+		for _, s := range e.Runs(r) {
+			readsBroken = readsBroken || (s.Bench == "hmmer" && s.Cfg.Digest() == broken)
+		}
+		if hasRow(out, "hmmer") == readsBroken {
+			t.Errorf("%s: hmmer row present=%t, but the render reads the broken machine=%t:\n%s",
+				e.ID, !readsBroken, readsBroken, out)
+		}
+		if !hasRow(out, "bzip2") {
+			t.Errorf("%s: healthy benchmark lost its row:\n%s", e.ID, out)
+		}
+	}
+	// Other labels for the same machine (dmdp-sb32, dmdp-prf320) add
+	// rows for the same failure; nothing else fails.
+	for _, f := range r.Failures() {
+		if f.Bench != "hmmer" || !errors.As(f.Err, &se) || se.Kind != core.ErrOracle {
+			t.Errorf("unexpected failure after rendering every experiment: %+v", f)
+		}
+	}
 }
 
 // The negative cache must return the same failure without re-simulating

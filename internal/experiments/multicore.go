@@ -27,11 +27,6 @@ func mcBenchmarks(r *Runner) []string {
 	return b
 }
 
-// McIPCRuns declares no cached runs: every cell is a multicore machine
-// simulation that McIPC runs itself (the core.Stats result cache only
-// understands single-core runs).
-func McIPCRuns(r *Runner) []RunSpec { return nil }
-
 // mcRun executes one N-core machine under ctx with the workload trace
 // replicated on every core: a homogeneous-rate contention study over the
 // shared L2 (timing only — the semantic coupling layer is for litmus

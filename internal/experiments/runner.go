@@ -9,7 +9,6 @@
 package experiments
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"runtime"
@@ -22,7 +21,6 @@ import (
 	"dmdp/internal/artifact"
 	"dmdp/internal/config"
 	"dmdp/internal/core"
-	"dmdp/internal/power"
 	"dmdp/internal/sampling"
 	"dmdp/internal/sched"
 	"dmdp/internal/trace"
@@ -230,21 +228,13 @@ func (r *Runner) Trace(name string) (*trace.Trace, error) {
 	r.mu.Unlock()
 
 	if s, ok := workload.Get(name); ok {
-		key, kok := r.traceKey(name)
-		if kok {
-			if tr, hit := r.opt.Cache.LoadTrace(key); hit {
-				c.tr = tr
-			}
-		}
-		if c.tr == nil {
+		key, _ := r.traceKey(name)
+		c.tr, c.err = r.opt.Cache.Trace(key, func() (*trace.Trace, error) {
 			// Builds poll the runner's base context: a daemon drain or
 			// deadline aborts a multi-minute 100M-entry emulation mid-way
 			// instead of running it to completion first.
-			c.tr, c.err = s.BuildTraceCtx(r.ctx(), r.opt.Budget)
-			if c.err == nil && kok {
-				r.opt.Cache.StoreTrace(key, c.tr)
-			}
-		}
+			return s.BuildTraceCtx(r.ctx(), r.opt.Budget)
+		})
 	} else {
 		c.err = fmt.Errorf("experiments: unknown benchmark %q", name)
 	}
@@ -314,74 +304,43 @@ func (r *Runner) RunCtx(ctx context.Context, name string, cfg config.Config, lab
 	return r.deliver(name, label, c.res)
 }
 
-// execute performs the out-of-memory-cache simulation: persistent result
-// store first (a hit skips even the trace build; in verify mode the hit
-// is re-simulated and compared), then trace build + one run.
-// Fault-injected configurations and failed runs are never persisted.
+// execute performs the out-of-memory-cache simulation through the
+// persistent result store (Store.Result): a hit skips even the trace
+// build, a verify-mode hit is re-simulated and compared, and a miss
+// builds the trace and runs once. Fault-injected configurations take
+// the zero key, so they are never persisted; neither are failed runs.
 func (r *Runner) execute(ctx context.Context, name string, cfg config.Config, label string) runResult {
-	resultKey, keyed := r.traceKey(name)
-	persistable := keyed && !cfg.Faults.Enabled()
-	if persistable {
-		resultKey = artifact.ResultKey(resultKey, cfg.Digest(), r.opt.Budget)
-		if st, path, hit := r.opt.Cache.LoadStats(resultKey); hit {
-			if !r.opt.Cache.VerifyEnabled() {
-				return runResult{st: st}
-			}
-			return r.verifyHit(ctx, name, label, cfg, resultKey, path, st)
+	var key artifact.Key
+	if tk, ok := r.traceKey(name); ok && !cfg.Faults.Enabled() {
+		key = artifact.ResultKey(tk, cfg.Digest(), r.opt.Budget)
+	}
+	var res runResult
+	res.st, res.err = r.opt.Cache.Result(key, name, label, func() (*core.Stats, error) {
+		tr, err := r.Trace(name)
+		if err != nil {
+			// A canceled build is a scheduling outcome like a canceled
+			// run: flag it so RunCtx evicts the negative cache entry and
+			// a later request (longer deadline) rebuilds.
+			res.canceled = IsCanceled(err)
+			return nil, err
 		}
-	}
-	tr, err := r.Trace(name)
-	if err != nil {
-		// A canceled build is a scheduling outcome like a canceled run:
-		// flag it so RunCtx evicts the negative cache entry and a later
-		// request (longer deadline) rebuilds.
-		return runResult{err: err, canceled: IsCanceled(err)}
-	}
-	if err := ctx.Err(); err != nil {
-		// Cancelled before the run started.
-		return runResult{err: err, canceled: true}
-	}
-	r.sims.Add(1)
-	st, err, panicked := simulate(ctx, cfg, tr)
-	if err != nil {
-		return runResult{
-			err: err, panicked: panicked,
-			canceled:   core.Canceled(err) || ctx.Err() != nil,
-			diagnostic: diagnosticFor(err),
+		if err := ctx.Err(); err != nil {
+			// Cancelled before the run started.
+			res.canceled = true
+			return nil, err
 		}
-	}
-	if persistable {
-		r.opt.Cache.StoreStats(resultKey, st)
-	}
-	return runResult{st: st}
-}
-
-// verifyHit is the stale-artifact oracle (-cache verify): re-simulate a
-// result-store hit from scratch and compare canonical encodings. A
-// mismatch is a hard failure with a structured diagnostic — the cached
-// entry is stale or the simulator is nondeterministic. On success the
-// cached stats are returned (not the fresh ones), so verify-mode output
-// is byte-identical to a plain warm run.
-func (r *Runner) verifyHit(ctx context.Context, name, label string, cfg config.Config, key artifact.Key, path string, cached *core.Stats) runResult {
-	tr, err := r.Trace(name)
-	if err != nil {
-		return runResult{err: err}
-	}
-	r.sims.Add(1)
-	fresh, runErr, panicked := simulate(ctx, cfg, tr)
-	if runErr != nil {
-		return runResult{
-			err: runErr, panicked: panicked,
-			canceled:   core.Canceled(runErr),
-			diagnostic: diagnosticFor(runErr),
+		r.sims.Add(1)
+		st, err, panicked := simulate(ctx, cfg, tr)
+		if err != nil {
+			res.panicked = panicked
+			res.canceled = core.Canceled(err) || ctx.Err() != nil
 		}
+		return st, err
+	})
+	if res.err != nil {
+		res.diagnostic = diagnosticFor(res.err)
 	}
-	cb, fb := cached.MarshalCanonical(), fresh.MarshalCanonical()
-	if !bytes.Equal(cb, fb) {
-		verr := artifact.NewVerifyError(key, path, name, label, cb, fb)
-		return runResult{err: verr, diagnostic: verr.Error()}
-	}
-	return runResult{st: cached}
+	return res
 }
 
 // deliver converts a cached result into this caller's view: successes
@@ -471,6 +430,37 @@ func modelSpec(m config.Model) RunSpec {
 	return RunSpec{Cfg: config.Default(m), Label: m.String()}
 }
 
+// modelSpecs lists the default-configuration specs for models.
+func modelSpecs(ms ...config.Model) []RunSpec {
+	specs := make([]RunSpec, len(ms))
+	for i, m := range ms {
+		specs[i] = modelSpec(m)
+	}
+	return specs
+}
+
+// rows is how a render reads its runs. For every active benchmark, in
+// suite order, it requests specs through Run in spec order and calls row
+// with the results in spec order, in a fresh slice. A benchmark stops at
+// its first failed run and is left out: Run has already recorded the
+// failure.
+func (r *Runner) rows(specs []RunSpec, row func(bench string, st []*core.Stats)) {
+	for _, b := range r.opt.Benchmarks {
+		st := make([]*core.Stats, len(specs))
+		ok := true
+		for i, s := range specs {
+			var err error
+			if st[i], err = r.Run(b, s.Cfg, s.Label); err != nil {
+				ok = false
+				break
+			}
+		}
+		if ok {
+			row(b, st)
+		}
+	}
+}
+
 // WarmUp executes every run the selected experiments declare, on a
 // worker pool sized by Options (Jobs, or GOMAXPROCS; 1 when Parallel is
 // off). The union of run sets is deduplicated by configuration digest,
@@ -493,10 +483,7 @@ func (r *Runner) WarmUp(selected ...Experiment) error {
 // experiments share) on the worker pool. Results remain fully
 // deterministic. Returns an aggregate error when any run failed.
 func (r *Runner) Prefetch() error {
-	return r.warm(r.suite(
-		modelSpec(config.Baseline), modelSpec(config.NoSQ),
-		modelSpec(config.DMDP), modelSpec(config.Perfect),
-	))
+	return r.warm(r.suite(fig12Runs...))
 }
 
 // warm deduplicates specs by run key (first-encounter label wins, which
@@ -558,15 +545,6 @@ func (r *Runner) forEachPooled(ctx context.Context, n int, f func(i int)) int {
 	return sched.PoolCtx(ctx, r.jobs(), n, f)
 }
 
-// Energy evaluates the power model for a cached run.
-func (r *Runner) Energy(name string, m config.Model) (power.Result, error) {
-	st, err := r.RunModel(name, m)
-	if err != nil {
-		return power.Result{}, err
-	}
-	return power.Compute(st, power.DefaultParams()), nil
-}
-
 // Experiment identifies one reproducible artifact. Runs declares the
 // experiment's full simulation set up front so the runner can execute
 // the union across experiments on the worker pool before any rendering
@@ -578,32 +556,39 @@ type Experiment struct {
 	Runs  func(r *Runner) []RunSpec
 }
 
-// All returns every experiment in paper order.
+// declare derives an Experiment.Runs from the spec list its render reads
+// through rows: the specs crossed with every active benchmark.
+func declare(specs []RunSpec) func(r *Runner) []RunSpec {
+	return func(r *Runner) []RunSpec { return r.suite(specs...) }
+}
+
+// All returns every experiment in paper order. mc-ipc declares no
+// single-core runs: every cell is a machine it runs itself.
 func All() []Experiment {
 	return []Experiment{
-		{"fig2", "Figure 2: NoSQ load instruction distribution", Fig2, Fig2Runs},
-		{"fig3", "Figure 3: delayed vs bypassing load execution time (NoSQ)", Fig3, Fig3Runs},
-		{"fig5", "Figure 5: low-confidence load prediction outcomes (DMDP)", Fig5, Fig5Runs},
-		{"fig12", "Figure 12: speedup over the baseline", Fig12, Fig12Runs},
-		{"fig14", "Figure 14: store buffer size sweep (DMDP)", Fig14, Fig14Runs},
-		{"fig15", "Figure 15: EDP of DMDP normalized to NoSQ", Fig15, Fig15Runs},
-		{"tab4", "Table IV: average execution time of all loads", TableIV, TableIVRuns},
-		{"tab5", "Table V: average execution time of low-confidence loads", TableV, TableVRuns},
-		{"tab6", "Table VI: memory dependence mispredictions (MPKI)", TableVI, TableVIRuns},
-		{"tab7", "Table VII: re-execution stall cycles per 1k instructions", TableVII, TableVIIRuns},
-		{"alt-issue4", "§VI-g: 4-issue width", AltIssue4, AltIssue4Runs},
-		{"alt-rob512", "§VI-g: 512-entry ROB", AltROB512, AltROB512Runs},
-		{"alt-rmo", "§VI-g: RMO consistency", AltRMO, AltRMORuns},
-		{"alt-prf160", "§VI-f: halved physical register file", AltPRF160, AltPRF160Runs},
-		{"abl-silent", "Ablation: silent-store-aware predictor update (§VI-a)", AblSilentPolicy, AblSilentPolicyRuns},
-		{"abl-biased", "Ablation: biased vs balanced confidence (§IV-E)", AblBiasedConfidence, AblBiasedConfidenceRuns},
-		{"abl-tage", "Ablation: TAGE-like store distance predictor (§VII)", AblTAGE, AblTAGERuns},
-		{"abl-coalesce", "Ablation: store coalescing (§V)", AblCoalescing, AblCoalescingRuns},
-		{"abl-inval", "Ablation: remote invalidation traffic (§IV-F)", AblInvalidations, AblInvalidationsRuns},
-		{"alt-fnf", "Alt: Fire-and-Forget comparison (§VII)", AltFnF, AltFnFRuns},
-		{"abl-prefetch", "Ablation: next-line L1 prefetcher", AblPrefetch, AblPrefetchRuns},
-		{"samp-err", "Methodology: sampled-vs-full IPC error (§V)", SampErr, SampErrRuns},
-		{"mc-ipc", "Multicore: aggregate IPC scaling over a shared L2", McIPC, McIPCRuns},
+		{"fig2", "Figure 2: NoSQ load instruction distribution", Fig2, declare(noSQRuns)},
+		{"fig3", "Figure 3: delayed vs bypassing load execution time (NoSQ)", Fig3, declare(noSQRuns)},
+		{"fig5", "Figure 5: low-confidence load prediction outcomes (DMDP)", Fig5, declare(dmdpRuns)},
+		{"fig12", "Figure 12: speedup over the baseline", Fig12, declare(fig12Runs)},
+		{"fig14", "Figure 14: store buffer size sweep (DMDP)", Fig14, declare(fig14Runs)},
+		{"fig15", "Figure 15: EDP of DMDP normalized to NoSQ", Fig15, declare(noSQDMDPRuns)},
+		{"tab4", "Table IV: average execution time of all loads", TableIV, declare(tab4Runs)},
+		{"tab5", "Table V: average execution time of low-confidence loads", TableV, declare(noSQDMDPRuns)},
+		{"tab6", "Table VI: memory dependence mispredictions (MPKI)", TableVI, declare(noSQDMDPRuns)},
+		{"tab7", "Table VII: re-execution stall cycles per 1k instructions", TableVII, declare(noSQDMDPRuns)},
+		{"alt-issue4", "§VI-g: 4-issue width", AltIssue4, declare(altIssue4Runs)},
+		{"alt-rob512", "§VI-g: 512-entry ROB", AltROB512, declare(altROB512Runs)},
+		{"alt-rmo", "§VI-g: RMO consistency", AltRMO, declare(altRMORuns)},
+		{"alt-prf160", "§VI-f: halved physical register file", AltPRF160, declare(altPRFRuns)},
+		{"abl-silent", "Ablation: silent-store-aware predictor update (§VI-a)", AblSilentPolicy, declare(ablSilentRuns)},
+		{"abl-biased", "Ablation: biased vs balanced confidence (§IV-E)", AblBiasedConfidence, declare(ablBiasedRuns)},
+		{"abl-tage", "Ablation: TAGE-like store distance predictor (§VII)", AblTAGE, declare(ablTAGERuns)},
+		{"abl-coalesce", "Ablation: store coalescing (§V)", AblCoalescing, declare(ablCoalesceRuns)},
+		{"abl-inval", "Ablation: remote invalidation traffic (§IV-F)", AblInvalidations, declare(dmdpRuns)},
+		{"alt-fnf", "Alt: Fire-and-Forget comparison (§VII)", AltFnF, declare(altFnFRuns)},
+		{"abl-prefetch", "Ablation: next-line L1 prefetcher", AblPrefetch, declare(ablPrefetchRuns)},
+		{"samp-err", "Methodology: sampled-vs-full IPC error (§V)", SampErr, declare(sampErrRuns)},
+		{"mc-ipc", "Multicore: aggregate IPC scaling over a shared L2", McIPC, declare(nil)},
 	}
 }
 

@@ -5,15 +5,14 @@ import (
 	"math"
 
 	"dmdp/internal/config"
+	"dmdp/internal/core"
 	"dmdp/internal/sampling"
 	"dmdp/internal/stats"
 )
 
-// sampErrModels are the machines the sampled-error experiment compares
-// (every model the evaluation uses).
-var sampErrModels = []config.Model{
-	config.Baseline, config.NoSQ, config.DMDP, config.Perfect, config.FnF,
-}
+// sampErrRuns are the sampled-error experiment's full-trace reference
+// runs: every model, in config.Models order.
+var sampErrRuns = modelSpecs(config.Models...)
 
 // sampSpec resolves the sampling spec for samp-err: the explicit
 // Options.Sample when one was given, otherwise a budget-derived default
@@ -49,13 +48,30 @@ func (r *Runner) sampSpec() sampling.Spec {
 	return sampling.Spec{Count: 10, Len: int(l), Warmup: int(2 * l)}
 }
 
-// SampErrRuns declares the full-trace reference runs: all five models.
-func SampErrRuns(r *Runner) []RunSpec {
-	specs := make([]RunSpec, 0, len(sampErrModels))
-	for _, m := range sampErrModels {
-		specs = append(specs, modelSpec(m))
+// sampled runs one sampled estimate of bench under model m over the
+// runner's cached trace. As Run does for a full run, a failure (of the
+// trace or of the sampled run) is recorded, here under "<model>-sampled"
+// or "<model>-sampled+warm", and the result is nil so the caller leaves
+// its row out.
+func (r *Runner) sampled(bench string, m config.Model, warm bool, spec sampling.Spec) *sampling.Outcome {
+	tr, err := r.Trace(bench)
+	var out *sampling.Outcome
+	if err == nil {
+		key, _ := r.traceKey(bench)
+		out, err = sampling.Execute(r.ctx(), config.Default(m), sampling.Request{
+			Spec: spec, Budget: r.opt.Budget, Jobs: r.jobs(),
+			Checkpoint: r.opt.SampleCheckpoint, Store: r.opt.Cache,
+			TraceKey: key, Trace: tr, Warm: warm,
+		})
 	}
-	return r.suite(specs...)
+	if err != nil {
+		label := m.String() + "-sampled"
+		if warm {
+			label += "+warm"
+		}
+		r.recordFailure(Failure{Bench: bench, Label: label, Err: err, Diagnostic: diagnosticFor(err)})
+	}
+	return out
 }
 
 // SampErr validates the sampling methodology (paper §V): for every
@@ -82,52 +98,42 @@ func SampErr(r *Runner) (string, error) {
 	}
 	perModel := make([][][]float64, len(warmModes))
 	for mi := range warmModes {
-		perModel[mi] = make([][]float64, len(sampErrModels))
+		perModel[mi] = make([][]float64, len(config.Models))
 	}
 	var share []float64
 	daggered := false
-	for _, b := range r.Benchmarks() {
-		tr, err := r.Trace(b)
-		if err != nil {
-			continue // failure recorded; row omitted
-		}
-		key, _ := r.traceKey(b)
+	r.rows(sampErrRuns, func(b string, full []*core.Stats) {
 		for mi, warmed := range warmModes {
 			label := b
 			if warmed {
 				label += "+warm"
 			}
 			cells := []string{label}
-			errs := make([]float64, 0, len(sampErrModels))
+			errs := make([]float64, 0, len(config.Models))
 			coldStarts := false
-			for _, m := range sampErrModels {
-				full, err := r.RunModel(b, m)
-				if err != nil || full.IPC() == 0 {
-					cells = nil
-					break
+			for i, m := range config.Models {
+				ipc := full[i].IPC()
+				var out *sampling.Outcome
+				if ipc != 0 {
+					out = r.sampled(b, m, warmed, spec)
 				}
-				out, err := sampling.Execute(r.ctx(), config.Default(m), sampling.Request{
-					Spec: spec, Budget: r.opt.Budget, Jobs: r.jobs(),
-					Checkpoint: r.opt.SampleCheckpoint, Store: r.opt.Cache,
-					TraceKey: key, Trace: tr, Warm: warmed,
-				})
-				if err != nil {
+				if out == nil {
 					cells = nil
 					break
 				}
 				if out.ColdStartIntervals > 0 {
 					coldStarts = true
 				}
-				e := 100 * (out.Combined.WeightedIPC - full.IPC()) / full.IPC()
+				e := 100 * (out.Combined.WeightedIPC - ipc) / ipc
 				errs = append(errs, e)
 				cells = append(cells, fmt.Sprintf("%+.2f%%", e))
 				if m == config.DMDP && !warmed {
 					share = append(share,
-						100*float64(out.Combined.TotalInstructions)/float64(len(tr.Entries)))
+						100*float64(out.Combined.TotalInstructions)/float64(out.Total))
 				}
 			}
 			if cells == nil {
-				continue // failure recorded; row omitted
+				continue // row omitted; a failed run was recorded
 			}
 			if coldStarts {
 				cells[0] += " †"
@@ -138,7 +144,7 @@ func SampErr(r *Runner) (string, error) {
 			}
 			t.Add(cells...)
 		}
-	}
+	})
 	out := t.String()
 	for mi, warmed := range warmModes {
 		if warmed {
@@ -146,7 +152,7 @@ func SampErr(r *Runner) (string, error) {
 		} else {
 			out += "mean |error|:"
 		}
-		for i, m := range sampErrModels {
+		for i, m := range config.Models {
 			out += fmt.Sprintf(" %s %.2f%%", m, stats.Mean(perModel[mi][i]))
 		}
 		out += "\n"

@@ -5,13 +5,12 @@ import (
 	"strings"
 
 	"dmdp/internal/config"
+	"dmdp/internal/core"
 	"dmdp/internal/stats"
 )
 
-// TableIVRuns declares Table IV's simulations: Baseline and DMDP.
-func TableIVRuns(r *Runner) []RunSpec {
-	return r.suite(modelSpec(config.Baseline), modelSpec(config.DMDP))
-}
+// tab4Runs are Table IV's simulations: Baseline and DMDP.
+var tab4Runs = modelSpecs(config.Baseline, config.DMDP)
 
 // TableIV reproduces Table IV: average execution time (cycles between
 // rename and the result becoming available) of all loads, baseline vs
@@ -20,16 +19,8 @@ func TableIV(r *Runner) (string, error) {
 	t := stats.NewTable("Table IV: average execution time of all loads (cycles)",
 		"bench", "baseline", "dmdp", "saving")
 	var base, dm []float64
-	for _, b := range r.Benchmarks() {
-		sb, err := r.RunModel(b, config.Baseline)
-		if err != nil {
-			continue // failure recorded; row omitted
-		}
-		sd, err := r.RunModel(b, config.DMDP)
-		if err != nil {
-			continue // failure recorded; row omitted
-		}
-		tb, td := sb.MeanLoadExecTime(), sd.MeanLoadExecTime()
+	r.rows(tab4Runs, func(b string, st []*core.Stats) {
+		tb, td := st[0].MeanLoadExecTime(), st[1].MeanLoadExecTime()
 		base = append(base, tb)
 		dm = append(dm, td)
 		saving := "-"
@@ -37,16 +28,11 @@ func TableIV(r *Runner) (string, error) {
 			saving = fmt.Sprintf("%.1f%%", 100*(tb-td)/tb)
 		}
 		t.AddF(2, b, tb, td, saving)
-	}
+	})
 	out := t.String()
 	mb, md := stats.Mean(base), stats.Mean(dm)
 	out += fmt.Sprintf("average: baseline %.2f, dmdp %.2f (paper: 39.31 vs 31.15; saving >20%%)\n", mb, md)
 	return out, nil
-}
-
-// TableVRuns declares Table V's simulations: NoSQ and DMDP.
-func TableVRuns(r *Runner) []RunSpec {
-	return r.suite(modelSpec(config.NoSQ), modelSpec(config.DMDP))
 }
 
 // TableV reproduces Table V: average execution time of the
@@ -56,15 +42,8 @@ func TableV(r *Runner) (string, error) {
 	t := stats.NewTable("Table V: average execution time of low-confidence loads (cycles)",
 		"bench", "nosq", "dmdp", "saving", "nosq#", "dmdp#")
 	var savings []float64
-	for _, b := range r.Benchmarks() {
-		sn, err := r.RunModel(b, config.NoSQ)
-		if err != nil {
-			continue // failure recorded; row omitted
-		}
-		sd, err := r.RunModel(b, config.DMDP)
-		if err != nil {
-			continue // failure recorded; row omitted
-		}
+	r.rows(noSQDMDPRuns, func(b string, st []*core.Stats) {
+		sn, sd := st[0], st[1]
 		tn, td := sn.MeanLowConfExecTime(), sd.MeanLowConfExecTime()
 		saving := "-"
 		if tn > 0 && td > 0 && sn.LowConfCount > 20 && sd.LowConfCount > 20 {
@@ -73,17 +52,12 @@ func TableV(r *Runner) (string, error) {
 			saving = fmt.Sprintf("%.1f%%", s)
 		}
 		t.AddF(2, b, tn, td, saving, sn.LowConfCount, sd.LowConfCount)
-	}
+	})
 	out := t.String()
 	if len(savings) > 0 {
 		out += fmt.Sprintf("mean saving: %.1f%% (paper: 54.48%%, max 79.25%%)\n", stats.Mean(savings))
 	}
 	return out, nil
-}
-
-// TableVIRuns declares Table VI's simulations: NoSQ and DMDP.
-func TableVIRuns(r *Runner) []RunSpec {
-	return r.suite(modelSpec(config.NoSQ), modelSpec(config.DMDP))
 }
 
 // TableVI reproduces Table VI: memory dependence mispredictions per 1k
@@ -93,28 +67,16 @@ func TableVI(r *Runner) (string, error) {
 	t := stats.NewTable("Table VI: memory dependence mispredictions (MPKI)",
 		"bench", "nosq", "dmdp")
 	var n, d []float64
-	for _, b := range r.Benchmarks() {
-		sn, err := r.RunModel(b, config.NoSQ)
-		if err != nil {
-			continue // failure recorded; row omitted
-		}
-		sd, err := r.RunModel(b, config.DMDP)
-		if err != nil {
-			continue // failure recorded; row omitted
-		}
+	r.rows(noSQDMDPRuns, func(b string, st []*core.Stats) {
+		sn, sd := st[0], st[1]
 		n = append(n, sn.MPKI())
 		d = append(d, sd.MPKI())
 		t.AddF(3, b, sn.MPKI(), sd.MPKI())
-	}
+	})
 	out := t.String()
 	out += fmt.Sprintf("mean MPKI: nosq %.2f, dmdp %.2f (paper: hmmer 3.06 vs 1.03; bzip2 inverted)\n",
 		stats.Mean(n), stats.Mean(d))
 	return out, nil
-}
-
-// TableVIIRuns declares Table VII's simulations: NoSQ and DMDP.
-func TableVIIRuns(r *Runner) []RunSpec {
-	return r.suite(modelSpec(config.NoSQ), modelSpec(config.DMDP))
 }
 
 // TableVII reproduces Table VII: retire-stall cycles from load
@@ -125,48 +87,33 @@ func TableVII(r *Runner) (string, error) {
 	t := stats.NewTable("Table VII: re-execution stall cycles per 1k instructions",
 		"bench", "nosq", "dmdp", "reexecs(nosq)", "reexecs(dmdp)")
 	var n, d []float64
-	for _, b := range r.Benchmarks() {
-		sn, err := r.RunModel(b, config.NoSQ)
-		if err != nil {
-			continue // failure recorded; row omitted
-		}
-		sd, err := r.RunModel(b, config.DMDP)
-		if err != nil {
-			continue // failure recorded; row omitted
-		}
+	r.rows(noSQDMDPRuns, func(b string, st []*core.Stats) {
+		sn, sd := st[0], st[1]
 		n = append(n, sn.ReexecStallsPerKilo())
 		d = append(d, sd.ReexecStallsPerKilo())
 		t.AddF(2, b, sn.ReexecStallsPerKilo(), sd.ReexecStallsPerKilo(),
 			sn.Reexecs, sd.Reexecs)
-	}
+	})
 	out := t.String()
 	out += fmt.Sprintf("mean stalls/1k: nosq %.1f, dmdp %.1f (paper: DMDP higher everywhere, lbm worst)\n",
 		stats.Mean(n), stats.Mean(d))
 	return out, nil
 }
 
-// relGeomeans runs DMDP and NoSQ under cfgOf and reports DMDP-over-NoSQ
-// geomeans for both suites.
-func (r *Runner) relGeomeans(label string, cfgOf func(config.Model) config.Config) (string, error) {
+// relGeomeans reports DMDP-over-NoSQ IPC per proxy and geomeans for
+// both suites from an altRuns list.
+func (r *Runner) relGeomeans(specs []RunSpec) string {
 	byClass := map[string][]float64{"Int": {}, "FP": {}}
 	t := stats.NewTable("", "bench", "dmdp/nosq")
-	for _, b := range r.Benchmarks() {
-		sn, err := r.Run(b, cfgOf(config.NoSQ), "nosq-"+label)
-		if err != nil {
-			continue // failure recorded; row omitted
-		}
-		sd, err := r.Run(b, cfgOf(config.DMDP), "dmdp-"+label)
-		if err != nil {
-			continue // failure recorded; row omitted
-		}
-		rel := sd.IPC() / sn.IPC()
+	r.rows(specs, func(b string, st []*core.Stats) {
+		rel := st[1].IPC() / st[0].IPC()
 		cls := "Int"
 		if isFP(r, b) {
 			cls = "FP"
 		}
 		byClass[cls] = append(byClass[cls], rel)
 		t.AddF(3, b, rel)
-	}
+	})
 	var out strings.Builder
 	out.WriteString(t.String())
 	for _, cls := range []string{"Int", "FP"} {
@@ -175,109 +122,75 @@ func (r *Runner) relGeomeans(label string, cfgOf func(config.Model) config.Confi
 		}
 		fmt.Fprintf(&out, "%s geomean dmdp over nosq: %s\n", cls, stats.Pct(stats.Geomean(byClass[cls])))
 	}
-	return out.String(), nil
+	return out.String()
 }
 
-// altRuns builds the Runs declaration for a relGeomeans alternative:
-// NoSQ and DMDP under the transformed configuration, on every proxy.
-func altRuns(label string, cfgOf func(config.Model) config.Config) func(*Runner) []RunSpec {
-	return func(r *Runner) []RunSpec {
-		return r.suite(
-			RunSpec{Cfg: cfgOf(config.NoSQ), Label: "nosq-" + label},
-			RunSpec{Cfg: cfgOf(config.DMDP), Label: "dmdp-" + label},
-		)
+// altRuns is a relGeomeans alternative's run list: NoSQ and DMDP under
+// the transformed configuration.
+func altRuns(label string, cfgOf func(config.Model) config.Config) []RunSpec {
+	return []RunSpec{
+		{Cfg: cfgOf(config.NoSQ), Label: "nosq-" + label},
+		{Cfg: cfgOf(config.DMDP), Label: "dmdp-" + label},
 	}
 }
 
-// AltIssue4Runs declares the 4-issue alternative's simulations.
-var AltIssue4Runs = altRuns("4w", func(m config.Model) config.Config {
-	return config.Default(m).WithIssueWidth(4)
-})
+// The §VI-g alternatives' run lists.
+var (
+	altIssue4Runs = altRuns("4w", func(m config.Model) config.Config {
+		return config.Default(m).WithIssueWidth(4)
+	})
+	altROB512Runs = altRuns("rob512", func(m config.Model) config.Config {
+		return config.Default(m).WithROB(512)
+	})
+	altRMORuns = altRuns("rmo", func(m config.Model) config.Config {
+		return config.Default(m).WithConsistency(config.RMO)
+	})
+)
 
 // AltIssue4 reproduces the 4-issue alternative (§VI-g): the DMDP-over-NoSQ
 // gain shrinks (paper: +4.56% Int, +2.41% FP).
 func AltIssue4(r *Runner) (string, error) {
-	out, err := r.relGeomeans("4w", func(m config.Model) config.Config {
-		return config.Default(m).WithIssueWidth(4)
-	})
-	if err != nil {
-		return "", err
-	}
-	return "Alt: 4-issue width (paper: +4.56% Int, +2.41% FP)\n" + out, nil
+	return "Alt: 4-issue width (paper: +4.56% Int, +2.41% FP)\n" + r.relGeomeans(altIssue4Runs), nil
 }
-
-// AltROB512Runs declares the 512-entry ROB alternative's simulations.
-var AltROB512Runs = altRuns("rob512", func(m config.Model) config.Config {
-	return config.Default(m).WithROB(512)
-})
 
 // AltROB512 reproduces the 512-entry ROB alternative (§VI-g): the gain
 // grows (paper: +7.56% Int, +6.35% FP).
 func AltROB512(r *Runner) (string, error) {
-	out, err := r.relGeomeans("rob512", func(m config.Model) config.Config {
-		return config.Default(m).WithROB(512)
-	})
-	if err != nil {
-		return "", err
-	}
-	return "Alt: 512-entry ROB (paper: +7.56% Int, +6.35% FP)\n" + out, nil
+	return "Alt: 512-entry ROB (paper: +7.56% Int, +6.35% FP)\n" + r.relGeomeans(altROB512Runs), nil
 }
-
-// AltRMORuns declares the RMO alternative's simulations.
-var AltRMORuns = altRuns("rmo", func(m config.Model) config.Config {
-	return config.Default(m).WithConsistency(config.RMO)
-})
 
 // AltRMO reproduces the relaxed memory order alternative (§VI-g): gains
 // similar to TSO (paper: +7.67% Int, +4.08% FP).
 func AltRMO(r *Runner) (string, error) {
-	out, err := r.relGeomeans("rmo", func(m config.Model) config.Config {
-		return config.Default(m).WithConsistency(config.RMO)
-	})
-	if err != nil {
-		return "", err
-	}
-	return "Alt: RMO consistency (paper: +7.67% Int, +4.08% FP)\n" + out, nil
+	return "Alt: RMO consistency (paper: +7.67% Int, +4.08% FP)\n" + r.relGeomeans(altRMORuns), nil
 }
 
-// AltPRF160Runs declares the register-file-pressure simulations:
-// Baseline and DMDP at 320 and 160 physical registers. (The 320-register
-// points are the default machines, so the digest cache folds them into
-// the shared "baseline"/"dmdp" runs.)
-func AltPRF160Runs(r *Runner) []RunSpec {
-	var specs []RunSpec
-	for _, prf := range []int{320, 160} {
-		specs = append(specs,
-			RunSpec{Cfg: config.Default(config.Baseline).WithPhysRegs(prf), Label: fmt.Sprintf("baseline-prf%d", prf)},
-			RunSpec{Cfg: config.Default(config.DMDP).WithPhysRegs(prf), Label: fmt.Sprintf("dmdp-prf%d", prf)},
-		)
-	}
-	return r.suite(specs...)
+// altPRFRuns are the register-file-pressure simulations: Baseline and
+// DMDP at 320 and then 160 physical registers. (The 320-register points
+// are the default machines, so the digest cache folds them into the
+// shared "baseline"/"dmdp" runs.)
+var altPRFRuns = []RunSpec{
+	{Cfg: config.Default(config.Baseline).WithPhysRegs(320), Label: "baseline-prf320"},
+	{Cfg: config.Default(config.DMDP).WithPhysRegs(320), Label: "dmdp-prf320"},
+	{Cfg: config.Default(config.Baseline).WithPhysRegs(160), Label: "baseline-prf160"},
+	{Cfg: config.Default(config.DMDP).WithPhysRegs(160), Label: "dmdp-prf160"},
 }
 
 // AltPRF160 reproduces the register file pressure experiment (§VI-f):
 // halving the physical register file (320 -> 160) shrinks DMDP's gain
-// over the baseline (paper: 4.94% -> 4.24%).
+// over the baseline (paper: 4.94% -> 4.24%). Each size's geomean reads
+// its own pair of runs, so a proxy that fails at one size still counts
+// at the other.
 func AltPRF160(r *Runner) (string, error) {
-	gain := func(prf int) float64 {
+	gain := func(specs []RunSpec) float64 {
 		var rels []float64
-		for _, b := range r.Benchmarks() {
-			cb := config.Default(config.Baseline).WithPhysRegs(prf)
-			cd := config.Default(config.DMDP).WithPhysRegs(prf)
-			sb, err := r.Run(b, cb, fmt.Sprintf("baseline-prf%d", prf))
-			if err != nil {
-				continue // failure recorded; benchmark omitted
-			}
-			sd, err := r.Run(b, cd, fmt.Sprintf("dmdp-prf%d", prf))
-			if err != nil {
-				continue
-			}
-			rels = append(rels, sd.IPC()/sb.IPC())
-		}
+		r.rows(specs, func(_ string, st []*core.Stats) {
+			rels = append(rels, st[1].IPC()/st[0].IPC())
+		})
 		return stats.Geomean(rels)
 	}
-	g320 := gain(320)
-	g160 := gain(160)
+	g320 := gain(altPRFRuns[:2])
+	g160 := gain(altPRFRuns[2:])
 	return fmt.Sprintf("Alt: register file pressure\n"+
 		"dmdp over baseline, 320 regs: %s\n"+
 		"dmdp over baseline, 160 regs: %s\n"+
