@@ -349,21 +349,12 @@ func runSampled(r sampleRun) {
 }
 
 // runMulticore replicates the workload trace across an N-core machine
-// over a shared L2 (timing-only: the semantic coupling layer is for
-// litmus programs; proxy workloads measure contention and coherence
-// traffic). Each core runs the same isolated trace, so the aggregate
-// IPC against the single-core run isolates shared-hierarchy effects.
+// over a shared L2 (core.NewReplicated: timing-only, deterministic
+// lockstep, the seed only skews starts). Each core runs the same
+// isolated trace, so the aggregate IPC against the single-core run
+// isolates shared-hierarchy effects.
 func runMulticore(cfg dmdp.Config, model dmdp.Model, n int, seed uint64, tr *dmdp.Trace) {
-	mc := core.DefaultMachineConfig(n, model, core.MemTSO)
-	mc.Core = cfg
-	mc.Semantics = false
-	mc.StallProb = 0 // deterministic lockstep; the seed only skews starts
-	mc.Seed = seed
-	traces := make([]*dmdp.Trace, n)
-	for i := range traces {
-		traces[i] = tr
-	}
-	m, err := core.NewMachine(mc, traces)
+	m, err := core.NewReplicated(cfg, n, seed, tr)
 	if err != nil {
 		fatal(err)
 	}

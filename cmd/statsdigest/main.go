@@ -51,21 +51,7 @@ func main() {
 	}
 	bad := false
 	for _, b := range benches {
-		tr, traceKey, err := buildTrace(store, b, budget)
-		if err != nil {
-			fmt.Printf("%-12s -        trace error: %v\n", b, err)
-			bad = true
-			continue
-		}
-		for _, m := range config.Models {
-			st, err := run(store, tr, traceKey, m, budget, b)
-			if err != nil {
-				fmt.Printf("%-12s %-8s error: %v\n", b, m, err)
-				bad = true
-				continue
-			}
-			fmt.Printf("%-12s %-8s %s\n", b, m, st.DigestLine())
-		}
+		bad = digest(store, b, budget) || bad
 	}
 	if line := store.Summary(); line != "" {
 		fmt.Fprintln(os.Stderr, line)
@@ -75,24 +61,37 @@ func main() {
 	}
 }
 
-// buildTrace fetches (or builds and persists) the proxy's trace through
-// the artifact store. The digest simulates every model of the proxy, so
-// the trace is resolved up front rather than per result miss.
-func buildTrace(store *artifact.Store, bench string, budget int64) (*dmdp.Trace, artifact.Key, error) {
+// digest prints one proxy's line per model through the result store and
+// reports whether any failed. In verify mode a hit is re-simulated and
+// compared; a mismatch is a hard error (and a non-zero exit). The trace
+// is resolved on the proxy's first miss or verified hit, so a warm store
+// serves every result without reading it.
+func digest(store *artifact.Store, bench string, budget int64) (bad bool) {
 	src, err := dmdp.WorkloadSource(bench)
 	if err != nil {
-		return nil, artifact.Key{}, err
+		fmt.Printf("%-12s -        trace error: %v\n", bench, err)
+		return true
 	}
-	key := artifact.TraceKey(sha256.Sum256([]byte(src)), budget)
-	tr, err := store.Trace(key, func() (*dmdp.Trace, error) { return dmdp.BuildWorkloadTrace(bench, budget) })
-	return tr, key, err
-}
-
-// run simulates one (proxy, model) pair through the result store. In
-// verify mode a hit is re-simulated and compared; a mismatch is a hard
-// error (and a non-zero exit).
-func run(store *artifact.Store, tr *dmdp.Trace, traceKey artifact.Key, m dmdp.Model, budget int64, bench string) (*dmdp.Stats, error) {
-	cfg := dmdp.DefaultConfig(m)
-	key := artifact.ResultKey(traceKey, cfg.Digest(), budget)
-	return store.Result(key, bench, m.String(), func() (*dmdp.Stats, error) { return dmdp.Run(cfg, tr) })
+	traceKey := artifact.TraceKey(sha256.Sum256([]byte(src)), budget)
+	var tr *dmdp.Trace
+	for _, m := range config.Models {
+		cfg := dmdp.DefaultConfig(m)
+		key := artifact.ResultKey(traceKey, cfg.Digest(), budget)
+		st, err := store.Result(key, bench, m.String(), func() (st *dmdp.Stats, err error) {
+			if tr == nil {
+				tr, err = store.Trace(traceKey, func() (*dmdp.Trace, error) { return dmdp.BuildWorkloadTrace(bench, budget) })
+			}
+			if err == nil {
+				st, err = dmdp.Run(cfg, tr)
+			}
+			return st, err
+		})
+		if err != nil {
+			fmt.Printf("%-12s %-8s error: %v\n", bench, m, err)
+			bad = true
+			continue
+		}
+		fmt.Printf("%-12s %-8s %s\n", bench, m, st.DigestLine())
+	}
+	return bad
 }

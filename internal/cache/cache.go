@@ -337,14 +337,6 @@ func (h *Hierarchy) pruneMSHRsAt(now int64) {
 	h.outstanding = kept
 }
 
-// Invalidate drops the line from both levels (consistency hook) and
-// reports whether it was present in L1.
-func (h *Hierarchy) Invalidate(addr uint32) bool {
-	inL1 := h.L1D.Invalidate(addr)
-	h.L2.Invalidate(addr)
-	return inL1
-}
-
 // L1Latency exposes the L1 hit latency (the paper's constant 4-cycle
 // cache/SQ/SB access time).
 func (h *Hierarchy) L1Latency() int64 { return h.L1D.cfg.Latency }

@@ -125,16 +125,22 @@ func TestMSHRStall(t *testing.T) {
 	}
 }
 
+// TestHierarchyInvalidate: a remote invalidation drops the line from
+// L1 only; it stays resident in the shared L2, so the next access is an
+// L2 hit.
 func TestHierarchyInvalidate(t *testing.T) {
 	h := NewHierarchy(hierCfg())
 	done := h.Access(0, 0x60000, false)
-	if !h.Invalidate(0x60000) {
+	if !h.L1D.Invalidate(0x60000) {
 		t.Fatal("invalidate missed")
 	}
-	// Next access must miss again (slower than an L1 hit).
+	before := h.L2Hits
 	redo := h.Access(done, 0x60000, false)
-	if redo-done <= 4 {
-		t.Fatal("access after invalidate should miss")
+	if h.L2Hits != before+1 {
+		t.Fatal("access after invalidate should hit in L2")
+	}
+	if got := redo - done; got != 4+12 {
+		t.Fatalf("access after invalidate took %d cycles, want the L2 hit latency 16", got)
 	}
 }
 

@@ -91,16 +91,14 @@ type MachineConfig struct {
 	// This is the deliberately broken build the litmus checker must
 	// catch (SB r1=r2=0 under SC and friends).
 	Weaken bool
-	// SharedL2 points every core's hierarchy at one shared L2 and DRAM.
-	SharedL2 bool
 	// MaxGlobalCycles bounds the global clock (0 = rely on the per-core
 	// watchdogs only).
 	MaxGlobalCycles int64
 }
 
 // DefaultMachineConfig returns an n-core machine over the given per-core
-// model with litmus-grade defaults: semantics on, shared L2, moderate
-// interleaving jitter.
+// model with litmus-grade defaults: semantics on, moderate interleaving
+// jitter.
 func DefaultMachineConfig(n int, model config.Model, mm MemModel) MachineConfig {
 	return MachineConfig{
 		Cores:      n,
@@ -109,8 +107,25 @@ func DefaultMachineConfig(n int, model config.Model, mm MemModel) MachineConfig 
 		StallProb:  0.2,
 		MaxStagger: 32,
 		Semantics:  true,
-		SharedL2:   true,
 	}
+}
+
+// NewReplicated builds a timing-only n-core machine that replays tr on
+// every core under the per-core configuration cfg: a homogeneous-rate
+// contention study over the shared L2. It has no semantic layer (that is
+// for litmus programs) and no stall jitter, so the cores run in
+// deterministic lockstep and seed only skews their starts.
+func NewReplicated(cfg config.Config, n int, seed uint64, tr *trace.Trace) (*Machine, error) {
+	mc := DefaultMachineConfig(n, cfg.Model, MemTSO)
+	mc.Core = cfg
+	mc.Seed = seed
+	mc.StallProb = 0
+	mc.Semantics = false
+	traces := make([]*trace.Trace, max(n, 0))
+	for i := range traces {
+		traces[i] = tr
+	}
+	return NewMachine(mc, traces)
 }
 
 // MachineStats aggregates a multicore run. Machine-level counters live
@@ -228,13 +243,11 @@ func NewMachine(cfg MachineConfig, traces []*trace.Trace) (*Machine, error) {
 		}
 		m.cores[i] = c
 	}
-	if cfg.SharedL2 {
-		l2 := cache.NewCache(cc.Hierarchy.L2)
-		dr := dram.New(cc.Hierarchy.DRAM)
-		for _, c := range m.cores {
-			c.hier.L2 = l2
-			c.hier.DRAM = dr
-		}
+	l2 := cache.NewCache(cc.Hierarchy.L2)
+	dr := dram.New(cc.Hierarchy.DRAM)
+	for _, c := range m.cores {
+		c.hier.L2 = l2
+		c.hier.DRAM = dr
 	}
 	// Per-core interleaving streams: seed mixed with the core index so
 	// every (seed, core) pair is an independent splitmix sequence.
@@ -399,20 +412,15 @@ func (m *Machine) onDrain(i int, e *sbEntry) {
 // remoteInvalidate delivers the coherence consequence of core src
 // writing addr: every other core's L1 drops the line and — unless the
 // build is weakened — its T-SSBF records the invalidation sentinel so
-// vulnerable in-flight loads re-execute at retire (paper §IV-F). With a
-// shared L2 the line stays resident there (the write updates it); with
-// private L2s both levels are dropped.
+// vulnerable in-flight loads re-execute at retire (paper §IV-F). The
+// line stays resident in the shared L2 (the write updates it).
 func (m *Machine) remoteInvalidate(src int, addr uint32) {
 	for j, c := range m.cores {
 		if j == src {
 			continue
 		}
 		line := addr &^ uint32(c.hier.LineBytes()-1)
-		if m.cfg.SharedL2 {
-			c.hier.L1D.Invalidate(line)
-		} else {
-			c.hier.Invalidate(line)
-		}
+		c.hier.L1D.Invalidate(line)
 		m.stats.RemoteInvalidations++
 		c.stats.Invalidations++
 		if !m.cfg.Weaken && c.cfg.Model != config.Baseline {

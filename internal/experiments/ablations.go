@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 
 	"dmdp/internal/config"
@@ -118,34 +117,30 @@ func AblCoalescing(r *Runner) (string, error) {
 	return out, nil
 }
 
+// ablInvalRuns are the invalidation ablation's runs, quiet and noisy;
+// for the first proxies the noisy machine is mc-ipc's dmdp 2c cell.
+var ablInvalRuns = []RunSpec{modelSpec(config.DMDP), mcSpec(config.DMDP, 2)}
+
 // AblInvalidations measures remote-core consistency traffic (§IV-F) from
 // real cross-core stores. Each proxy runs quiet, alone on one core, and
 // noisy, as core 0 of a 2-core machine replaying the same trace on both
 // cores over a shared L2 (mcRun). Every store the other core drains
 // invalidates core 0's L1 line and stamps its T-SSBF, so loads that read
 // the line early re-execute at retire: the traffic costs re-executions,
-// never correctness. The quiet runs are dmdpRuns; the noisy machines run
-// here, on the runner's worker pool, each into its own slot (the result
-// cache only understands single-core runs), and the rows render in
-// proxy order.
+// never correctness.
 func AblInvalidations(r *Runner) (string, error) {
 	t := stats.NewTable("Ablation: remote invalidations from a second core running the same trace (DMDP)",
 		"bench", "quiet IPC", "noisy IPC", "invals", "reexec-quiet", "reexec-noisy")
-	benches := r.Benchmarks()
-	noisy := make([]*core.MachineStats, len(benches))
-	r.forEachPooled(r.ctx(), len(benches), func(i int) {
-		noisy[i] = r.runMachine(benches[i], config.DMDP, 2)
-	})
 	var ratios []float64
-	r.rows(dmdpRuns, func(b string, st []*core.Stats) {
-		m := noisy[slices.Index(benches, b)]
-		if m == nil {
-			return // failure recorded; row omitted
+	for _, b := range r.Benchmarks() {
+		res, ok := r.read(b, ablInvalRuns)
+		if !ok {
+			continue
 		}
-		q, n := st[0], &m.PerCore[0]
+		q, n := res[0].st, &res[1].mc.PerCore[0]
 		ratios = append(ratios, n.IPC()/q.IPC())
 		t.AddF(2, b, q.IPC(), n.IPC(), n.Invalidations, q.Reexecs, n.Reexecs)
-	})
+	}
 	var out strings.Builder
 	out.WriteString(t.String())
 	fmt.Fprintf(&out, "geomean noisy/quiet: %s (consistency traffic costs re-executions, never correctness)\n",

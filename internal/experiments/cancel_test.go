@@ -97,8 +97,8 @@ func TestWarmUpCancellation(t *testing.T) {
 }
 
 // TestSampErrRecordsFailedSampledRuns: a samp-err render whose runner
-// is cancelled after the warm-up reads its full runs from the cache,
-// but every sampled run fails. Each row drops out, and the failure
+// is cancelled after warming only the full runs reads them from the
+// cache, but every sampled run fails. Each row drops out, and the failure
 // table says why: the first failed sampled run of each row is recorded
 // under "<model>-sampled" or "<model>-sampled+warm", with no diagnostic
 // bundle, as for any cancellation.
@@ -107,12 +107,11 @@ func TestSampErrRecordsFailedSampledRuns(t *testing.T) {
 	defer cancel()
 	r := NewRunner(Options{Budget: 20_000, Benchmarks: []string{"hmmer", "mcf"},
 		Parallel: false, Context: ctx, SampleWarm: true})
-	e, _ := ByID("samp-err")
-	if err := r.WarmUp(e); err != nil {
+	if err := r.WarmUp(Experiment{Runs: declare(sampErrRuns)}); err != nil {
 		t.Fatal(err)
 	}
 	cancel()
-	out, err := e.Run(r)
+	out, err := SampErr(r)
 	if err != nil {
 		t.Fatal(err)
 	}

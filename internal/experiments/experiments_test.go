@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"dmdp/internal/config"
+	"dmdp/internal/core"
 )
 
 // smallRunner uses a tiny budget and a benchmark subset so every
@@ -205,13 +206,15 @@ func TestLabelIsDisplayOnly(t *testing.T) {
 
 // TestWarmUpCoversAllRenders checks every experiment's Runs declaration:
 // after a WarmUp over all experiments, rendering them must hit only warm
-// cache (no further simulations).
+// cache: no further simulation, and no new run-cache entry of any kind
+// (Sims counts single-core simulations only).
 func TestWarmUpCoversAllRenders(t *testing.T) {
 	r := smallRunner()
 	if err := r.WarmUp(All()...); err != nil {
 		t.Fatal(err)
 	}
 	warm := r.sims.Load()
+	calls := len(r.calls)
 	for _, e := range All() {
 		if e.Runs == nil {
 			t.Errorf("%s: no Runs declaration", e.ID)
@@ -223,11 +226,15 @@ func TestWarmUpCoversAllRenders(t *testing.T) {
 	if got := r.sims.Load(); got != warm {
 		t.Errorf("rendering simulated %d undeclared runs; every run must be declared in Runs()", got-warm)
 	}
+	if got := len(r.calls); got != calls {
+		t.Errorf("rendering started %d undeclared runs; every run must be declared in Runs()", got-calls)
+	}
 }
 
 // TestDigestDedupAcrossExperiments: the sb32 point of fig14 and the
 // prf320 points of alt-prf160 describe the default machines, so the
-// digest-keyed cache must fold them into the shared default runs.
+// digest-keyed cache must fold them into the shared default runs; and
+// abl-inval's noisy machine is mc-ipc's dmdp 2c cell.
 func TestDigestDedupAcrossExperiments(t *testing.T) {
 	r := smallRunner()
 	a, err := r.Run("perl", config.Default(config.DMDP).WithStoreBuffer(32), "dmdp-sb32")
@@ -243,6 +250,24 @@ func TestDigestDedupAcrossExperiments(t *testing.T) {
 	}
 	if r.sims.Load() != 1 {
 		t.Fatalf("expected 1 simulation, got %d", r.sims.Load())
+	}
+
+	noisy := func(id string) *core.MachineStats {
+		e, _ := ByID(id)
+		for _, s := range e.Runs(r) {
+			if s.Bench == "perl" && s.Cores == 2 && s.Cfg.Model == config.DMDP {
+				res, ok := r.read(s.Bench, []RunSpec{s})
+				if !ok {
+					t.Fatalf("%s: %s failed", id, s.Label)
+				}
+				return res[0].mc
+			}
+		}
+		t.Fatalf("%s declares no 2-core DMDP machine for perl", id)
+		return nil
+	}
+	if noisy("abl-inval") != noisy("mc-ipc") {
+		t.Fatal("abl-inval's noisy machine did not dedup against mc-ipc's dmdp 2c cell")
 	}
 }
 

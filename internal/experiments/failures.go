@@ -20,11 +20,12 @@ func IsCanceled(err error) bool {
 		errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// Failure records one benchmark run the runner could not complete. The
-// hardened runner isolates faults per (benchmark, label): a failed run is
-// cached as failed (so no experiment re-triggers it), its row drops out
-// of every table that wanted it, and the suite carries on. cmd/experiments
-// prints the collected table at the end and exits non-zero.
+// Failure records one benchmark run the runner could not complete, under
+// the label of the spec that executed it. The hardened runner isolates
+// faults per run: a failed run is cached as failed (so no experiment
+// re-triggers it), its row drops out of every table that wanted it, and
+// the suite carries on. cmd/experiments prints the collected table at
+// the end and exits non-zero.
 type Failure struct {
 	Bench, Label string
 	Err          error
@@ -37,9 +38,9 @@ type Failure struct {
 	Diagnostic string
 }
 
-// recordFailure stores f, deduplicating by (benchmark, label): every
-// experiment that consults the same cached run reports the same failure
-// once.
+// recordFailure stores the failure of a run that just executed. One
+// failed run is one row: a run re-executed after a cancellation records
+// under the same (benchmark, label) and is deduplicated.
 func (r *Runner) recordFailure(f Failure) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

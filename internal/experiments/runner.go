@@ -66,43 +66,56 @@ type Options struct {
 // DefaultOptions runs the full suite at 300k instructions per proxy.
 func DefaultOptions() Options { return Options{Budget: 300_000, Parallel: true} }
 
-// RunSpec names one simulation an experiment needs: a benchmark, the
-// machine configuration, and the display label its tables use. Two specs
-// with equal (Bench, Cfg.Digest()) describe the same run regardless of
-// label.
+// RunSpec names one run an experiment needs: a benchmark, the machine
+// configuration, the run's kind, and the display label its tables use.
+// The zero kind is a full single-core run, the only kind the result
+// store holds. Two specs with equal (Bench, Cfg.Digest(), kind)
+// describe the same run regardless of label.
 type RunSpec struct {
 	Bench string
 	Cfg   config.Config
 	Label string
+	// Cores > 0 makes the run a timing-only machine of that many cores,
+	// each replaying Bench's trace (core.NewReplicated).
+	Cores int
+	// Sampled makes the run a sampled estimate under Runner.sampSpec;
+	// Warm adds functional warming to it.
+	Sampled, Warm bool
 }
 
-// runKey identifies a simulation in the result cache. Labels are
-// display-only; the digest covers every Config field, so distinct
-// machines never alias and identical machines always share.
+// runKey identifies a run in the run cache. Labels are display-only;
+// the digest covers every Config field, so distinct machines never
+// alias and identical machines always share.
 type runKey struct {
-	bench  string
-	digest config.Digest
-	budget int64
+	bench         string
+	digest        config.Digest
+	budget        int64
+	cores         int
+	sampled, warm bool
 }
 
-// runResult is one completed (or failed) simulation. Failures are cached
-// too (negative caching): a deterministic failure would fail again, so
-// experiments sharing the run all see the same error without
-// re-simulating.
-type runResult struct {
-	st         *core.Stats
-	err        error // bare cause; labels are attached per caller
-	panicked   bool
-	canceled   bool // context cancellation, never negative-cached
-	diagnostic string
+// key returns the spec's run-cache key.
+func (r *Runner) key(s RunSpec) runKey {
+	return runKey{bench: s.Bench, digest: s.Cfg.Digest(), budget: r.opt.Budget,
+		cores: s.Cores, sampled: s.Sampled, warm: s.Warm}
 }
 
-// runCall is an in-flight or completed simulation (inline singleflight):
-// the first caller executes, every later caller with the same key waits
-// on wg and shares the result.
+// result is one completed run; the field of the spec's kind is set.
+type result struct {
+	st   *core.Stats        // single-core run
+	mc   *core.MachineStats // machine (Cores > 0)
+	samp *sampling.Outcome  // sampled estimate
+}
+
+// runCall is an in-flight or completed run (inline singleflight): the
+// first caller executes, every later caller with the same key waits on
+// wg and shares the result. Failures are cached too (negative caching):
+// a deterministic failure would fail again, so experiments sharing the
+// run all see the same error without re-running it.
 type runCall struct {
 	wg  sync.WaitGroup
-	res runResult
+	res result
+	err error // bare cause; labels are attached per caller
 }
 
 // traceCall is the singleflight slot for one proxy's trace build.
@@ -120,10 +133,10 @@ type keyCall struct {
 	ok   bool
 }
 
-// Runner caches traces and simulation results across experiments.
+// Runner caches traces and run results across experiments.
 type Runner struct {
 	opt  Options
-	sims atomic.Int64 // actual core executions (not cache hits)
+	sims atomic.Int64 // single-core simulations (not cache hits)
 
 	mu       sync.Mutex
 	traces   map[string]*traceCall
@@ -148,10 +161,6 @@ func NewRunner(opt Options) *Runner {
 	}
 }
 
-// Cache returns the persistent store the runner was built with (nil when
-// the cache is off).
-func (r *Runner) Cache() *artifact.Store { return r.opt.Cache }
-
 // ctx returns the runner's base context (never nil).
 func (r *Runner) ctx() context.Context {
 	if r.opt.Context != nil {
@@ -160,8 +169,9 @@ func (r *Runner) ctx() context.Context {
 	return context.Background()
 }
 
-// Sims returns the number of actual core executions so far (cache hits
-// excluded) — the /statz gauge and the warm-cache test oracle.
+// Sims returns the number of single-core simulations so far (cache hits
+// excluded) — the /statz gauge and the warm-cache test oracle. It counts
+// only the kind the result store holds, not machines or sampled runs.
 func (r *Runner) Sims() int64 { return r.sims.Load() }
 
 // traceKey returns the persistent trace-store key for a benchmark
@@ -276,85 +286,113 @@ func (r *Runner) Run(name string, cfg config.Config, label string) (*core.Stats,
 // (the first caller's context governs it; attached callers inherit the
 // outcome).
 func (r *Runner) RunCtx(ctx context.Context, name string, cfg config.Config, label string) (*core.Stats, error) {
-	key := runKey{bench: name, digest: cfg.Digest(), budget: r.opt.Budget}
-	r.mu.Lock()
-	c, ok := r.calls[key]
-	if ok {
-		r.mu.Unlock()
-		c.wg.Wait()
-		return r.deliver(name, label, c.res)
-	}
-	c = &runCall{}
-	c.wg.Add(1)
-	r.calls[key] = c
-	r.mu.Unlock()
-
-	c.res = r.execute(ctx, name, cfg, label)
-	if c.res.canceled {
-		// A cancellation is a scheduling outcome, not a property of the
-		// machine: evict the negative entry so a later request (longer
-		// deadline, post-drain restart) simulates afresh.
-		r.mu.Lock()
-		if r.calls[key] == c {
-			delete(r.calls, key)
-		}
-		r.mu.Unlock()
-	}
-	c.wg.Done()
-	return r.deliver(name, label, c.res)
+	res, err := r.do(ctx, RunSpec{Bench: name, Cfg: cfg, Label: label})
+	return res.st, err
 }
 
-// execute performs the out-of-memory-cache simulation through the
-// persistent result store (Store.Result): a hit skips even the trace
-// build, a verify-mode hit is re-simulated and compared, and a miss
-// builds the trace and runs once. Fault-injected configurations take
-// the zero key, so they are never persisted; neither are failed runs.
-func (r *Runner) execute(ctx context.Context, name string, cfg config.Config, label string) runResult {
-	var key artifact.Key
-	if tk, ok := r.traceKey(name); ok && !cfg.Faults.Enabled() {
-		key = artifact.ResultKey(tk, cfg.Digest(), r.opt.Budget)
+// do is the one path every run takes, of any kind: a keyed singleflight
+// over the run cache, with negative caching of failures and eviction of
+// cancelled runs. A failure comes back wrapped in this caller's label.
+func (r *Runner) do(ctx context.Context, s RunSpec) (result, error) {
+	key := r.key(s)
+	r.mu.Lock()
+	c, ok := r.calls[key]
+	if !ok {
+		c = &runCall{}
+		c.wg.Add(1)
+		r.calls[key] = c
 	}
-	var res runResult
-	res.st, res.err = r.opt.Cache.Result(key, name, label, func() (*core.Stats, error) {
-		tr, err := r.Trace(name)
+	r.mu.Unlock()
+	if ok {
+		c.wg.Wait()
+	} else {
+		var canceled bool
+		c.res, c.err, canceled = r.execute(ctx, s)
+		if canceled {
+			// A cancellation is a scheduling outcome, not a property of
+			// the run: evict the negative entry so a later request (longer
+			// deadline, post-drain restart) runs afresh.
+			r.mu.Lock()
+			if r.calls[key] == c {
+				delete(r.calls, key)
+			}
+			r.mu.Unlock()
+		}
+		c.wg.Done()
+	}
+	if c.err != nil {
+		return result{}, fmt.Errorf("experiments: %s (%s): %w", s.Bench, s.Label, c.err)
+	}
+	return c.res, nil
+}
+
+// execute performs one run outside the memory cache and records its
+// failure, once, under the executing spec's label. A single-core run
+// goes through the persistent result store (Store.Result): a hit skips
+// even the trace build, a verify-mode hit is re-simulated and compared,
+// and a miss builds the trace and runs once. Fault-injected
+// configurations take the zero key, so they are never persisted;
+// neither are failed runs. Machines and sampled runs are not stored.
+func (r *Runner) execute(ctx context.Context, s RunSpec) (res result, err error, canceled bool) {
+	var panicked bool
+	// run resolves the trace and calls fn on it under ctx, converting a
+	// panic into an error; every kind runs through it.
+	run := func(fn func(tr *trace.Trace) error) error {
+		tr, err := r.Trace(s.Bench)
 		if err != nil {
 			// A canceled build is a scheduling outcome like a canceled
-			// run: flag it so RunCtx evicts the negative cache entry and
-			// a later request (longer deadline) rebuilds.
-			res.canceled = IsCanceled(err)
-			return nil, err
+			// run: flag it so do evicts the negative cache entry and a
+			// later request (longer deadline) rebuilds.
+			canceled = IsCanceled(err)
+			return err
 		}
 		if err := ctx.Err(); err != nil {
 			// Cancelled before the run started.
-			res.canceled = true
-			return nil, err
+			canceled = true
+			return err
 		}
-		r.sims.Add(1)
-		st, err, panicked := simulate(ctx, cfg, tr)
-		if err != nil {
-			res.panicked = panicked
-			res.canceled = core.Canceled(err) || ctx.Err() != nil
+		if err, panicked = guard(func() error { return fn(tr) }); err != nil {
+			canceled = IsCanceled(err) || ctx.Err() != nil
 		}
-		return st, err
-	})
-	if res.err != nil {
-		res.diagnostic = diagnosticFor(res.err)
+		return err
 	}
-	return res
-}
-
-// deliver converts a cached result into this caller's view: successes
-// pass through, failures are recorded under the caller's label (each
-// labelled use of a broken run gets its own failure row, deduplicated).
-func (r *Runner) deliver(name, label string, res runResult) (*core.Stats, error) {
-	if res.err != nil {
-		r.recordFailure(Failure{
-			Bench: name, Label: label, Err: res.err,
-			Panicked: res.panicked, Diagnostic: res.diagnostic,
+	switch {
+	case s.Cores > 0:
+		err = run(func(tr *trace.Trace) (err error) {
+			res.mc, err = mcRun(ctx, s.Cfg, s.Cores, tr)
+			return err
 		})
-		return nil, fmt.Errorf("experiments: %s (%s): %w", name, label, res.err)
+	case s.Sampled:
+		err = run(func(tr *trace.Trace) (err error) {
+			key, _ := r.traceKey(s.Bench)
+			// Jobs 1: the pool runs whole runs side by side, and the
+			// intervals run on this goroutine, inside guard.
+			res.samp, err = sampling.Execute(ctx, s.Cfg, sampling.Request{
+				Spec: r.sampSpec(), Budget: r.opt.Budget, Jobs: 1,
+				Checkpoint: r.opt.SampleCheckpoint, Store: r.opt.Cache,
+				TraceKey: key, Trace: tr, Warm: s.Warm,
+			})
+			return err
+		})
+	default:
+		var key artifact.Key
+		if tk, ok := r.traceKey(s.Bench); ok && !s.Cfg.Faults.Enabled() {
+			key = artifact.ResultKey(tk, s.Cfg.Digest(), r.opt.Budget)
+		}
+		res.st, err = r.opt.Cache.Result(key, s.Bench, s.Label, func() (st *core.Stats, err error) {
+			err = run(func(tr *trace.Trace) (err error) {
+				r.sims.Add(1)
+				st, err = simulate(ctx, s.Cfg, tr)
+				return err
+			})
+			return st, err
+		})
 	}
-	return res.st, nil
+	if err != nil {
+		r.recordFailure(Failure{Bench: s.Bench, Label: s.Label, Err: err,
+			Panicked: panicked, Diagnostic: diagnosticFor(err)})
+	}
+	return res, err, canceled
 }
 
 // progressKey carries a per-run progress tap in a context (see
@@ -374,26 +412,28 @@ func WithProgress(ctx context.Context, fn ProgressFn) context.Context {
 	return context.WithValue(ctx, progressKey{}, fn)
 }
 
-// simulate builds a core and runs it to completion under ctx, converting
-// panics into errors so one corrupted benchmark cannot take down the
-// suite.
-func simulate(ctx context.Context, cfg config.Config, tr *trace.Trace) (st *core.Stats, err error, panicked bool) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			st = nil
-			err = fmt.Errorf("panic: %v\n%s", rec, trimStack(debug.Stack()))
-			panicked = true
-		}
-	}()
+// simulate builds a core and runs it to completion under ctx.
+func simulate(ctx context.Context, cfg config.Config, tr *trace.Trace) (*core.Stats, error) {
 	c, err := core.New(cfg, tr)
 	if err != nil {
-		return nil, err, false
+		return nil, err
 	}
 	if fn, ok := ctx.Value(progressKey{}).(ProgressFn); ok && fn != nil {
 		c.SetProgressFn(fn)
 	}
-	st, err = c.RunContext(ctx)
-	return st, err, false
+	return c.RunContext(ctx)
+}
+
+// guard calls fn, converting a panic into an error with a trimmed stack
+// so one corrupted benchmark cannot take down the suite.
+func guard(fn func() error) (err error, panicked bool) {
+	defer func() {
+		if rec := recover(); rec != nil {
+			err = fmt.Errorf("panic: %v\n%s", rec, trimStack(debug.Stack()))
+			panicked = true
+		}
+	}()
+	return fn(), false
 }
 
 // trimStack keeps the top frames of a panic stack — enough to locate the
@@ -412,11 +452,11 @@ func (r *Runner) RunModel(name string, m config.Model) (*core.Stats, error) {
 	return r.Run(name, config.Default(m), m.String())
 }
 
-// suite crosses the given labelled configurations with every active
-// benchmark (benchmark-major order, so one proxy's runs are adjacent).
-func (r *Runner) suite(specs ...RunSpec) []RunSpec {
-	out := make([]RunSpec, 0, len(specs)*len(r.opt.Benchmarks))
-	for _, b := range r.opt.Benchmarks {
+// cross crosses the given labelled runs with benches (benchmark-major
+// order, so one proxy's runs are adjacent).
+func cross(benches []string, specs []RunSpec) []RunSpec {
+	out := make([]RunSpec, 0, len(specs)*len(benches))
+	for _, b := range benches {
 		for _, s := range specs {
 			s.Bench = b
 			out = append(out, s)
@@ -439,31 +479,40 @@ func modelSpecs(ms ...config.Model) []RunSpec {
 	return specs
 }
 
-// rows is how a render reads its runs. For every active benchmark, in
-// suite order, it requests specs through Run in spec order and calls row
-// with the results in spec order, in a fresh slice. A benchmark stops at
-// its first failed run and is left out: Run has already recorded the
-// failure.
+// read is how a render reads its runs, of any kind: it requests specs
+// for bench through the run cache in spec order and returns their
+// results in spec order, in a fresh slice. It stops at the first failed
+// run and reports false: the run recorded its failure when it executed.
+func (r *Runner) read(bench string, specs []RunSpec) ([]result, bool) {
+	out := make([]result, len(specs))
+	for i, s := range specs {
+		s.Bench = bench
+		var err error
+		if out[i], err = r.do(r.ctx(), s); err != nil {
+			return nil, false
+		}
+	}
+	return out, true
+}
+
+// rows reads single-core runs: for every active benchmark, in suite
+// order, it reads specs and calls row with their stats in spec order. A
+// benchmark with a failed run is left out.
 func (r *Runner) rows(specs []RunSpec, row func(bench string, st []*core.Stats)) {
 	for _, b := range r.opt.Benchmarks {
-		st := make([]*core.Stats, len(specs))
-		ok := true
-		for i, s := range specs {
-			var err error
-			if st[i], err = r.Run(b, s.Cfg, s.Label); err != nil {
-				ok = false
-				break
+		if res, ok := r.read(b, specs); ok {
+			st := make([]*core.Stats, len(res))
+			for i := range res {
+				st[i] = res[i].st
 			}
-		}
-		if ok {
 			row(b, st)
 		}
 	}
 }
 
-// WarmUp executes every run the selected experiments declare, on a
-// worker pool sized by Options (Jobs, or GOMAXPROCS; 1 when Parallel is
-// off). The union of run sets is deduplicated by configuration digest,
+// WarmUp executes every run the selected experiments declare, of every
+// kind, on a worker pool sized by Options (Jobs, or GOMAXPROCS; 1 when
+// Parallel is off). The union of run sets is deduplicated by run key,
 // traces are built first, and specs are scheduled longest-trace-first so
 // the slowest proxies never straggle at the tail. Rendering the selected
 // experiments afterwards hits only warm cache. Individual failures do
@@ -483,7 +532,7 @@ func (r *Runner) WarmUp(selected ...Experiment) error {
 // experiments share) on the worker pool. Results remain fully
 // deterministic. Returns an aggregate error when any run failed.
 func (r *Runner) Prefetch() error {
-	return r.warm(r.suite(fig12Runs...))
+	return r.warm(cross(r.opt.Benchmarks, fig12Runs))
 }
 
 // warm deduplicates specs by run key (first-encounter label wins, which
@@ -495,7 +544,7 @@ func (r *Runner) warm(specs []RunSpec) error {
 	var benches []string
 	seenBench := make(map[string]bool)
 	for _, s := range specs {
-		key := runKey{bench: s.Bench, digest: s.Cfg.Digest(), budget: r.opt.Budget}
+		key := r.key(s)
 		if seen[key] {
 			continue
 		}
@@ -513,7 +562,7 @@ func (r *Runner) warm(specs []RunSpec) error {
 
 	// Traces first: they gate every run of their proxy and their lengths
 	// drive the schedule.
-	r.forEachPooled(ctx, len(benches), func(i int) {
+	sched.PoolCtx(ctx, r.jobs(), len(benches), func(i int) {
 		r.Trace(benches[i])
 	})
 
@@ -524,8 +573,8 @@ func (r *Runner) warm(specs []RunSpec) error {
 	})
 
 	var failed atomic.Int64
-	started := r.forEachPooled(ctx, len(uniq), func(i int) {
-		if _, err := r.RunCtx(ctx, uniq[i].Bench, uniq[i].Cfg, uniq[i].Label); err != nil {
+	started := sched.PoolCtx(ctx, r.jobs(), len(uniq), func(i int) {
+		if _, err := r.do(ctx, uniq[i]); err != nil {
 			failed.Add(1)
 		}
 	})
@@ -539,12 +588,6 @@ func (r *Runner) warm(specs []RunSpec) error {
 	return nil
 }
 
-// forEachPooled runs f(0..n-1) on the runner's worker pool, claiming no
-// new items once ctx is done; returns the number of items started.
-func (r *Runner) forEachPooled(ctx context.Context, n int, f func(i int)) int {
-	return sched.PoolCtx(ctx, r.jobs(), n, f)
-}
-
 // Experiment identifies one reproducible artifact. Runs declares the
 // experiment's full simulation set up front so the runner can execute
 // the union across experiments on the worker pool before any rendering
@@ -556,14 +599,13 @@ type Experiment struct {
 	Runs  func(r *Runner) []RunSpec
 }
 
-// declare derives an Experiment.Runs from the spec list its render reads
-// through rows: the specs crossed with every active benchmark.
+// declare derives an Experiment.Runs from the spec list its render reads:
+// the specs crossed with every active benchmark.
 func declare(specs []RunSpec) func(r *Runner) []RunSpec {
-	return func(r *Runner) []RunSpec { return r.suite(specs...) }
+	return func(r *Runner) []RunSpec { return cross(r.opt.Benchmarks, specs) }
 }
 
-// All returns every experiment in paper order. mc-ipc declares no
-// single-core runs: every cell is a machine it runs itself.
+// All returns every experiment in paper order.
 func All() []Experiment {
 	return []Experiment{
 		{"fig2", "Figure 2: NoSQ load instruction distribution", Fig2, declare(noSQRuns)},
@@ -584,11 +626,11 @@ func All() []Experiment {
 		{"abl-biased", "Ablation: biased vs balanced confidence (§IV-E)", AblBiasedConfidence, declare(ablBiasedRuns)},
 		{"abl-tage", "Ablation: TAGE-like store distance predictor (§VII)", AblTAGE, declare(ablTAGERuns)},
 		{"abl-coalesce", "Ablation: store coalescing (§V)", AblCoalescing, declare(ablCoalesceRuns)},
-		{"abl-inval", "Ablation: remote invalidation traffic (§IV-F)", AblInvalidations, declare(dmdpRuns)},
+		{"abl-inval", "Ablation: remote invalidation traffic (§IV-F)", AblInvalidations, declare(ablInvalRuns)},
 		{"alt-fnf", "Alt: Fire-and-Forget comparison (§VII)", AltFnF, declare(altFnFRuns)},
 		{"abl-prefetch", "Ablation: next-line L1 prefetcher", AblPrefetch, declare(ablPrefetchRuns)},
-		{"samp-err", "Methodology: sampled-vs-full IPC error (§V)", SampErr, declare(sampErrRuns)},
-		{"mc-ipc", "Multicore: aggregate IPC scaling over a shared L2", McIPC, declare(nil)},
+		{"samp-err", "Methodology: sampled-vs-full IPC error (§V)", SampErr, sampErrDecl},
+		{"mc-ipc", "Multicore: aggregate IPC scaling over a shared L2", McIPC, mcDecl},
 	}
 }
 

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"dmdp/internal/config"
 	"dmdp/internal/core"
@@ -13,6 +14,39 @@ import (
 // sampErrRuns are the sampled-error experiment's full-trace reference
 // runs: every model, in config.Models order.
 var sampErrRuns = modelSpecs(config.Models...)
+
+// sampledRuns are samp-err's sampled estimates of every model, in
+// config.Models order: cold-start, or functionally warmed.
+func sampledRuns(warm bool) []RunSpec {
+	specs := modelSpecs(config.Models...)
+	for i := range specs {
+		specs[i].Sampled, specs[i].Warm = true, warm
+		specs[i].Label += "-sampled"
+		if warm {
+			specs[i].Label += "+warm"
+		}
+	}
+	return specs
+}
+
+// sampWarmModes lists samp-err's rows per benchmark: cold-start, then,
+// with Options.SampleWarm, functionally warmed.
+func (r *Runner) sampWarmModes() []bool {
+	if r.opt.SampleWarm {
+		return []bool{false, true}
+	}
+	return []bool{false}
+}
+
+// sampErrDecl declares samp-err's runs: the full reference runs, then the
+// sampled estimates of every row.
+func sampErrDecl(r *Runner) []RunSpec {
+	specs := slices.Clone(sampErrRuns)
+	for _, warm := range r.sampWarmModes() {
+		specs = append(specs, sampledRuns(warm)...)
+	}
+	return cross(r.opt.Benchmarks, specs)
+}
 
 // sampSpec resolves the sampling spec for samp-err: the explicit
 // Options.Sample when one was given, otherwise a budget-derived default
@@ -48,32 +82,6 @@ func (r *Runner) sampSpec() sampling.Spec {
 	return sampling.Spec{Count: 10, Len: int(l), Warmup: int(2 * l)}
 }
 
-// sampled runs one sampled estimate of bench under model m over the
-// runner's cached trace. As Run does for a full run, a failure (of the
-// trace or of the sampled run) is recorded, here under "<model>-sampled"
-// or "<model>-sampled+warm", and the result is nil so the caller leaves
-// its row out.
-func (r *Runner) sampled(bench string, m config.Model, warm bool, spec sampling.Spec) *sampling.Outcome {
-	tr, err := r.Trace(bench)
-	var out *sampling.Outcome
-	if err == nil {
-		key, _ := r.traceKey(bench)
-		out, err = sampling.Execute(r.ctx(), config.Default(m), sampling.Request{
-			Spec: spec, Budget: r.opt.Budget, Jobs: r.jobs(),
-			Checkpoint: r.opt.SampleCheckpoint, Store: r.opt.Cache,
-			TraceKey: key, Trace: tr, Warm: warm,
-		})
-	}
-	if err != nil {
-		label := m.String() + "-sampled"
-		if warm {
-			label += "+warm"
-		}
-		r.recordFailure(Failure{Bench: bench, Label: label, Err: err, Diagnostic: diagnosticFor(err)})
-	}
-	return out
-}
-
 // SampErr validates the sampling methodology (paper §V): for every
 // benchmark and model, the full-budget IPC is compared against the
 // weighted sampled estimate, and the signed error is tabulated. The
@@ -92,10 +100,7 @@ func SampErr(r *Runner) (string, error) {
 	// simulation. Rows where any interval fell back to a cold start
 	// (missing/corrupt warm state) are marked with a trailing dagger: the
 	// estimate is still correct, just less representative.
-	warmModes := []bool{false}
-	if r.opt.SampleWarm {
-		warmModes = append(warmModes, true)
-	}
+	warmModes := r.sampWarmModes()
 	perModel := make([][][]float64, len(warmModes))
 	for mi := range warmModes {
 		perModel[mi] = make([][]float64, len(config.Models))
@@ -104,43 +109,32 @@ func SampErr(r *Runner) (string, error) {
 	daggered := false
 	r.rows(sampErrRuns, func(b string, full []*core.Stats) {
 		for mi, warmed := range warmModes {
+			res, ok := r.read(b, sampledRuns(warmed))
+			if !ok {
+				continue // row omitted; the failed run was recorded
+			}
 			label := b
 			if warmed {
 				label += "+warm"
 			}
 			cells := []string{label}
-			errs := make([]float64, 0, len(config.Models))
 			coldStarts := false
 			for i, m := range config.Models {
-				ipc := full[i].IPC()
-				var out *sampling.Outcome
-				if ipc != 0 {
-					out = r.sampled(b, m, warmed, spec)
-				}
-				if out == nil {
-					cells = nil
-					break
-				}
+				ipc, out := full[i].IPC(), res[i].samp
 				if out.ColdStartIntervals > 0 {
 					coldStarts = true
 				}
 				e := 100 * (out.Combined.WeightedIPC - ipc) / ipc
-				errs = append(errs, e)
+				perModel[mi][i] = append(perModel[mi][i], math.Abs(e))
 				cells = append(cells, fmt.Sprintf("%+.2f%%", e))
 				if m == config.DMDP && !warmed {
 					share = append(share,
 						100*float64(out.Combined.TotalInstructions)/float64(out.Total))
 				}
 			}
-			if cells == nil {
-				continue // row omitted; a failed run was recorded
-			}
 			if coldStarts {
 				cells[0] += " †"
 				daggered = true
-			}
-			for i, e := range errs {
-				perModel[mi][i] = append(perModel[mi][i], math.Abs(e))
 			}
 			t.Add(cells...)
 		}
