@@ -317,3 +317,37 @@ func TestParseMode(t *testing.T) {
 		t.Fatal("bad mode accepted")
 	}
 }
+
+// TestV1TraceIsMissAndRewritten: a file in the previous trace format
+// ("DMDPTRC1") under a current key reads as a miss, is dropped, and the
+// get-or-build path rebuilds the trace and rewrites it in the current
+// format.
+func TestV1TraceIsMissAndRewritten(t *testing.T) {
+	spec, tr := buildTestTrace(t, "hmmer")
+	s := openRW(t)
+	key := TraceKey(spec.SourceHash(), testBudget)
+	path := s.path(key, traceSuffix)
+	v1 := encodeTrace(tr)
+	copy(v1[:8], "DMDPTRC1")
+	if err := os.WriteFile(path, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	builds := 0
+	got, err := s.Trace(key, func() (*trace.Trace, error) { builds++; return tr, nil })
+	if err != nil || got != tr || builds != 1 {
+		t.Fatalf("v1 file: trace %p err %v after %d builds, want the rebuilt trace", got, err, builds)
+	}
+	onDisk, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(onDisk[:8]) != "DMDPTRC2" {
+		t.Fatalf("rewritten file has magic %q", onDisk[:8])
+	}
+	if _, ok := s.LoadTrace(key); !ok {
+		t.Fatal("rewritten trace missed")
+	}
+	if c := s.Counters(); c.CorruptDropped != 1 {
+		t.Fatalf("dropped %d files, want the v1 one", c.CorruptDropped)
+	}
+}

@@ -44,10 +44,13 @@ func FuzzTraceDecode(f *testing.F) {
 	f.Add(valid[:len(valid)/2])        // truncated mid-payload
 	f.Add(valid[:traceHeaderSize])     // header only
 	f.Add([]byte{})                    // empty
-	f.Add([]byte("DMDPTRC1 not real")) // magic, garbage rest
+	f.Add([]byte("DMDPTRC2 not real")) // magic, garbage rest
 	flipped := append([]byte(nil), valid...)
 	flipped[len(flipped)/2] ^= 0x40
 	f.Add(flipped)
+	v1 := append([]byte(nil), valid...)
+	v1[7] = '1' // a v1 header: a miss, whatever follows
+	f.Add(v1)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkSound(t, decodeTrace(data))
@@ -69,7 +72,8 @@ func FuzzTraceDecode(f *testing.F) {
 // checkSound asserts the invariants a successfully decoded trace must
 // satisfy: a decode that returns non-nil with an inconsistent structure
 // would be the "silent wrong trace" failure mode — the simulator indexes
-// Prog.Text and Entries without further validation.
+// Prog.Text, Entries and the sequence-number index without further
+// validation.
 func checkSound(t *testing.T, tr *trace.Trace) {
 	t.Helper()
 	if tr == nil {
@@ -84,11 +88,39 @@ func checkSound(t *testing.T, tr *trace.Trace) {
 	if tr.Stores < 0 || tr.Loads < 0 {
 		t.Fatalf("negative stream counts: stores=%d loads=%d", tr.Stores, tr.Loads)
 	}
-	// Every trace entry must reference an instruction the simulator can
-	// look up; decodeTrace's length checks must have enforced that the
-	// entry section exists in full.
+	if want := trace.SeqBlocks(len(tr.Entries)); len(tr.Seq) != want {
+		t.Fatalf("index has %d blocks for %d entries, want %d", len(tr.Seq), len(tr.Entries), want)
+	}
+	// Every entry's fields must be readable (decodeTrace's length checks
+	// enforced that the entry section exists in full), and the index
+	// must count each entry it marks exactly once, in order, and resolve
+	// every store sequence number back to its entry.
+	var stores, loads int64
 	for i := range tr.Entries {
-		_ = tr.Entries[i].PC
-		_ = tr.Entries[i].Instr
+		e := &tr.Entries[i]
+		_, _, _, _ = e.PC, e.Op, e.Size, e.Flags
+		_, _ = e.DepStore, e.DepOverlap
+		if tr.StoresBefore(i) != stores || tr.LoadsBefore(i) != loads {
+			t.Fatalf("entry %d: index counts %d stores / %d loads before it, blocks say %d / %d",
+				i, tr.StoresBefore(i), tr.LoadsBefore(i), stores, loads)
+		}
+		if seq := tr.StoreSeq(i); seq != 0 {
+			stores++
+			if seq != stores || tr.EntryBySeq(seq) != i {
+				t.Fatalf("entry %d: store seq %d resolves to entry %d", i, seq, tr.EntryBySeq(seq))
+			}
+		}
+		if seq := tr.LoadSeq(i); seq != 0 {
+			loads++
+			if seq != loads {
+				t.Fatalf("entry %d: load seq %d, want %d", i, seq, loads)
+			}
+		}
+	}
+	if stores != tr.Stores || loads != tr.Loads {
+		t.Fatalf("index marks %d stores / %d loads, trace says %d / %d", stores, loads, tr.Stores, tr.Loads)
+	}
+	if tr.EntryBySeq(tr.Stores+1) != -1 {
+		t.Fatal("store seq past the trace resolves to an entry")
 	}
 }

@@ -13,11 +13,12 @@ import (
 	"dmdp/internal/trace"
 )
 
-// Trace store format v1 ("DMDPTRC1"). Little endian throughout.
+// Trace store format v2 ("DMDPTRC2"). Little endian throughout.
 //
 //	header (16 bytes, excluded from the checksum):
-//	  [8]  magic+version  "DMDPTRC1"
-//	  [4]  layout fingerprint of the compiled trace.Entry (see entryFingerprint)
+//	  [8]  magic+version  "DMDPTRC2"
+//	  [4]  layout fingerprint of the compiled trace.Entry and
+//	       trace.SeqBlock (see entryFingerprint)
 //	  [4]  payload checksum (see payloadChecksum: chunked CRC32C)
 //	payload:
 //	  [8]  entry count     [8] stores     [8] loads
@@ -31,21 +32,29 @@ import (
 //	  init-memory section:
 //	    [4] page count, then per page (ascending base): [4] base, 4096 bytes
 //	  [0..7] zero padding to an 8-byte boundary
-//	  entries: count × 56 bytes — trace.Entry verbatim
+//	  entries: count × 24 bytes — trace.Entry verbatim
+//	  index: ceil(count/64) × 24 bytes — trace.SeqBlock verbatim
 //
-// The entries section is the in-memory []trace.Entry layout, so encoding
-// is one unsafe slice view and decoding is a pointer cast into the
-// mapped (or read) file: no per-field work for 300k records. The layout
-// fingerprint binds files to the exact compiled struct — a build whose
-// Entry layout differs (new field, different offsets, big-endian target)
-// computes a different fingerprint, sees every existing file as a miss,
-// and rewrites it. Symbols and pages are sorted so identical traces
-// always produce identical bytes despite Go's randomized map iteration.
-var traceMagic = [8]byte{'D', 'M', 'D', 'P', 'T', 'R', 'C', '1'}
+// The entries and index sections are the in-memory []trace.Entry and
+// []trace.SeqBlock layouts, so encoding is two unsafe slice views and
+// decoding is two pointer casts into the mapped (or read) file: no
+// per-entry work for 500k records. 24-byte records keep the index
+// 8-aligned. The decoder checks the index against itself
+// (Trace.IndexConsistent), a pass over one block per 64 entries. The
+// layout fingerprint binds files to the exact compiled structs — a
+// build whose layout differs (new field, different offsets, big-endian
+// target) computes a different fingerprint, sees every existing file as
+// a miss, and rewrites it. v1 files ("DMDPTRC1", 56-byte records with
+// the sequence numbers inline) live under other keys, since TraceKey
+// hashes the magic; one read under a v2 key fails the magic check and
+// is rewritten. Symbols and pages are sorted so identical traces always
+// produce identical bytes despite Go's randomized map iteration.
+var traceMagic = [8]byte{'D', 'M', 'D', 'P', 'T', 'R', 'C', '2'}
 
 const (
 	traceHeaderSize = 16
 	entrySize       = int(unsafe.Sizeof(trace.Entry{}))
+	seqBlockSize    = int(unsafe.Sizeof(trace.SeqBlock{}))
 	traceSuffix     = ".trace"
 )
 
@@ -113,28 +122,31 @@ func payloadChecksum(p []byte) uint32 {
 	return crc32.Checksum(sums, crcTable)
 }
 
-// entryFingerprint hashes the compiled layout of trace.Entry — size and
-// the offset of every field, plus a host-endianness probe — into 32
-// bits. It changes whenever the raw 56-byte record format would.
+// entryFingerprint hashes the compiled layouts of trace.Entry and
+// trace.SeqBlock — sizes and the offset of every field, plus a
+// host-endianness probe — into 32 bits. It changes whenever the raw
+// record or index format would.
 func entryFingerprint() uint32 {
 	var e trace.Entry
+	var b trace.SeqBlock
 	probe := [4]byte{}
 	binary.NativeEndian.PutUint32(probe[:], 0x01020304)
 	vals := []uint64{
 		uint64(unsafe.Sizeof(e)),
 		uint64(unsafe.Offsetof(e.PC)),
-		uint64(unsafe.Offsetof(e.Instr)),
-		uint64(unsafe.Sizeof(e.Instr)),
-		uint64(unsafe.Offsetof(e.Target)),
 		uint64(unsafe.Offsetof(e.Addr)),
 		uint64(unsafe.Offsetof(e.Value)),
-		uint64(unsafe.Offsetof(e.Taken)),
-		uint64(unsafe.Offsetof(e.Silent)),
-		uint64(unsafe.Offsetof(e.DepOverlap)),
-		uint64(unsafe.Offsetof(e.Size)),
-		uint64(unsafe.Offsetof(e.StoresBefore)),
-		uint64(unsafe.Offsetof(e.LoadsBefore)),
+		uint64(unsafe.Offsetof(e.Target)),
 		uint64(unsafe.Offsetof(e.DepStore)),
+		uint64(unsafe.Offsetof(e.Op)),
+		uint64(unsafe.Offsetof(e.Size)),
+		uint64(unsafe.Offsetof(e.DepOverlap)),
+		uint64(unsafe.Offsetof(e.Flags)),
+		uint64(unsafe.Sizeof(b)),
+		uint64(unsafe.Offsetof(b.Stores)),
+		uint64(unsafe.Offsetof(b.Loads)),
+		uint64(unsafe.Offsetof(b.StoresBefore)),
+		uint64(unsafe.Offsetof(b.LoadsBefore)),
 		uint64(binary.LittleEndian.Uint32(probe[:])),
 	}
 	buf := make([]byte, 0, 8*len(vals))
@@ -146,12 +158,14 @@ func entryFingerprint() uint32 {
 
 var layoutFingerprint = entryFingerprint()
 
-// encodeTrace serializes tr into the v1 format. Returns nil when the
-// trace cannot be represented (it always can in practice; the guard is
-// belt and braces for 32-bit section length fields).
+// encodeTrace serializes tr into the v2 format. Returns nil when the
+// trace cannot be represented: no program, an index that does not cover
+// the entries (Analyze has not run), or 32-bit section lengths that
+// would overflow (belt and braces).
 func encodeTrace(tr *trace.Trace) []byte {
 	p := tr.Prog
-	if p == nil || len(p.Text) > 1<<28 || len(p.Data) > 1<<30 {
+	if p == nil || len(p.Text) > 1<<28 || len(p.Data) > 1<<30 ||
+		len(tr.Seq) != trace.SeqBlocks(len(tr.Entries)) {
 		return nil
 	}
 	pageCount := 0
@@ -171,7 +185,7 @@ func encodeTrace(tr *trace.Trace) []byte {
 	memSize := 4 + pageCount*(4+mem.PageSize)
 	prefix := 3*8 + 8 + progSize + memSize
 	pad := (8 - prefix%8) % 8
-	total := traceHeaderSize + prefix + pad + len(tr.Entries)*entrySize
+	total := traceHeaderSize + prefix + pad + len(tr.Entries)*entrySize + len(tr.Seq)*seqBlockSize
 
 	buf := make([]byte, 0, total)
 	buf = append(buf, traceMagic[:]...)
@@ -217,9 +231,10 @@ func encodeTrace(tr *trace.Trace) []byte {
 		buf = append(buf, 0)
 	}
 	if len(tr.Entries) > 0 {
-		raw := unsafe.Slice((*byte)(unsafe.Pointer(&tr.Entries[0])),
-			len(tr.Entries)*entrySize)
-		buf = append(buf, raw...)
+		buf = append(buf, unsafe.Slice((*byte)(unsafe.Pointer(&tr.Entries[0])),
+			len(tr.Entries)*entrySize)...)
+		buf = append(buf, unsafe.Slice((*byte)(unsafe.Pointer(&tr.Seq[0])),
+			len(tr.Seq)*seqBlockSize)...)
 	}
 
 	crc := payloadChecksum(buf[traceHeaderSize:])
@@ -227,13 +242,14 @@ func encodeTrace(tr *trace.Trace) []byte {
 	return buf
 }
 
-// decodeTrace parses a v1 file image. The returned trace's Entries slice
-// aliases buf (zero-copy), so buf must stay reachable — and unmodified —
-// for the trace's lifetime; mmap-backed buffers are mapped privately so
-// even a stray write cannot reach the file. Any structural problem
-// (short file, bad magic, foreign layout, checksum mismatch, lengths
-// that disagree with the file size) returns nil: the caller treats it
-// as a miss.
+// decodeTrace parses a v2 file image. The returned trace's Entries and
+// Seq slices alias buf (zero-copy), so buf must stay reachable — and
+// unmodified — for the trace's lifetime; mmap-backed buffers are mapped
+// privately so even a stray write cannot reach the file. Any structural
+// problem (short file, bad magic, foreign layout, checksum mismatch,
+// lengths that disagree with the file size, an index that contradicts
+// itself or the trace's store and load counts) returns nil: the caller
+// treats it as a miss.
 func decodeTrace(buf []byte) (tr *trace.Trace) {
 	// The CRC makes accidental corruption unreachable below, but a file
 	// whose stored CRC happens to match inconsistent section lengths
@@ -334,28 +350,39 @@ func decodeTrace(buf []byte) (tr *trace.Trace) {
 	}
 
 	off += (8 - off%8) % 8
-	want := uint64(len(p)-off) / uint64(entrySize)
-	if entryCount != want || int(entryCount)*entrySize != len(p)-off {
+	if entryCount > trace.MaxEntries {
+		return nil
+	}
+	n := int(entryCount)
+	blocks := trace.SeqBlocks(n)
+	if n*entrySize+blocks*seqBlockSize != len(p)-off {
 		return nil
 	}
 	tr = &trace.Trace{
 		Prog: prog, InitMem: img,
 		Stores: stores, Loads: loads, HitHalt: hitHalt,
 	}
-	if entryCount > 0 {
-		if uintptr(unsafe.Pointer(&p[off]))%unsafe.Alignof(trace.Entry{}) == 0 {
-			tr.Entries = unsafe.Slice(
-				(*trace.Entry)(unsafe.Pointer(&p[off])), int(entryCount))
-		} else {
-			// A heap buffer (portable read path) is not guaranteed to
-			// land entry-aligned; copy once instead of casting.
-			tr.Entries = make([]trace.Entry, entryCount)
-			raw := unsafe.Slice((*byte)(unsafe.Pointer(&tr.Entries[0])),
-				int(entryCount)*entrySize)
-			copy(raw, p[off:])
-		}
+	if n > 0 {
+		tr.Entries = castSection[trace.Entry](p[off:], n)
+		tr.Seq = castSection[trace.SeqBlock](p[off+n*entrySize:], blocks)
+	}
+	if !tr.IndexConsistent() {
+		return nil
 	}
 	return tr
+}
+
+// castSection views the first n records of b as a []T. A heap buffer
+// (portable read path) is not guaranteed to land aligned for T; it is
+// copied once instead of cast.
+func castSection[T any](b []byte, n int) []T {
+	var zero T
+	if uintptr(unsafe.Pointer(&b[0]))%unsafe.Alignof(zero) == 0 {
+		return unsafe.Slice((*T)(unsafe.Pointer(&b[0])), n)
+	}
+	out := make([]T, n)
+	copy(unsafe.Slice((*byte)(unsafe.Pointer(&out[0])), n*int(unsafe.Sizeof(zero))), b)
+	return out
 }
 
 // sortStrings is an allocation-light insertion sort (symbol tables are

@@ -88,6 +88,23 @@ func errf(line int, format string, args ...any) error {
 	return &Error{Line: line, Msg: fmt.Sprintf(format, args...)}
 }
 
+// mayRept reports whether src holds ".rept" or ".endr" in any case:
+// only then can expandRept change the source or reject it.
+func mayRept(src string) bool {
+	for i := strings.IndexByte(src, '.'); i >= 0; {
+		w := src[i+1:]
+		if len(w) >= 4 && (strings.EqualFold(w[:4], "rept") || strings.EqualFold(w[:4], "endr")) {
+			return true
+		}
+		j := strings.IndexByte(w, '.')
+		if j < 0 {
+			return false
+		}
+		i += 1 + j
+	}
+	return false
+}
+
 // expandRept rewrites .rept N / .endr blocks by textual repetition,
 // keeping original line numbers for diagnostics (each copied line keeps
 // its source line). Nesting is supported.
@@ -141,10 +158,14 @@ func expandRept(src string) (string, error) {
 // pass1 parses statements, expands pseudo-instruction sizes and assigns
 // addresses to every item and label.
 func (a *assembler) pass1(src string) error {
-	src, err := expandRept(src)
-	if err != nil {
-		return err
+	if mayRept(src) {
+		var err error
+		if src, err = expandRept(src); err != nil {
+			return err
+		}
 	}
+	lines := strings.Split(src, "\n")
+	a.items = make([]item, 0, len(lines)) // at most one item per line
 	sec := secText
 	textAddr := a.opt.TextBase
 	dataAddr := a.opt.DataBase
@@ -156,7 +177,7 @@ func (a *assembler) pass1(src string) error {
 		return &dataAddr
 	}
 
-	for lineNo, raw := range strings.Split(src, "\n") {
+	for lineNo, raw := range lines {
 		line := raw
 		if i := strings.IndexAny(line, "#;"); i >= 0 {
 			line = line[:i]

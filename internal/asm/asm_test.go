@@ -436,9 +436,34 @@ func TestReptErrors(t *testing.T) {
 		".rept 2\nnop\n",      // missing endr
 		".endr",               // stray endr
 		".rept nope\n.endr\n", // bad count
+		"\t.REPT 2\nnop\n",    // missing endr, upper case
+		"nop\n\t.EndR\n",      // stray endr, mixed case
 	} {
 		if _, err := Assemble(src); err == nil {
 			t.Errorf("expected error for %q", src)
+		}
+	}
+	if _, err := Assemble("nop\n\t.EndR\n"); err == nil || !strings.Contains(err.Error(), ".endr without .rept") {
+		t.Errorf("stray .EndR: got %v, want the .rept expander's error", err)
+	}
+}
+
+// TestMayRept pins the gate in front of expandRept: any spelling of
+// .rept or .endr must reach the expander, and sources without either
+// must not need it.
+func TestMayRept(t *testing.T) {
+	for src, want := range map[string]bool{
+		"":                      false,
+		"nop\n.word 1\n":        false,
+		".rep 2\n":              false,
+		"x: .rept 2\n":          true,
+		"\t.REPT 2\n\tnop\n":    true,
+		".eNdR":                 true,
+		"lw $t0, 0($gp)\n.rept": true,
+		"...rept":               true,
+	} {
+		if got := mayRept(src); got != want {
+			t.Errorf("mayRept(%q) = %v, want %v", src, got, want)
 		}
 	}
 }

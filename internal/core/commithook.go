@@ -60,7 +60,7 @@ func (c *Core) notifyCommit(in *inst) {
 		Seq:     in.seq,
 		Retired: c.retired,
 		PC:      e.PC,
-		Instr:   e.Instr,
+		Instr:   in.d.instr,
 	}
 	switch {
 	case in.isLoad():
@@ -76,7 +76,7 @@ func (c *Core) notifyCommit(in *inst) {
 	if err := c.commitHook(rec); err != nil {
 		got, want := rec.Value, e.Value
 		c.fail(&SimError{
-			Kind: ErrLockstep, Idx: in.idx, PC: e.PC, Disasm: e.Instr.String(),
+			Kind: ErrLockstep, Idx: in.idx, PC: e.PC, Disasm: in.d.instr.String(),
 			Got: got, Want: want,
 			Msg: "lockstep: " + err.Error(),
 		})

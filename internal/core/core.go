@@ -81,6 +81,11 @@ type Core struct {
 	cfg config.Config
 	tr  *trace.Trace
 
+	// dec is the decode table: one row per instruction of tr.Prog.Text,
+	// indexed by (PC - textBase) / 4.
+	dec      []decoded
+	textBase uint32
+
 	// Substrates.
 	hier  *cache.Hierarchy
 	tlb   *tlb.TLB
@@ -168,7 +173,7 @@ type Core struct {
 
 	// Free list and per-cycle scratch: the steady-state cycle loop must
 	// not allocate (see the allocation-regression guard in core tests).
-	// Retired and squashed instructions, with their inline uops, are
+	// Retired and flushed instructions, with their inline uops, are
 	// recycled here.
 	instPool []*inst
 	stash    []*uop // issue(): uops popped but not issuable this cycle
@@ -188,10 +193,61 @@ type Core struct {
 	stats Stats
 }
 
-// New builds a core over the analyzed trace.
+// decoded is one row of the decode table: the static facts of one
+// instruction of the program, decoded once per core so that rename does
+// not decode every dynamic instance again.
+type decoded struct {
+	instr isa.Instr
+	class isa.Class
+	dest  isa.Reg // NoReg when the instruction writes no register
+	srcs  [2]isa.Reg
+	nsrc  uint8
+}
+
+// decodeProgram builds the decode table of p.
+func decodeProgram(p *isa.Program) []decoded {
+	dec := make([]decoded, len(p.Text))
+	for i, in := range p.Text {
+		d := &dec[i]
+		d.instr, d.class, d.dest = in, in.Op.Class(), in.Dest()
+		d.nsrc = uint8(len(in.Srcs(d.srcs[:0]))) // at most two: appends in place
+	}
+	return dec
+}
+
+// decode returns the decode-table row of entry e, or nil when e's PC is
+// outside the program text or its opcode disagrees with the program.
+func (c *Core) decode(e *trace.Entry) *decoded {
+	off := e.PC - c.textBase
+	if off&3 != 0 || off>>2 >= uint32(len(c.dec)) {
+		return nil
+	}
+	if d := &c.dec[off>>2]; d.instr.Op == e.Op {
+		return d
+	}
+	return nil
+}
+
+// disasm renders entry e's instruction from the program (diagnostics).
+func (c *Core) disasm(e *trace.Entry) string {
+	if d := c.decode(e); d != nil {
+		return d.instr.String()
+	}
+	return fmt.Sprintf("%s (pc 0x%08x does not match the program)", e.Op, e.PC)
+}
+
+// New builds a core over the analyzed trace. A trace with entries must
+// carry its program, which rename reads registers and immediates from,
+// and its sequence-number index (Analyze builds it).
 func New(cfg config.Config, tr *trace.Trace) (*Core, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	if len(tr.Entries) > 0 && tr.Prog == nil {
+		return nil, fmt.Errorf("core: trace of %d entries has no program", len(tr.Entries))
+	}
+	if len(tr.Seq) != trace.SeqBlocks(len(tr.Entries)) {
+		return nil, fmt.Errorf("core: trace of %d entries has %d index blocks (not analyzed)", len(tr.Entries), len(tr.Seq))
 	}
 	if tr.InitMem == nil {
 		tr.InitMem = mem.NewImage()
@@ -211,6 +267,9 @@ func New(cfg config.Config, tr *trace.Trace) (*Core, error) {
 		sb:    newStoreBuffer(cfg.StoreBufferSize, cfg.Consistency == config.RMO),
 		srb:   newStoreRegBuffer(cfg.ROBSize + cfg.StoreBufferSize + 2),
 		fq:    make([]fetchEntry, fqCap),
+	}
+	if tr.Prog != nil {
+		c.dec, c.textBase = decodeProgram(tr.Prog), tr.Prog.TextBase
 	}
 	n := nextPow2(cfg.ROBSize + 1)
 	c.instBySeq = make([]*inst, n)
@@ -401,7 +460,7 @@ func (c *Core) fastForward(window, maxCycles int64) {
 }
 
 // instBySeqGet returns the in-flight store with dynamic number seq, or
-// nil (retired, squashed, or overwritten by a younger store).
+// nil (retired, flushed, or overwritten by a younger store).
 func (c *Core) instBySeqGet(seq int64) *inst {
 	if in := c.instBySeq[seq&c.instSeqMask]; in != nil && in.seq == seq {
 		return in
@@ -564,11 +623,9 @@ func (c *Core) finishCommit(i int) {
 func (c *Core) wakeDelayed() {
 	kept := c.delayed[:0]
 	for _, u := range c.delayed {
-		switch {
-		case u.squashed:
-		case c.ssn.Commit >= u.gateSSN:
+		if c.ssn.Commit >= u.gateSSN {
 			c.ready.push(u)
-		default:
+		} else {
 			kept = append(kept, u)
 		}
 	}
@@ -595,9 +652,6 @@ func (c *Core) writeback(p int) {
 	}
 	c.stats.RegWrites++
 	for _, w := range c.rf.setReady(p, c.now) {
-		if w.squashed {
-			continue
-		}
 		w.waitCnt--
 		c.stats.IQWakeups++
 		if w.waitCnt == 0 {
@@ -610,9 +664,6 @@ func (c *Core) writeback(p int) {
 // gate (delayed-load structure, store-set wait) or into the ready queue;
 // zero-cost bookkeeping uops (cloak trackers) complete immediately.
 func (c *Core) dispatchReady(u *uop) {
-	if u.squashed {
-		return
-	}
 	if u.kind == uopCloakTrack {
 		c.completeUop(u)
 		return
@@ -630,8 +681,7 @@ func (c *Core) dispatchReady(u *uop) {
 	case gateStoreExec:
 		// gateSeq mismatch: the gating store retired (its inst was
 		// recycled) — a retired store has long resolved its address.
-		if u.gateInst == nil || u.gateInst.seq != u.gateSeq ||
-			u.gateInst.squashed || u.gateInst.addrReady {
+		if u.gateInst == nil || u.gateInst.seq != u.gateSeq || u.gateInst.addrReady {
 			c.ready.push(u)
 			return
 		}
@@ -643,7 +693,7 @@ func (c *Core) dispatchReady(u *uop) {
 
 // completeUop handles a finished micro-operation.
 func (c *Core) completeUop(u *uop) {
-	if u.squashed || u.done {
+	if u.done {
 		return
 	}
 	u.done = true
@@ -665,9 +715,7 @@ func (c *Core) completeUop(u *uop) {
 		if in.isStore() {
 			c.sets.StoreExecuted(in.e.PC, in.seq)
 			for _, w := range in.execWaiters {
-				if !w.squashed {
-					c.ready.push(w)
-				}
+				c.ready.push(w)
 			}
 			in.execWaiters = in.execWaiters[:0]
 			if c.cfg.Model == config.Baseline {
@@ -700,9 +748,6 @@ func (c *Core) issue() {
 	stash := c.stash[:0]
 	for issued < c.cfg.IssueWidth && c.ready.Len() > 0 {
 		u := c.ready.pop()
-		if u.squashed {
-			continue
-		}
 		if u.kind == uopLoad && loadPorts >= c.cfg.LoadPorts {
 			stash = append(stash, u)
 			continue
@@ -811,6 +856,9 @@ func (c *Core) rename() {
 		c.fqHead = (c.fqHead + 1) & (fqCap - 1)
 		c.fqLen--
 		in := c.renameOne(fe.idx, fe.hist)
+		if in == nil {
+			return // desync: the run has failed
+		}
 		if fe.blocking {
 			c.blockInst = in
 			// If the blocking op completed already (e.g. a no-uop
@@ -870,7 +918,7 @@ func (c *Core) newUop(in *inst, kind uopKind, class isa.Class, srcs []int, dst i
 	u.kind, u.class, u.inst, u.seq, u.dst = kind, class, in, c.uopSeq, dst
 	u.nsrc, u.waitCnt = 0, 0
 	u.gate, u.gateSSN, u.gateInst, u.gateSeq = gateNone, 0, nil, 0
-	u.counted, u.cmovSel, u.issued, u.done, u.squashed = false, false, false, false, false
+	u.counted, u.cmovSel, u.issued, u.done = false, false, false, false
 	for _, s := range srcs {
 		if s >= 0 {
 			u.nsrc++
@@ -920,13 +968,24 @@ func (c *Core) mapAux(in *inst, l isa.Reg) int {
 	return p
 }
 
+// renameOne renames trace entry idx, or fails the run with ErrDesync and
+// returns nil when the entry does not match the program.
 func (c *Core) renameOne(idx int, hist uint32) *inst {
 	c.progress = true
 	e := &c.tr.Entries[idx]
+	d := c.decode(e)
+	if d == nil {
+		c.fail(&SimError{
+			Kind: ErrDesync, Idx: idx, PC: e.PC, Disasm: c.disasm(e),
+			Msg: fmt.Sprintf("trace entry %s at pc 0x%08x has no matching program instruction", e.Op, e.PC),
+		})
+		return nil
+	}
 	c.seqCounter++
 	in := c.allocInst()
 	in.idx = idx
 	in.e = e
+	in.d = d
 	in.seq = c.seqCounter
 	in.renamedAt = c.now
 	in.destLog = -1
@@ -935,8 +994,8 @@ func (c *Core) renameOne(idx int, hist uint32) *inst {
 	in.forwardIdx = -1
 	in.histAtRen = hist
 	c.stats.ROBWrites++
-	op := e.Instr.Op
-	in.class = op.Class()
+	op := e.Op
+	in.class = d.class
 
 	switch {
 	case op == isa.OpNOP || op == isa.OpHALT || op == isa.OpJ:
@@ -950,18 +1009,18 @@ func (c *Core) renameOne(idx int, hist uint32) *inst {
 	case in.class == isa.ClassStore:
 		c.renameStore(in)
 	case in.class == isa.ClassBranch: // conditional branches, JR, JALR
-		srcs, n := c.srcPhys(e)
+		srcs, n := c.srcPhys(d)
 		dst := -1
-		if op == isa.OpJALR && e.Instr.Dest() != isa.NoReg {
-			dst = c.mapDest(in, e.Instr.Dest())
+		if op == isa.OpJALR && d.dest != isa.NoReg {
+			dst = c.mapDest(in, d.dest)
 		}
 		u := c.newUop(in, uopBranch, isa.ClassBranch, srcs[:n], dst)
 		c.finishUopSetup(u)
 	default:
-		srcs, n := c.srcPhys(e)
+		srcs, n := c.srcPhys(d)
 		dst := -1
-		if d := e.Instr.Dest(); d != isa.NoReg {
-			dst = c.mapDest(in, d)
+		if d.dest != isa.NoReg {
+			dst = c.mapDest(in, d.dest)
 		}
 		u := c.newUop(in, uopALU, in.class, srcs[:n], dst)
 		c.finishUopSetup(u)
@@ -972,10 +1031,10 @@ func (c *Core) renameOne(idx int, hist uint32) *inst {
 }
 
 // srcPhys maps an instruction's logical sources through the RAT.
-func (c *Core) srcPhys(e *trace.Entry) (srcs [2]int, n int) {
-	regs, n := e.Instr.SrcRegs()
+func (c *Core) srcPhys(d *decoded) (srcs [2]int, n int) {
+	n = int(d.nsrc)
 	for k := 0; k < n; k++ {
-		srcs[k] = c.rf.rat[regs[k]]
+		srcs[k] = c.rf.rat[d.srcs[k]]
 	}
 	return srcs, n
 }
@@ -995,8 +1054,8 @@ func (c *Core) fetch() {
 		e := &c.tr.Entries[idx]
 		fe := fetchEntry{idx: idx, readyAt: c.now + c.cfg.FrontEndDepth, hist: c.bp.History()}
 		c.fetchIdx++
-		if e.Instr.Op.IsControl() {
-			correct := c.bp.PredictAndTrain(e.PC, e.Instr.Op, e.Taken, e.Target)
+		if e.Op.IsControl() {
+			correct := c.bp.PredictAndTrain(e.PC, e.Op, e.Taken(), e.Target)
 			if !correct {
 				c.stats.BranchMispredicts++
 				fe.blocking = true
@@ -1144,7 +1203,7 @@ func (c *Core) retireCommon(in *inst) {
 		}
 	}
 
-	if in.e.Instr.Op == isa.OpHALT || c.retired == int64(len(c.tr.Entries)) {
+	if in.e.Op == isa.OpHALT || c.retired == int64(len(c.tr.Entries)) {
 		c.done = true
 	}
 }
@@ -1163,7 +1222,7 @@ func (c *Core) accountLoad(in *inst) {
 		switch {
 		case !in.actualInFly:
 			c.stats.LowConfOutcomes[LowConfIndepStore]++
-		case in.e.DepStore == in.ssnByp:
+		case int64(in.e.DepStore) == in.ssnByp:
 			c.stats.LowConfOutcomes[LowConfCorrect]++
 		default:
 			c.stats.LowConfOutcomes[LowConfDiffStore]++

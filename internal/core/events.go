@@ -91,49 +91,39 @@ func (w *eventWheel) firstBusy(span int64) int64 {
 }
 
 // popDue removes and returns the next event due at or before now, in
-// (cycle, seq) order, skipping squashed uops; nil when none is due. now
-// must not decrease from one call to the next.
+// (cycle, seq) order; nil when none is due. now must not decrease from
+// one call to the next.
 func (w *eventWheel) popDue(now int64) *uop {
-	for {
-		t := w.firstBusy(now - w.cur + 1)
-		var u *uop
-		if t >= 0 {
-			u = w.buckets[t&wheelMask].head
-		}
-		if len(w.far) > 0 {
-			if f := &w.far[0]; f.at <= now && (u == nil || f.at < t || f.at == t && f.seq < u.seq) {
-				fu := w.far.popMin().u
-				if fu.squashed {
-					continue
-				}
-				return fu
-			}
-		}
-		if u == nil {
-			// Nothing in the wheel is due: every bucket before now is
-			// empty, so the window may start at now.
-			if now > w.cur {
-				w.cur = now
-			}
-			return nil
-		}
-		w.cur = t
-		b := &w.buckets[t&wheelMask]
-		b.head = u.next
-		if b.head == nil {
-			b.tail = nil
-			w.busy[(t&wheelMask)>>6] &^= 1 << (t & 63)
-		}
-		w.n--
-		if u.squashed {
-			continue
-		}
-		return u
+	t := w.firstBusy(now - w.cur + 1)
+	var u *uop
+	if t >= 0 {
+		u = w.buckets[t&wheelMask].head
 	}
+	if len(w.far) > 0 {
+		if f := &w.far[0]; f.at <= now && (u == nil || f.at < t || f.at == t && f.seq < u.seq) {
+			return w.far.popMin().u
+		}
+	}
+	if u == nil {
+		// Nothing in the wheel is due: every bucket before now is
+		// empty, so the window may start at now.
+		if now > w.cur {
+			w.cur = now
+		}
+		return nil
+	}
+	w.cur = t
+	b := &w.buckets[t&wheelMask]
+	b.head = u.next
+	if b.head == nil {
+		b.tail = nil
+		w.busy[(t&wheelMask)>>6] &^= 1 << (t & 63)
+	}
+	w.n--
+	return u
 }
 
-// nextAt returns the cycle of the earliest pending event (squashed ones
-// included), or -1.
+// nextAt returns the cycle of the earliest pending event, or -1.
 func (w *eventWheel) nextAt() int64 {
 	t := w.firstBusy(wheelSize)
 	if len(w.far) > 0 && (t < 0 || w.far[0].at < t) {

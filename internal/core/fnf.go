@@ -69,17 +69,19 @@ func (c *Core) renameStoreFnF(in *inst) {
 }
 
 // renameLoadFnF claims a pending forward registered for this load's LSN,
-// or reads the cache directly.
+// or reads the cache directly. Past the desync check, in.lsn is the
+// trace index's LoadSeq, so training reads the load's LoadsBefore as
+// in.lsn-1.
 func (c *Core) renameLoadFnF(in *inst) {
 	c.lsnRename++
 	in.lsn = c.lsnRename
-	if in.lsn != in.e.LoadSeq() {
+	if want := c.tr.LoadSeq(in.idx); in.lsn != want {
 		c.fail(&SimError{
-			Kind: ErrDesync, Idx: in.idx, PC: in.e.PC, Disasm: in.e.Instr.String(),
-			Msg: fmt.Sprintf("LSN desync: renamed load got %d, trace says %d", in.lsn, in.e.LoadSeq()),
+			Kind: ErrDesync, Idx: in.idx, PC: in.e.PC, Disasm: in.d.instr.String(),
+			Msg: fmt.Sprintf("LSN desync: renamed load got %d, trace says %d", in.lsn, want),
 		})
 	}
-	d := in.e.Instr.Dest()
+	d := in.d.dest
 	if ssn, ok := c.pendingFwd.take(in.lsn); ok {
 		if se := c.srb.get(ssn); se != nil && d != isa.NoReg {
 			in.ssnByp = ssn
@@ -99,7 +101,7 @@ func (c *Core) trainFnFAfterReexec(in *inst) {
 	if in.ssnByp > 0 {
 		// The forwarding store picked the wrong consumer.
 		st := &c.tr.Entries[in.predIdx]
-		c.sft.TrainWrong(st.PC, in.e.LoadsBefore-st.LoadsBefore)
+		c.sft.TrainWrong(st.PC, in.lsn-1-c.tr.LoadsBefore(in.predIdx))
 		c.stats.SDPWrites++
 	}
 	c.trainFnFCollider(in)
@@ -116,7 +118,7 @@ func (c *Core) trainFnFCollider(in *inst) {
 		return
 	}
 	st := &c.tr.Entries[idx]
-	dist := in.e.LoadsBefore - st.LoadsBefore
+	dist := in.lsn - 1 - c.tr.LoadsBefore(idx)
 	if dist < 0 || dist > c.cfg.MaxDist() {
 		return
 	}
@@ -130,7 +132,7 @@ func (c *Core) trainFnFNoReexec(in *inst) {
 		return
 	}
 	st := &c.tr.Entries[in.predIdx]
-	dist := in.e.LoadsBefore - st.LoadsBefore
+	dist := in.lsn - 1 - c.tr.LoadsBefore(in.predIdx)
 	c.stats.SDPWrites++
 	if in.tssbfSSN == in.ssnByp {
 		c.sft.TrainCorrect(st.PC, dist)

@@ -21,21 +21,21 @@ import (
 func (c *Core) renameStore(in *inst) {
 	e := in.e
 	// The data register is read at commit: extend its lifetime.
-	in.dataPhys = c.rf.rat[e.Instr.Rt]
+	in.dataPhys = c.rf.rat[in.d.instr.Rt]
 	c.rf.addConsumer(in.dataPhys)
 	// Crack: AGI computes (and translates) the address into a dedicated
 	// physical register, also read at commit.
-	base := c.rf.rat[e.Instr.Rs]
+	base := c.rf.rat[in.d.instr.Rs]
 	in.addrPhys = c.mapAux(in, isa.HwAddr)
 	c.rf.addConsumer(in.addrPhys)
 	agi := c.newUop(in, uopAGI, isa.ClassALU, []int{base}, in.addrPhys)
 
 	c.ssn.Rename++
 	in.ssn = c.ssn.Rename
-	if in.ssn != e.StoreSeq() {
+	if want := c.tr.StoreSeq(in.idx); in.ssn != want {
 		c.fail(&SimError{
-			Kind: ErrDesync, Idx: in.idx, PC: e.PC, Disasm: e.Instr.String(),
-			Msg: fmt.Sprintf("SSN desync: renamed store got %d, trace says %d", in.ssn, e.StoreSeq()),
+			Kind: ErrDesync, Idx: in.idx, PC: e.PC, Disasm: in.d.instr.String(),
+			Msg: fmt.Sprintf("SSN desync: renamed store got %d, trace says %d", in.ssn, want),
 		})
 	}
 	c.srb.add(srbEntry{ssn: in.ssn, idx: in.idx, dataPhys: in.dataPhys, addrPhys: in.addrPhys, inst: in})
@@ -63,10 +63,11 @@ func (c *Core) renameStore(in *inst) {
 
 func (c *Core) renameLoad(in *inst) {
 	e := in.e
-	base := c.rf.rat[e.Instr.Rs]
+	base := c.rf.rat[in.d.instr.Rs]
 	in.addrPhys = c.mapAux(in, isa.HwAddr)
 	agi := c.newUop(in, uopAGI, isa.ClassALU, []int{base}, in.addrPhys)
-	in.actualInFly = e.DepStore > 0 && e.DepStore > c.ssn.Commit
+	in.storesBefore = c.tr.StoresBefore(in.idx)
+	in.actualInFly = e.DepStore > 0 && int64(e.DepStore) > c.ssn.Commit
 	in.srcSSN = -1
 
 	switch c.cfg.Model {
@@ -84,10 +85,10 @@ func (c *Core) renameLoad(in *inst) {
 
 func (c *Core) renameLoadPerfect(in *inst) {
 	e := in.e
-	d := e.Instr.Dest()
+	d := in.d.dest
 	if d != isa.NoReg && in.actualInFly && e.DepOverlap == trace.OverlapFull {
-		if se := c.srb.get(e.DepStore); se != nil {
-			in.ssnByp = e.DepStore
+		if se := c.srb.get(int64(e.DepStore)); se != nil {
+			in.ssnByp = int64(e.DepStore)
 			in.predIdx = se.idx
 			c.setupCloak(in, d, se)
 			return
@@ -98,7 +99,7 @@ func (c *Core) renameLoadPerfect(in *inst) {
 
 func (c *Core) renameLoadBaseline(in *inst) {
 	e := in.e
-	d := e.Instr.Dest()
+	d := in.d.dest
 	dst := -1
 	if d != isa.NoReg {
 		dst = c.mapDest(in, d)
@@ -123,7 +124,7 @@ func (c *Core) renameLoadBaseline(in *inst) {
 // reads the cache directly.
 func (c *Core) renameLoadSQFree(in *inst) {
 	e := in.e
-	d := e.Instr.Dest()
+	d := in.d.dest
 	pred, hit := c.sdp.Predict(e.PC, in.histAtRen)
 	c.stats.SDPReads++
 	if c.inj != nil && hit {
@@ -280,7 +281,7 @@ func (c *Core) issueLoadBaseline(u *uop) bool {
 	c.stats.SQSearches++
 
 	var found *srbEntry
-	for ssn := e.StoresBefore; ssn > c.ssn.Commit; ssn-- {
+	for ssn := in.storesBefore; ssn > c.ssn.Commit; ssn-- {
 		se := c.srb.get(ssn)
 		if se == nil {
 			continue
@@ -325,7 +326,7 @@ func (c *Core) issueLoadBaseline(u *uop) bool {
 // ---------- completion ----------
 
 func (c *Core) readCacheValue(e *trace.Entry) uint32 {
-	return trace.ExtendLoad(e.Instr.Op, c.image.Read(e.Addr, uint32(e.Size)))
+	return trace.ExtendLoad(e.Op, c.image.Read(e.Addr, uint32(e.Size)))
 }
 
 func (c *Core) completeLoadAccess(u *uop) {
@@ -383,7 +384,7 @@ func (c *Core) completeCMOV(u *uop) {
 	in := u.inst
 	if !in.predicateDone {
 		c.fail(&SimError{
-			Kind: ErrDesync, Idx: in.idx, PC: in.e.PC, Disasm: in.e.Instr.String(),
+			Kind: ErrDesync, Idx: in.idx, PC: in.e.PC, Disasm: in.d.instr.String(),
 			Msg: "CMOV executed before its predicate",
 		})
 		return
@@ -429,7 +430,7 @@ func (c *Core) checkViolations(st *inst) {
 		if le.WordAddr() != se.WordAddr() || le.BAB()&se.BAB() == 0 {
 			continue
 		}
-		if le.StoresBefore < st.ssn {
+		if l.storesBefore < st.ssn {
 			continue // the store is younger in program order
 		}
 		issued := false
@@ -548,7 +549,7 @@ func (c *Core) verifyLoad(in *inst) verifyResult {
 // distance is outside the predictor's 6-bit range but a prediction was
 // used, the confidence still drops (the prediction was wrong).
 func (c *Core) trainAfterReexec(in *inst) {
-	actual := in.e.StoresBefore - in.tssbfSSN
+	actual := in.storesBefore - in.tssbfSSN
 	switch {
 	case in.tssbfMatch && actual >= 0 && actual <= c.cfg.MaxDist():
 		// Evidence of a real collision (tag match): learn it.
@@ -574,7 +575,7 @@ func (c *Core) trainNoReexec(in *inst) {
 		c.sdp.TrainCorrect(in.e.PC, in.histAtRen, in.usedDist)
 		return
 	}
-	actual := in.e.StoresBefore - in.tssbfSSN
+	actual := in.storesBefore - in.tssbfSSN
 	if in.tssbfMatch && actual >= 0 && actual <= c.cfg.MaxDist() {
 		c.sdp.TrainWrong(in.e.PC, in.histAtRen, actual)
 	} else {

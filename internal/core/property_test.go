@@ -101,10 +101,8 @@ type heapQueue struct{ h eventHeap }
 func (q *heapQueue) schedule(at int64, u *uop) { q.h.push(event{at: at, seq: u.seq, u: u}) }
 
 func (q *heapQueue) popDue(now int64) *uop {
-	for len(q.h) > 0 && q.h[0].at <= now {
-		if e := q.h.popMin(); !e.u.squashed {
-			return e.u
-		}
+	if len(q.h) > 0 && q.h[0].at <= now {
+		return q.h.popMin().u
 	}
 	return nil
 }
@@ -127,7 +125,6 @@ func TestEventHeapPopDue(t *testing.T) {
 		q.schedule(5, u1)
 		q.schedule(5, u2)
 		q.schedule(20, u4)
-		u2.squashed = true
 
 		if got := q.popDue(4); got != nil {
 			t.Fatalf("%s: nothing due at 4, got %v", name, got.seq)
@@ -135,9 +132,11 @@ func TestEventHeapPopDue(t *testing.T) {
 		if got := q.popDue(5); got != u1 {
 			t.Fatalf("%s: u1 due first (same-cycle ties break by seq)", name)
 		}
-		// u2 is squashed: skipped silently.
+		if got := q.popDue(5); got != u2 {
+			t.Fatalf("%s: u2 due second at 5", name)
+		}
 		if got := q.popDue(10); got != u3 {
-			t.Fatalf("%s: u3 due at 10 after squashed u2 skipped", name)
+			t.Fatalf("%s: u3 due at 10", name)
 		}
 		if got := q.popDue(10); got != nil {
 			t.Fatalf("%s: u4 not due yet", name)
@@ -170,8 +169,8 @@ func TestEventHeapPopDue(t *testing.T) {
 // heap with the same random schedule/popDue/nextAt/reset sequences and
 // requires the same pop order and the same nextAt answers. Sequences mix
 // events due at or before the current cycle, within the horizon, past
-// it, squashed uops, out-of-order seqs, flush resets, and clock jumps
-// like the core's idle-cycle fast-forward.
+// it, out-of-order seqs, flush resets, and clock jumps like the core's
+// idle-cycle fast-forward.
 func TestEventWheelMatchesHeap(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -202,10 +201,6 @@ func TestEventWheelMatchesHeap(t *testing.T) {
 				}
 				w.schedule(at, u)
 				h.schedule(at, u)
-			case op < 9: // squash a random not-yet-popped uop
-				if len(h.h) > 0 {
-					h.h[r.Intn(len(h.h))].u.squashed = true
-				}
 			case op < 15: // one cycle: drain everything due
 				now++
 				fallthrough

@@ -186,7 +186,7 @@ func (c *Core) retireTail() []RetireRecord {
 		r := c.retireLog[i&(retireLogCap-1)]
 		e := &c.tr.Entries[r.idx]
 		out = append(out, RetireRecord{
-			Cycle: r.cycle, Idx: r.idx, PC: e.PC, Disasm: e.Instr.String(),
+			Cycle: r.cycle, Idx: r.idx, PC: e.PC, Disasm: c.disasm(e),
 			Value: r.value, IsMem: e.IsLoad() || e.IsStore(),
 		})
 	}
@@ -198,7 +198,7 @@ func (c *Core) snapshot() PipeSnapshot {
 	head := "empty"
 	if !c.rob.empty() {
 		h := c.rob.front()
-		head = fmt.Sprintf("idx=%d %s pending=%d", h.idx, h.e.Instr, h.pending)
+		head = fmt.Sprintf("idx=%d %s pending=%d", h.idx, h.d.instr, h.pending)
 	}
 	return PipeSnapshot{
 		ROB:          c.rob.len(),
@@ -225,7 +225,7 @@ func (c *Core) checkRefs(idx int) {
 	c.rf.badRef = nil
 	e := &c.tr.Entries[idx]
 	c.fail(&SimError{
-		Kind: ErrRefcount, Idx: idx, PC: e.PC, Disasm: e.Instr.String(),
+		Kind: ErrRefcount, Idx: idx, PC: e.PC, Disasm: c.disasm(e),
 		Msg: fmt.Sprintf("negative refcount on p%d (producers %d, consumers %d)", b.p, b.producers, b.consumers),
 	})
 }
@@ -246,26 +246,26 @@ func (c *Core) oracleRetireCheck(in *inst) {
 	case in.isLoad():
 		if in.gotValue != e.Value {
 			c.fail(&SimError{
-				Kind: ErrOracle, Idx: in.idx, PC: e.PC, Disasm: e.Instr.String(),
+				Kind: ErrOracle, Idx: in.idx, PC: e.PC, Disasm: in.d.instr.String(),
 				Got: in.gotValue, Want: e.Value,
 				Msg: fmt.Sprintf("load retired value 0x%x, want 0x%x (cat %s)", in.gotValue, e.Value, in.cat),
 			})
 			return
 		}
 	case in.isStore():
-		if in.ssn != e.StoreSeq() {
+		if want := c.tr.StoreSeq(in.idx); in.ssn != want {
 			c.fail(&SimError{
-				Kind: ErrOracle, Idx: in.idx, PC: e.PC, Disasm: e.Instr.String(),
-				Got: uint32(in.ssn), Want: uint32(e.StoreSeq()),
-				Msg: fmt.Sprintf("store retired SSN %d, trace says %d", in.ssn, e.StoreSeq()),
+				Kind: ErrOracle, Idx: in.idx, PC: e.PC, Disasm: in.d.instr.String(),
+				Got: uint32(in.ssn), Want: uint32(want),
+				Msg: fmt.Sprintf("store retired SSN %d, trace says %d", in.ssn, want),
 			})
 			return
 		}
 	}
-	if e.Instr.Op.IsControl() && e.Taken && in.idx+1 < len(c.tr.Entries) {
+	if e.Op.IsControl() && e.Taken() && in.idx+1 < len(c.tr.Entries) {
 		if next := c.tr.Entries[in.idx+1].PC; next != e.Target {
 			c.fail(&SimError{
-				Kind: ErrOracle, Idx: in.idx, PC: e.PC, Disasm: e.Instr.String(),
+				Kind: ErrOracle, Idx: in.idx, PC: e.PC, Disasm: in.d.instr.String(),
 				Got: next, Want: e.Target,
 				Msg: fmt.Sprintf("taken control op followed by pc 0x%x, golden target 0x%x", next, e.Target),
 			})
@@ -275,7 +275,7 @@ func (c *Core) oracleRetireCheck(in *inst) {
 	if in.destLog >= 0 {
 		if c.rf.arat[in.destLog] != in.destPhys || c.rf.regs[in.destPhys].free {
 			c.fail(&SimError{
-				Kind: ErrOracle, Idx: in.idx, PC: e.PC, Disasm: e.Instr.String(),
+				Kind: ErrOracle, Idx: in.idx, PC: e.PC, Disasm: in.d.instr.String(),
 				Msg: fmt.Sprintf("retired writeback to r%d not architecturally mapped to live p%d", in.destLog, in.destPhys),
 			})
 		}

@@ -46,7 +46,7 @@ func (p *PipeTracer) onRetire(in *inst, now int64) {
 	p.Records = append(p.Records, StageTimes{
 		Idx:      in.idx,
 		PC:       in.e.PC,
-		Disasm:   in.e.Instr.String(),
+		Disasm:   in.d.instr.String(),
 		Renamed:  in.renamedAt,
 		Complete: in.completedAt,
 		Retired:  now,

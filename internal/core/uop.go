@@ -54,10 +54,9 @@ type uop struct {
 	counted bool // currently occupies an IQ slot
 	// cmovSel: for uopCMOV, true when this is the predicate-true arm
 	// (selects the store data).
-	cmovSel  bool
-	issued   bool
-	done     bool
-	squashed bool
+	cmovSel bool
+	issued  bool
+	done    bool
 }
 
 // maxUops is the most uops one instruction cracks into: a predicated
@@ -89,6 +88,7 @@ type inst struct {
 // are packed at the end.
 type instState struct {
 	e       *trace.Entry // the entry (correct-path ground truth)
+	d       *decoded     // its decode-table row (registers, class)
 	seq     int64        // unique dynamic number (monotone across squashes)
 	pending int          // uops not yet done
 
@@ -105,11 +105,12 @@ type instState struct {
 	addrPhys int // AGI destination (address register)
 
 	// Load state.
-	usedDist int64 // predicted store distance
-	ssnByp   int64 // predicted colliding store SSN (0 = none used)
-	predIdx  int   // trace index of the predicted store (-1 = none)
-	valueAt  int64 // cycle the value became available
-	ssnNvul  int64 // SSN.Commit captured when the cache was read
+	storesBefore int64 // stores before the load, from the trace index at rename
+	usedDist     int64 // predicted store distance
+	ssnByp       int64 // predicted colliding store SSN (0 = none used)
+	predIdx      int   // trace index of the predicted store (-1 = none)
+	valueAt      int64 // cycle the value became available
+	ssnNvul      int64 // SSN.Commit captured when the cache was read
 
 	// Fire-and-Forget state.
 	lsn int64 // load sequence number
@@ -145,7 +146,6 @@ type instState struct {
 	didReexec     bool // the SVW check forced a retire-time re-execution
 	tssbfMatch    bool
 	recoverAfter  bool // exception: flush younger instructions after this retires
-	squashed      bool
 }
 
 func (in *inst) isLoad() bool  { return in.class == isa.ClassLoad }

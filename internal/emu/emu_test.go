@@ -272,7 +272,7 @@ func TestSilentStoreFlag(t *testing.T) {
 	var silents []bool
 	for _, en := range tr.Entries {
 		if en.IsStore() {
-			silents = append(silents, en.Silent)
+			silents = append(silents, en.Silent())
 		}
 	}
 	if len(silents) != 2 || !silents[0] || silents[1] {
@@ -305,8 +305,8 @@ func TestRunCollectsTrace(t *testing.T) {
 	// Branch outcomes: taken, taken, not taken.
 	var outcomes []bool
 	for _, en := range tr.Entries {
-		if en.Instr.Op.IsBranch() {
-			outcomes = append(outcomes, en.Taken)
+		if en.Op.IsBranch() {
+			outcomes = append(outcomes, en.Taken())
 		}
 	}
 	want := []bool{true, true, false}
@@ -379,7 +379,7 @@ func TestBranchTraceTargets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tr.Entries[0].Taken {
+	if !tr.Entries[0].Taken() {
 		t.Fatal("beq $zero,$zero must be taken")
 	}
 	if tr.Entries[0].Target != p.Symbols["skip"] {

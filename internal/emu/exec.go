@@ -15,8 +15,8 @@ import (
 // them through per-thread store buffers).
 //
 // regs is mutated in place ($zero and non-architectural registers are
-// never written). The returned trace entry carries PC/Instr/Addr/Size/
-// Value/Taken/Silent/Target exactly as Emulator.Step records them;
+// never written). The returned trace entry carries PC/Op/Addr/Size/
+// Value/Flags/Target exactly as Emulator.Step records them;
 // ent.Target is the next PC. HALT is left to the caller to detect
 // (in.Op == isa.OpHALT): Exec itself treats it as a no-op.
 //
@@ -45,7 +45,9 @@ func Exec(in isa.Instr, pc uint32, regs *[isa.NumArchRegs]uint32,
 		return pc + 4
 	}
 
-	ent := trace.Entry{PC: pc, Instr: in}
+	ent := trace.Entry{PC: pc, Op: in.Op}
+	taken := false
+
 	next := pc + 4
 
 	rs, rt := rd(in.Rs), rd(in.Rt)
@@ -124,46 +126,50 @@ func Exec(in isa.Instr, pc uint32, regs *[isa.NumArchRegs]uint32,
 		if size < 4 {
 			mask = 1<<(8*size) - 1
 		}
-		old := load(addr, size)
-		ent.Silent = old == rt&mask
+		if load(addr, size) == rt&mask {
+			ent.Flags |= trace.FlagSilent
+		}
 		store(addr, size, rt)
 		ent.Addr, ent.Size, ent.Value = addr, uint8(size), rt
 	case isa.OpBEQ:
-		ent.Taken = rs == rt
-		next = branchTarget(ent.Taken)
+		taken = rs == rt
+		next = branchTarget(taken)
 	case isa.OpBNE:
-		ent.Taken = rs != rt
-		next = branchTarget(ent.Taken)
+		taken = rs != rt
+		next = branchTarget(taken)
 	case isa.OpBLEZ:
-		ent.Taken = int32(rs) <= 0
-		next = branchTarget(ent.Taken)
+		taken = int32(rs) <= 0
+		next = branchTarget(taken)
 	case isa.OpBGTZ:
-		ent.Taken = int32(rs) > 0
-		next = branchTarget(ent.Taken)
+		taken = int32(rs) > 0
+		next = branchTarget(taken)
 	case isa.OpBLTZ:
-		ent.Taken = int32(rs) < 0
-		next = branchTarget(ent.Taken)
+		taken = int32(rs) < 0
+		next = branchTarget(taken)
 	case isa.OpBGEZ:
-		ent.Taken = int32(rs) >= 0
-		next = branchTarget(ent.Taken)
+		taken = int32(rs) >= 0
+		next = branchTarget(taken)
 	case isa.OpJ:
-		ent.Taken = true
+		taken = true
 		next = in.Target << 2
 	case isa.OpJAL:
-		ent.Taken = true
+		taken = true
 		wr(isa.RA, pc+4)
 		next = in.Target << 2
 	case isa.OpJR:
-		ent.Taken = true
+		taken = true
 		next = rs
 	case isa.OpJALR:
-		ent.Taken = true
+		taken = true
 		wr(in.Rd, pc+4)
 		next = rs
 	default:
 		return trace.Entry{}, fmt.Errorf("emu: unimplemented op %s at 0x%08x", in.Op, pc)
 	}
 
+	if taken {
+		ent.Flags |= trace.FlagTaken
+	}
 	ent.Target = next
 	return ent, nil
 }

@@ -74,50 +74,6 @@ func (i Instr) Srcs(dst []Reg) []Reg {
 
 func isIType(o Op) bool { return opFlags[o]&flagIType != 0 }
 
-// srcShape is an opcode's source-register layout: which Instr fields Srcs
-// reads, in Srcs order (0 = Rs, 1 = Rt).
-type srcShape struct {
-	n     uint8
-	field [2]uint8
-}
-
-// srcShapes holds every opcode's source layout. It is derived at init by
-// running Srcs on a probe instruction with distinct field values, so Srcs
-// stays the one definition and SrcRegs can never disagree with it.
-var srcShapes = func() (t [256]srcShape) {
-	var buf [3]Reg
-	for op := range t {
-		probe := Instr{Op: Op(op), Rd: 1, Rs: 2, Rt: 3}
-		for _, r := range probe.Srcs(buf[:0]) {
-			s := &t[op]
-			switch {
-			case r == probe.Rs && s.n < 2:
-				s.field[s.n] = 0
-			case r == probe.Rt && s.n < 2:
-				s.field[s.n] = 1
-			default:
-				panic("isa: Srcs reads an operand SrcRegs cannot express")
-			}
-			s.n++
-		}
-	}
-	return t
-}()
-
-// SrcRegs returns the source registers Srcs would append, in the same
-// order, from the per-opcode shape table: no opcode switch and no slice.
-func (i Instr) SrcRegs() (regs [2]Reg, n int) {
-	s := &srcShapes[i.Op]
-	for k := 0; k < int(s.n); k++ {
-		if s.field[k] == 0 {
-			regs[k] = i.Rs
-		} else {
-			regs[k] = i.Rt
-		}
-	}
-	return regs, int(s.n)
-}
-
 // String disassembles the instruction in conventional MIPS syntax.
 func (i Instr) String() string {
 	switch {

@@ -178,28 +178,6 @@ func TestOpClassification(t *testing.T) {
 	}
 }
 
-// TestSrcRegsMatchesSrcs pins the derived source-shape table to its
-// definition: for every opcode value (including undefined ones) and
-// random operand fields, SrcRegs yields exactly what Srcs appends.
-func TestSrcRegsMatchesSrcs(t *testing.T) {
-	r := rand.New(rand.NewSource(1))
-	for op := 0; op < 256; op++ {
-		for k := 0; k < 20; k++ {
-			in := Instr{Op: Op(op), Rd: Reg(r.Intn(NumLogicalRegs)), Rs: Reg(r.Intn(4)), Rt: Reg(r.Intn(4))}
-			want := in.Srcs(nil)
-			regs, n := in.SrcRegs()
-			if n != len(want) {
-				t.Fatalf("%v: SrcRegs n=%d, Srcs %v", in, n, want)
-			}
-			for i := range want {
-				if regs[i] != want[i] {
-					t.Fatalf("%v: SrcRegs %v, Srcs %v", in, regs[:n], want)
-				}
-			}
-		}
-	}
-}
-
 // TestOpTablesTotal checks the decode tables over every Op value: the
 // control predicates agree with the class, and undefined opcodes decode
 // as plain ALU ops with no control flow.

@@ -128,7 +128,8 @@ func NewOracle(model core.MemModel, lt progen.LitmusTest, p *isa.Program, traces
 				})
 				o.slotOf[t] = append(o.slotOf[t], -1)
 			case e.IsLoad():
-				dest := e.Instr.Dest()
+				instr, _ := tr.Prog.InstrAt(e.PC)
+				dest := instr.Dest()
 				if !obsRegs[t][dest] {
 					continue
 				}
@@ -145,7 +146,7 @@ func NewOracle(model core.MemModel, lt progen.LitmusTest, p *isa.Program, traces
 				}
 				o.regSlot[key] = o.nLoads
 				o.events[t] = append(o.events[t], Event{
-					Addr: e.Addr, Size: uint32(e.Size), Op: e.Instr.Op, Reg: dest,
+					Addr: e.Addr, Size: uint32(e.Size), Op: e.Op, Reg: dest,
 				})
 				o.slotOf[t] = append(o.slotOf[t], o.nLoads)
 				o.nLoads++

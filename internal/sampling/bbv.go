@@ -41,7 +41,7 @@ func (a *BBVAccum) Add(e *trace.Entry) {
 		a.blockPC, a.haveLeader = e.PC, true
 	}
 	a.blockLen++
-	if e.Instr.Op.IsControl() {
+	if e.Op.IsControl() {
 		a.flush()
 	}
 }

@@ -17,10 +17,10 @@ func phaseEntries(n int, basePC uint32, blockCount int) []trace.Entry {
 		for b := 0; b < blockCount && len(out) < n; b++ {
 			pc := basePC + uint32(b)*16
 			out = append(out,
-				trace.Entry{PC: pc, Instr: isa.Instr{Op: isa.OpADD}},
-				trace.Entry{PC: pc + 4, Instr: isa.Instr{Op: isa.OpADDI}},
-				trace.Entry{PC: pc + 8, Instr: isa.Instr{Op: isa.OpXOR}},
-				trace.Entry{PC: pc + 12, Instr: isa.Instr{Op: isa.OpBNE}, Taken: true},
+				trace.Entry{PC: pc, Op: isa.OpADD},
+				trace.Entry{PC: pc + 4, Op: isa.OpADDI},
+				trace.Entry{PC: pc + 8, Op: isa.OpXOR},
+				trace.Entry{PC: pc + 12, Op: isa.OpBNE, Flags: trace.FlagTaken},
 			)
 		}
 	}

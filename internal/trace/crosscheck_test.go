@@ -28,7 +28,7 @@ func TestLoadValuesReconstructible(t *testing.T) {
 			case e.IsStore():
 				img.Write(e.Addr, uint32(e.Size), e.Value)
 			case e.IsLoad():
-				got := trace.ExtendLoad(e.Instr.Op, img.Read(e.Addr, uint32(e.Size)))
+				got := trace.ExtendLoad(e.Op, img.Read(e.Addr, uint32(e.Size)))
 				if got != e.Value {
 					t.Fatalf("%s: load at entry %d (pc 0x%x): replayed 0x%x, trace says 0x%x",
 						bench, i, e.PC, got, e.Value)
@@ -74,7 +74,7 @@ loop:
 		if !e.IsLoad() || e.DepStore == 0 || e.DepOverlap != trace.OverlapFull {
 			continue
 		}
-		sIdx := tr.EntryBySeq(e.DepStore)
+		sIdx := tr.EntryBySeq(int64(e.DepStore))
 		if sIdx < 0 {
 			t.Fatalf("entry %d: colliding store seq %d not found", i, e.DepStore)
 		}

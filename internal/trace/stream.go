@@ -36,8 +36,12 @@ func (e *BuildCanceled) Unwrap() error { return e.Cause }
 
 // CollectCtx is Collect with cancellation: it polls ctx every
 // buildPollInterval instructions and aborts with *BuildCanceled when the
-// context fires. A nil ctx behaves like context.Background().
+// context fires. A nil ctx behaves like context.Background(). Budgets
+// above MaxEntries are refused.
 func CollectCtx(ctx context.Context, s Stepper, max int64, prog *isa.Program, initMem *mem.Image) (*Trace, error) {
+	if max > MaxEntries {
+		return nil, fmt.Errorf("trace: budget %d exceeds the %d-entry trace limit", max, int64(MaxEntries))
+	}
 	t := &Trace{Prog: prog, InitMem: initMem}
 	if max > 0 {
 		t.Entries = make([]Entry, 0, max)
@@ -71,9 +75,9 @@ func CollectCtx(ctx context.Context, s Stepper, max int64, prog *isa.Program, in
 // chunks without materializing the whole trace: fn is invoked once per
 // chunk with the index of the chunk's first instruction and the raw
 // entries. The final chunk may be shorter than chunkLen. The entries are
-// raw (Analyze has not run, so StoresBefore/LoadsBefore/DepStore are
-// zero) and the slice is a reused buffer — fn must not retain it past
-// the call. A non-nil error from fn aborts the stream.
+// raw (Analyze has not run, so DepStore and DepOverlap are zero and
+// there is no sequence-number index) and the slice is a reused buffer —
+// fn must not retain it past the call. A non-nil error from fn aborts the stream.
 //
 // Returns the total number of instructions executed and whether the
 // program reached HALT before the budget. Cancellation follows the same

@@ -17,7 +17,7 @@ type countStepper struct {
 }
 
 func (s *countStepper) Step() (Entry, error) {
-	e := Entry{PC: uint32(4 * s.n), Instr: isa.Instr{Op: isa.OpADDI}}
+	e := Entry{PC: uint32(4 * s.n), Op: isa.OpADDI}
 	s.n++
 	return e, nil
 }

@@ -8,11 +8,11 @@ import (
 )
 
 func ld(op isa.Op, addr uint32) Entry {
-	return Entry{Instr: isa.Instr{Op: op}, Addr: addr, Size: uint8(op.MemBytes())}
+	return Entry{Op: op, Addr: addr, Size: uint8(op.MemBytes())}
 }
 
 func st(op isa.Op, addr, val uint32) Entry {
-	return Entry{Instr: isa.Instr{Op: op}, Addr: addr, Size: uint8(op.MemBytes()), Value: val}
+	return Entry{Op: op, Addr: addr, Size: uint8(op.MemBytes()), Value: val}
 }
 
 func TestBAB(t *testing.T) {
@@ -44,14 +44,14 @@ func TestAnalyzeBasicDependence(t *testing.T) {
 	}}
 	tr.Analyze()
 	e := tr.Entries
-	if e[0].StoreSeq() != 1 || e[1].StoreSeq() != 2 || e[3].StoreSeq() != 3 {
+	if tr.StoreSeq(0) != 1 || tr.StoreSeq(1) != 2 || tr.StoreSeq(3) != 3 {
 		t.Fatal("store seqs wrong")
 	}
-	if e[2].DepStore != 1 || e[2].DepDist() != 1 || e[2].DepOverlap != OverlapFull {
-		t.Fatalf("load1 dep = %d dist %d %v", e[2].DepStore, e[2].DepDist(), e[2].DepOverlap)
+	if e[2].DepStore != 1 || tr.DepDist(2) != 1 || e[2].DepOverlap != OverlapFull {
+		t.Fatalf("load1 dep = %d dist %d %v", e[2].DepStore, tr.DepDist(2), e[2].DepOverlap)
 	}
-	if e[4].DepStore != 3 || e[4].DepDist() != 0 {
-		t.Fatalf("load2 dep = %d dist %d", e[4].DepStore, e[4].DepDist())
+	if e[4].DepStore != 3 || tr.DepDist(4) != 0 {
+		t.Fatalf("load2 dep = %d dist %d", e[4].DepStore, tr.DepDist(4))
 	}
 	if e[5].DepStore != 0 || e[5].DepOverlap != OverlapNone {
 		t.Fatalf("load3 dep = %d %v", e[5].DepStore, e[5].DepOverlap)
@@ -89,11 +89,15 @@ func TestAnalyzeIdempotent(t *testing.T) {
 	}}
 	tr.Analyze()
 	first := append([]Entry(nil), tr.Entries...)
+	firstSeq := append([]SeqBlock(nil), tr.Seq...)
 	tr.Analyze()
 	for i := range first {
 		if first[i] != tr.Entries[i] {
 			t.Fatalf("entry %d changed on re-analyze", i)
 		}
+	}
+	if len(firstSeq) != len(tr.Seq) || firstSeq[0] != tr.Seq[0] {
+		t.Fatalf("index changed on re-analyze: %v -> %v", firstSeq, tr.Seq)
 	}
 }
 
@@ -191,10 +195,11 @@ func TestAnalyzeDepBounds(t *testing.T) {
 		for i := range tr.Entries {
 			e := &tr.Entries[i]
 			if e.IsLoad() {
-				if e.DepStore < 0 || e.DepStore > e.StoresBefore {
+				before := tr.StoresBefore(i)
+				if int64(e.DepStore) > before {
 					return false
 				}
-				if e.DepStore > 0 && e.DepDist() != e.StoresBefore-e.DepStore {
+				if e.DepStore > 0 && tr.DepDist(i) != before-int64(e.DepStore) {
 					return false
 				}
 			}

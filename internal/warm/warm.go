@@ -162,10 +162,10 @@ func New(cfg Config) *State {
 // DESIGN.md §13.
 func (s *State) Update(e *trace.Entry) {
 	s.Entries++
-	op := e.Instr.Op
+	op := e.Op
 	switch {
 	case op.IsControl():
-		s.BP.PredictAndTrain(e.PC, op, e.Taken, e.Target)
+		s.BP.PredictAndTrain(e.PC, op, e.Taken(), e.Target)
 	case op.IsLoad():
 		s.translate(e.Addr)
 		s.access(e.Addr, false)

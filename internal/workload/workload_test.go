@@ -84,7 +84,7 @@ func TestOCProxiesHaveCollidingLoads(t *testing.T) {
 		var nearDeps int64
 		for i := range tr.Entries {
 			e := &tr.Entries[i]
-			if e.IsLoad() && e.DepStore > 0 && e.DepDist() <= 4 {
+			if e.IsLoad() && e.DepStore > 0 && tr.DepDist(i) <= 4 {
 				nearDeps++
 			}
 		}
@@ -106,7 +106,7 @@ func TestStreamProxiesMostlyIndependent(t *testing.T) {
 			e := &tr.Entries[i]
 			if e.IsLoad() {
 				loads++
-				if e.DepStore > 0 && e.DepDist() <= 8 {
+				if e.DepStore > 0 && tr.DepDist(i) <= 8 {
 					near++
 				}
 			}
@@ -133,11 +133,22 @@ func TestSilentStoresPresentInHmmer(t *testing.T) {
 	}
 	var silent int64
 	for i := range tr.Entries {
-		if tr.Entries[i].IsStore() && tr.Entries[i].Silent {
+		if tr.Entries[i].IsStore() && tr.Entries[i].Silent() {
 			silent++
 		}
 	}
 	if silent < 100 {
 		t.Errorf("hmmer proxy has only %d silent stores", silent)
+	}
+}
+
+// BenchmarkProgramMCF times assembling mcf's proxy, the largest part of
+// a trace build's setup before emulation.
+func BenchmarkProgramMCF(b *testing.B) {
+	s, _ := Get("mcf")
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Program(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
