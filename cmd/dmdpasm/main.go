@@ -16,6 +16,7 @@ import (
 	"dmdp/internal/asm"
 	"dmdp/internal/emu"
 	"dmdp/internal/isa"
+	"dmdp/internal/trace"
 )
 
 func main() {
@@ -69,18 +70,13 @@ func main() {
 		return
 	}
 
-	tr, err := emu.Run(p, *max)
+	e := emu.New(p)
+	tr, err := trace.Collect(e, *max, p, e.Mem.Clone())
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Printf("executed %d instructions (halt=%v), %d loads, %d stores\n",
 		len(tr.Entries), tr.HitHalt, tr.Loads, tr.Stores)
-	e := emu.New(p)
-	for i := int64(0); i < *max && !e.Halted(); i++ {
-		if _, err := e.Step(); err != nil {
-			fatal(err)
-		}
-	}
 	fmt.Println("final registers:")
 	for r := isa.Reg(0); r < isa.NumArchRegs; r++ {
 		if e.Regs[r] != 0 {

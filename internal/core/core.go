@@ -651,7 +651,7 @@ func (c *Core) writeback(p int) {
 		return
 	}
 	c.stats.RegWrites++
-	for _, w := range c.rf.setReady(p, c.now) {
+	for _, w := range c.rf.setReady(p) {
 		w.waitCnt--
 		c.stats.IQWakeups++
 		if w.waitCnt == 0 {

@@ -96,7 +96,9 @@ type mcSem struct {
 	hist  map[uint32]*wordHist // word addr -> version history
 	sbs   [][]semStore         // per-core semantic store buffers (TSO)
 
-	// divergence records a desync detected inside a memory callback
+	// mem is the memory Exec sees while an instruction retires.
+	mem semMem
+	// divergence records a desync detected inside a memory access
 	// (which cannot return an error); retire surfaces it as a veto.
 	divergence string
 	// err records a desync detected at drain time (outside any
@@ -137,10 +139,9 @@ func (s *mcSem) retire(i int, rec CommitRecord) error {
 		return fmt.Errorf("semantic: core %d PC desync: retired 0x%08x, semantic 0x%08x (interleaving-dependent control flow?)", i, rec.PC, s.pc[i])
 	}
 	s.divergence = ""
-	ent, err := emu.Exec(rec.Instr, rec.PC, &s.regs[i],
-		func(addr, size uint32) uint32 { return s.loadValue(i, &rec, addr, size) },
-		func(addr, size, val uint32) { s.storeEffect(i, &rec, addr, size, val) })
-	if err != nil {
+	s.mem = semMem{s: s, i: i, rec: rec}
+	var ent trace.Entry
+	if err := emu.Exec(rec.Instr, rec.PC, &s.regs[i], &s.mem, &ent); err != nil {
 		return fmt.Errorf("semantic: core %d: %v", i, err)
 	}
 	if s.divergence != "" {
@@ -152,6 +153,17 @@ func (s *mcSem) retire(i int, rec CommitRecord) error {
 	}
 	return nil
 }
+
+// semMem is the memory Exec reads and writes while core i retires rec:
+// loads resolve through loadValue, stores through storeEffect.
+type semMem struct {
+	s   *mcSem
+	i   int
+	rec CommitRecord
+}
+
+func (m *semMem) Read(addr, size uint32) uint32 { return m.s.loadValue(m.i, &m.rec, addr, size) }
+func (m *semMem) Write(addr, size, val uint32)  { m.s.storeEffect(m.i, &m.rec, addr, size, val) }
 
 // loadValue resolves a memory read for core i per the load value rule.
 // It also serves the silent-store probe emu.Exec issues before a store

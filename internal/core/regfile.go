@@ -15,9 +15,8 @@ import (
 // consumer counter. A register frees only when both counters are zero.
 type physReg struct {
 	ready     bool
-	readyAt   int64 // cycle the value became available
-	producers int   // live definitions
-	consumers int   // outstanding late readers (stores pending commit, predication uops)
+	producers int // live definitions
+	consumers int // outstanding late readers (stores pending commit, predication uops)
 	free      bool
 }
 
@@ -112,15 +111,13 @@ func (rf *regFile) maybeFree(p int) {
 	}
 }
 
-// setReady marks p's value available at cycle and returns the woken
-// uops. The returned slice keeps its backing array registered as p's
-// (now empty) waiter list — safe to iterate because await never appends
-// to a ready register, and p cannot be re-allocated mid-writeback (only
-// rename allocates).
-func (rf *regFile) setReady(p int, cycle int64) []*uop {
-	r := &rf.regs[p]
-	r.ready = true
-	r.readyAt = cycle
+// setReady marks p's value available and returns the woken uops. The
+// returned slice keeps its backing array registered as p's (now empty)
+// waiter list — safe to iterate because await never appends to a ready
+// register, and p cannot be re-allocated mid-writeback (only rename
+// allocates).
+func (rf *regFile) setReady(p int) []*uop {
+	rf.regs[p].ready = true
 	w := rf.waiters[p]
 	rf.waiters[p] = w[:0]
 	return w

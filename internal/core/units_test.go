@@ -100,7 +100,7 @@ func TestRegFileWakeup(t *testing.T) {
 	if !rf.await(p, u) {
 		t.Fatal("fresh register must not be ready")
 	}
-	woken := rf.setReady(p, 10)
+	woken := rf.setReady(p)
 	if len(woken) != 1 || woken[0] != u {
 		t.Fatal("waiter not woken")
 	}

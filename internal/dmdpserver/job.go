@@ -20,7 +20,6 @@ import (
 	"dmdp/internal/emu"
 	"dmdp/internal/experiments"
 	"dmdp/internal/faults"
-	"dmdp/internal/isa"
 	"dmdp/internal/sampling"
 	"dmdp/internal/sched"
 	"dmdp/internal/trace"
@@ -267,24 +266,19 @@ func (s *Server) run(ctx context.Context, p *jobPlan) (any, error) {
 // memory, so budgets far beyond the daemon's full-run practicality
 // remain serviceable.
 func (s *Server) runSampled(ctx context.Context, p *jobPlan) (*sampling.Combined, error) {
-	var prog *isa.Program
-	var srcHash [sha256.Size]byte
-	var err error
+	src := p.source
 	if p.bench != "" {
 		spec, _ := workload.Get(p.bench) // validated by parseJob
-		srcHash = spec.SourceHash()
-		prog, err = spec.Program()
-	} else {
-		srcHash = sha256.Sum256([]byte(p.source))
-		prog, err = asm.Assemble(p.source)
+		src = spec.Source()
 	}
+	prog, err := asm.Assemble(src)
 	if err != nil {
 		return nil, err
 	}
 	out, err := sampling.Execute(ctx, p.cfg, sampling.Request{
 		Spec: p.sample, Budget: p.budget, Jobs: 1,
 		Checkpoint: p.checkpoint, Store: s.cfg.Cache,
-		TraceKey: artifact.TraceKey(srcHash, p.budget),
+		TraceKey: artifact.TraceKey(sha256.Sum256([]byte(src)), p.budget),
 		Prog:     prog, Warm: p.warm,
 	})
 	if err != nil {

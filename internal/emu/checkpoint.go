@@ -79,13 +79,15 @@ func Resume(p *isa.Program, init *mem.Image, ck *Checkpoint) (*Emulator, error) 
 }
 
 // StepN executes n instructions discarding their trace entries — the
-// fast-forward used to roll from a checkpoint to an interval start.
+// fast-forward used to roll from a checkpoint to an interval start. Every
+// step writes into one scratch entry.
 func (e *Emulator) StepN(n int64) error {
+	var scratch trace.Entry
 	for i := int64(0); i < n; i++ {
 		if e.halted {
 			return fmt.Errorf("emu: halted after %d of %d fast-forward steps", i, n)
 		}
-		if _, err := e.Step(); err != nil {
+		if err := e.StepInto(&scratch); err != nil {
 			return err
 		}
 	}

@@ -53,9 +53,7 @@ func TestSnapshotResumeBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		if ent.IsStore() {
-			for b := uint32(0); b < uint32(ent.Size); b++ {
-				dirty[(ent.Addr+b)&^uint32(mem.PageSize-1)] = true
-			}
+			dirty[ent.Addr&^uint32(mem.PageSize-1)] = true
 		}
 	}
 	bases := make([]uint32, 0, len(dirty))

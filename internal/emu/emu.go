@@ -42,42 +42,33 @@ func (e *Emulator) Halted() bool { return e.halted }
 // InstrCount returns the number of retired instructions.
 func (e *Emulator) InstrCount() int64 { return e.count }
 
-func (e *Emulator) reg(r isa.Reg) uint32 {
-	if r == isa.Zero || !r.Architectural() {
-		return 0
-	}
-	return e.Regs[r]
-}
-
-func (e *Emulator) setReg(r isa.Reg, v uint32) {
-	if r != isa.Zero && r.Architectural() {
-		e.Regs[r] = v
-	}
-}
-
-// Step executes one instruction and returns its trace entry. The
-// instruction semantics live in Exec; Step binds them to the emulator's
-// private memory image and register file.
-func (e *Emulator) Step() (trace.Entry, error) {
+// StepInto executes one instruction and writes its trace entry to *ent,
+// the slot where the caller keeps it. The instruction semantics live in
+// Exec; StepInto binds them to the emulator's private memory image and
+// register file. On error the emulator's state and *ent are unchanged.
+func (e *Emulator) StepInto(ent *trace.Entry) error {
 	if e.halted {
-		return trace.Entry{}, fmt.Errorf("emu: step after halt")
+		return fmt.Errorf("emu: step after halt")
 	}
 	in, ok := e.Prog.InstrAt(e.PC)
 	if !ok {
-		return trace.Entry{}, fmt.Errorf("emu: PC 0x%08x outside text", e.PC)
+		return fmt.Errorf("emu: PC 0x%08x outside text", e.PC)
 	}
-	ent, err := Exec(in, e.PC, &e.Regs,
-		func(addr, size uint32) uint32 { return e.Mem.Read(addr, size) },
-		func(addr, size, val uint32) { e.Mem.Write(addr, size, val) })
-	if err != nil {
-		return trace.Entry{}, err
+	if err := Exec(in, e.PC, &e.Regs, e.Mem, ent); err != nil {
+		return err
 	}
 	if in.Op == isa.OpHALT {
 		e.halted = true
 	}
 	e.PC = ent.Target
 	e.count++
-	return ent, nil
+	return nil
+}
+
+// Step is StepInto returning the entry by value.
+func (e *Emulator) Step() (ent trace.Entry, err error) {
+	err = e.StepInto(&ent)
+	return ent, err
 }
 
 func b2u(b bool) uint32 {

@@ -7,26 +7,31 @@ import (
 	"dmdp/internal/trace"
 )
 
+// Memory is the data memory Exec reads and writes: Read returns size (1,
+// 2 or 4) bytes at addr zero-extended, Write stores the low size bytes of
+// val. *mem.Image is one.
+type Memory interface {
+	Read(addr, size uint32) uint32
+	Write(addr, size, val uint32)
+}
+
 // Exec executes one instruction against an explicit architectural state:
-// a register file plus load/store callbacks. It is the single source of
-// ISA semantics, shared by the sequential Emulator, the multicore
-// semantic coupling layer (which resolves load values from the global
-// memory order), and the litmus I2E reference executor (which threads
-// them through per-thread store buffers).
+// a register file plus a data memory. It is the single source of ISA
+// semantics, shared by the sequential Emulator (whose memory is its
+// private image) and the multicore semantic coupling layer (whose memory
+// resolves load values from the global memory order).
 //
 // regs is mutated in place ($zero and non-architectural registers are
-// never written). The returned trace entry carries PC/Op/Addr/Size/
-// Value/Flags/Target exactly as Emulator.Step records them;
-// ent.Target is the next PC. HALT is left to the caller to detect
-// (in.Op == isa.OpHALT): Exec itself treats it as a no-op.
+// never written), and the instruction's trace entry is written to *ent:
+// PC/Op/Addr/Size/Value/Flags/Target, with ent.Target the next PC.
+// DepStore and DepOverlap are zeroed; Analyze fills them. HALT is left to
+// the caller to detect (in.Op == isa.OpHALT): Exec itself treats it as a
+// no-op. On error neither regs, memory nor *ent is touched.
 //
-// For stores, load is invoked first on the same address to compute the
-// Silent flag (store of an identical value); callers whose load callback
-// has side effects must tolerate that probe.
-func Exec(in isa.Instr, pc uint32, regs *[isa.NumArchRegs]uint32,
-	load func(addr, size uint32) uint32,
-	store func(addr, size, val uint32)) (trace.Entry, error) {
-
+// For stores, m.Read is invoked first on the same address to compute the
+// Silent flag (store of an identical value); a memory whose Read has side
+// effects must tolerate that probe.
+func Exec(in isa.Instr, pc uint32, regs *[isa.NumArchRegs]uint32, m Memory, ent *trace.Entry) error {
 	rd := func(r isa.Reg) uint32 {
 		if r == isa.Zero || !r.Architectural() {
 			return 0
@@ -45,9 +50,9 @@ func Exec(in isa.Instr, pc uint32, regs *[isa.NumArchRegs]uint32,
 		return pc + 4
 	}
 
-	ent := trace.Entry{PC: pc, Op: in.Op}
+	var addr, value uint32
+	var size, flags uint8
 	taken := false
-
 	next := pc + 4
 
 	rs, rt := rd(in.Rs), rd(in.Rt)
@@ -107,30 +112,29 @@ func Exec(in isa.Instr, pc uint32, regs *[isa.NumArchRegs]uint32,
 	case isa.OpLUI:
 		wr(in.Rt, uint32(in.Imm)<<16)
 	case isa.OpLB, isa.OpLBU, isa.OpLH, isa.OpLHU, isa.OpLW:
-		addr := rs + uint32(in.Imm)
-		size := in.Op.MemBytes()
-		if addr%size != 0 {
-			return trace.Entry{}, fmt.Errorf("emu: unaligned %s at 0x%08x (pc 0x%08x)", in.Op, addr, pc)
+		n := in.Op.MemBytes()
+		addr = rs + uint32(in.Imm)
+		if addr%n != 0 {
+			return unaligned(in.Op, addr, pc)
 		}
-		raw := load(addr, size)
-		v := trace.ExtendLoad(in.Op, raw)
-		wr(in.Rt, v)
-		ent.Addr, ent.Size, ent.Value = addr, uint8(size), v
+		value = trace.ExtendLoad(in.Op, m.Read(addr, n))
+		wr(in.Rt, value)
+		size = uint8(n)
 	case isa.OpSB, isa.OpSH, isa.OpSW:
-		addr := rs + uint32(in.Imm)
-		size := in.Op.MemBytes()
-		if addr%size != 0 {
-			return trace.Entry{}, fmt.Errorf("emu: unaligned %s at 0x%08x (pc 0x%08x)", in.Op, addr, pc)
+		n := in.Op.MemBytes()
+		addr = rs + uint32(in.Imm)
+		if addr%n != 0 {
+			return unaligned(in.Op, addr, pc)
 		}
 		mask := uint32(0xffffffff)
-		if size < 4 {
-			mask = 1<<(8*size) - 1
+		if n < 4 {
+			mask = 1<<(8*n) - 1
 		}
-		if load(addr, size) == rt&mask {
-			ent.Flags |= trace.FlagSilent
+		if m.Read(addr, n) == rt&mask {
+			flags |= trace.FlagSilent
 		}
-		store(addr, size, rt)
-		ent.Addr, ent.Size, ent.Value = addr, uint8(size), rt
+		m.Write(addr, n, rt)
+		value, size = rt, uint8(n)
 	case isa.OpBEQ:
 		taken = rs == rt
 		next = branchTarget(taken)
@@ -164,12 +168,16 @@ func Exec(in isa.Instr, pc uint32, regs *[isa.NumArchRegs]uint32,
 		wr(in.Rd, pc+4)
 		next = rs
 	default:
-		return trace.Entry{}, fmt.Errorf("emu: unimplemented op %s at 0x%08x", in.Op, pc)
+		return fmt.Errorf("emu: unimplemented op %s at 0x%08x", in.Op, pc)
 	}
 
 	if taken {
-		ent.Flags |= trace.FlagTaken
+		flags |= trace.FlagTaken
 	}
-	ent.Target = next
-	return ent, nil
+	*ent = trace.Entry{PC: pc, Addr: addr, Value: value, Target: next, Op: in.Op, Size: size, Flags: flags}
+	return nil
+}
+
+func unaligned(op isa.Op, addr, pc uint32) error {
+	return fmt.Errorf("emu: unaligned %s at 0x%08x (pc 0x%08x)", op, addr, pc)
 }

@@ -10,6 +10,7 @@ package experiments
 
 import (
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -131,6 +132,11 @@ type keyCall struct {
 	once sync.Once
 	key  artifact.Key
 	ok   bool
+	// src is the source text the key was hashed from, held under
+	// Runner.mu until the proxy's trace build takes it (takeSource), so
+	// a cold build generates the text once. A result hit, which builds
+	// nothing, drops it.
+	src string
 }
 
 // Runner caches traces and run results across experiments.
@@ -187,11 +193,29 @@ func (r *Runner) traceKey(name string) (artifact.Key, bool) {
 	r.mu.Unlock()
 	c.once.Do(func() {
 		if s, ok := workload.Get(name); ok {
-			c.key = artifact.TraceKey(s.SourceHash(), r.opt.Budget)
+			src := s.Source()
+			c.key = artifact.TraceKey(sha256.Sum256([]byte(src)), r.opt.Budget)
 			c.ok = true
+			r.mu.Lock()
+			c.src = src
+			r.mu.Unlock()
 		}
 	})
 	return c.key, c.ok
+}
+
+// takeSource returns the source text traceKey hashed for name and stops
+// holding it ("" once taken or dropped).
+func (r *Runner) takeSource(name string) string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	c := r.keys[name]
+	if c == nil {
+		return ""
+	}
+	src := c.src
+	c.src = ""
+	return src
 }
 
 // Benchmarks returns the active suite.
@@ -239,11 +263,15 @@ func (r *Runner) Trace(name string) (*trace.Trace, error) {
 
 	if s, ok := workload.Get(name); ok {
 		key, _ := r.traceKey(name)
+		src := r.takeSource(name)
 		c.tr, c.err = r.opt.Cache.Trace(key, func() (*trace.Trace, error) {
+			if src == "" { // dropped by an earlier result hit
+				src = s.Source()
+			}
 			// Builds poll the runner's base context: a daemon drain or
 			// deadline aborts a multi-minute 100M-entry emulation mid-way
 			// instead of running it to completion first.
-			return s.BuildTraceCtx(r.ctx(), r.opt.Budget)
+			return s.BuildTraceFrom(r.ctx(), src, r.opt.Budget)
 		})
 	} else {
 		c.err = fmt.Errorf("experiments: unknown benchmark %q", name)
@@ -387,6 +415,7 @@ func (r *Runner) execute(ctx context.Context, s RunSpec) (res result, err error,
 			})
 			return st, err
 		})
+		r.takeSource(s.Bench) // a hit built no trace: drop the held text
 	}
 	if err != nil {
 		r.recordFailure(Failure{Bench: s.Bench, Label: s.Label, Err: err,

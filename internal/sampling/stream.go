@@ -104,12 +104,10 @@ func BuildStream(ctx context.Context, prog *isa.Program, budget int64, chunkLen 
 				s.WarmNanos += time.Since(t0).Nanoseconds()
 				s.WarmEntries += int64(len(chunk))
 			}
+			// Exec refuses unaligned accesses, so no store crosses a page.
 			for i := range chunk {
-				ent := &chunk[i]
-				if ent.IsStore() {
-					for b := uint32(0); b < uint32(ent.Size); b++ {
-						dirty[(ent.Addr+b)&^uint32(mem.PageSize-1)] = true
-					}
+				if ent := &chunk[i]; ent.IsStore() {
+					dirty[ent.Addr&^uint32(mem.PageSize-1)] = true
 				}
 			}
 			if len(chunk) == chunkLen {

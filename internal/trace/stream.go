@@ -42,31 +42,30 @@ func CollectCtx(ctx context.Context, s Stepper, max int64, prog *isa.Program, in
 	if max > MaxEntries {
 		return nil, fmt.Errorf("trace: budget %d exceeds the %d-entry trace limit", max, int64(MaxEntries))
 	}
-	t := &Trace{Prog: prog, InitMem: initMem}
+	var entries []Entry
 	if max > 0 {
-		t.Entries = make([]Entry, 0, max)
+		entries = make([]Entry, max)
 	}
 	var done <-chan struct{}
 	if ctx != nil {
 		done = ctx.Done()
 	}
-	poll := 0
-	for int64(len(t.Entries)) < max && !s.Halted() {
+	n, poll := 0, 0
+	for n < len(entries) && !s.Halted() {
 		if poll++; poll >= buildPollInterval && done != nil {
 			poll = 0
 			select {
 			case <-done:
-				return nil, &BuildCanceled{Entries: int64(len(t.Entries)), Cause: ctx.Err()}
+				return nil, &BuildCanceled{Entries: int64(n), Cause: ctx.Err()}
 			default:
 			}
 		}
-		e, err := s.Step()
-		if err != nil {
-			return nil, fmt.Errorf("trace: at entry %d: %w", len(t.Entries), err)
+		if err := s.StepInto(&entries[n]); err != nil {
+			return nil, fmt.Errorf("trace: at entry %d: %w", n, err)
 		}
-		t.Entries = append(t.Entries, e)
+		n++
 	}
-	t.HitHalt = s.Halted()
+	t := &Trace{Prog: prog, Entries: entries[:n], InitMem: initMem, HitHalt: s.Halted()}
 	t.Analyze()
 	return t, nil
 }
@@ -90,8 +89,8 @@ func ForEachChunk(ctx context.Context, s Stepper, max int64, chunkLen int, fn fu
 	if ctx != nil {
 		done = ctx.Done()
 	}
-	buf := make([]Entry, 0, chunkLen)
-	poll := 0
+	buf := make([]Entry, chunkLen)
+	n, poll := 0, 0
 	for total < max && !s.Halted() {
 		if poll++; poll >= buildPollInterval && done != nil {
 			poll = 0
@@ -101,21 +100,20 @@ func ForEachChunk(ctx context.Context, s Stepper, max int64, chunkLen int, fn fu
 			default:
 			}
 		}
-		e, err := s.Step()
-		if err != nil {
+		if err := s.StepInto(&buf[n]); err != nil {
 			return total, false, fmt.Errorf("trace: at entry %d: %w", total, err)
 		}
-		buf = append(buf, e)
+		n++
 		total++
-		if len(buf) == chunkLen {
+		if n == chunkLen {
 			if err := fn(total-int64(chunkLen), buf); err != nil {
 				return total, false, err
 			}
-			buf = buf[:0]
+			n = 0
 		}
 	}
-	if len(buf) > 0 {
-		if err := fn(total-int64(len(buf)), buf); err != nil {
+	if n > 0 {
+		if err := fn(total-int64(n), buf[:n]); err != nil {
 			return total, false, err
 		}
 	}

@@ -16,10 +16,10 @@ type countStepper struct {
 	haltAt int64
 }
 
-func (s *countStepper) Step() (Entry, error) {
-	e := Entry{PC: uint32(4 * s.n), Op: isa.OpADDI}
+func (s *countStepper) StepInto(e *Entry) error {
+	*e = Entry{PC: uint32(4 * s.n), Op: isa.OpADDI}
 	s.n++
-	return e, nil
+	return nil
 }
 
 func (s *countStepper) Halted() bool { return s.haltAt >= 0 && s.n >= s.haltAt }

@@ -226,9 +226,13 @@ func (t *Trace) DepDist(i int) int64 {
 }
 
 // Stepper produces trace entries one instruction at a time (implemented by
-// the functional emulator).
+// the functional emulator). StepInto executes one instruction and writes
+// its entry to *e, the slot where the caller keeps it: CollectCtx and
+// ForEachChunk hand it the next trace or chunk slot, so each entry is
+// written once and never copied. A failed step leaves the stepper's state
+// and *e unchanged, and the builders do not count that slot.
 type Stepper interface {
-	Step() (Entry, error)
+	StepInto(e *Entry) error
 	Halted() bool
 }
 

@@ -11,6 +11,7 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"strings"
 )
 
@@ -21,7 +22,7 @@ import (
 type builder struct {
 	init    strings.Builder
 	text    strings.Builder
-	data    strings.Builder
+	data    []byte
 	rng     *rand.Rand
 	blockID int
 	sRegs   int
@@ -42,7 +43,17 @@ func (b *builder) t(format string, args ...any) {
 }
 
 func (b *builder) d(format string, args ...any) {
-	fmt.Fprintf(&b.data, format+"\n", args...)
+	b.data = fmt.Appendf(b.data, format+"\n", args...)
+}
+
+// dWord appends a data word holding the address p+name+off. It uses
+// strconv, not fmt: the pointer-table kernels write one such line per
+// table entry, hundreds of thousands for mcf, and formatting them held
+// most of Source's time.
+func (b *builder) dWord(p, name string, off int) {
+	b.data = append(append(append(b.data, "\t.word "...), p...), name...)
+	b.data = strconv.AppendInt(append(b.data, '+'), int64(off), 10)
+	b.data = append(b.data, '\n')
 }
 
 func (b *builder) i(format string, args ...any) {
@@ -116,7 +127,7 @@ func (b *builder) ocPointer(slots, tableLen int, adjDup, gapDup float64, iters, 
 		}
 		hist = append(hist, s)
 		prev = s
-		b.d("\t.word %sslots+%d", p, s*elem)
+		b.dWord(p, "slots", s*elem)
 	}
 	b.d("%sptrs_end:", p)
 
@@ -208,7 +219,7 @@ func (b *builder) linked(nodes, iters int) {
 	}
 	b.d("%snodes:", p)
 	for i := 0; i < nodes; i++ {
-		b.d("\t.word %snodes+%d", p, next[i]*4)
+		b.dWord(p, "nodes", next[i]*4)
 	}
 	cur := b.sreg()
 	b.i("\tla %s, %snodes", cur, p)
@@ -232,7 +243,7 @@ func (b *builder) linkedRMW(nodes, iters int) {
 	}
 	b.d("%snodes:", p)
 	for i := 0; i < nodes; i++ {
-		b.d("\t.word %snodes+%d", p, next[i]*4)
+		b.dWord(p, "nodes", next[i]*4)
 	}
 	b.d("%sacc:", p)
 	b.d("\t.word 0")

@@ -63,23 +63,22 @@ func (s *Spec) Source() string {
 	b := newBuilder(s.Seed)
 	s.emit(b) // fills text/data/init
 
-	var hdr strings.Builder
-	fmt.Fprintf(&hdr, "# %s proxy (%s suite)\n", s.Name, s.Class)
-	fmt.Fprintf(&hdr, "# signature: %s\n", s.Signature)
-	hdr.WriteString("\t.text\n")
-	hdr.WriteString("main:\n")
-	fmt.Fprintf(&hdr, "\tli $s6, %d\n", 12345+s.Seed) // LCG state
-	hdr.WriteString(b.init.String())                  // cursor registers
-	hdr.WriteString("\tli $s7, 100000000\n")          // outer iterations (budget-bounded)
-	hdr.WriteString("outer:\n")
 	var src strings.Builder
-	src.WriteString(hdr.String())
+	src.Grow(256 + b.init.Len() + b.text.Len() + len(b.data))
+	fmt.Fprintf(&src, "# %s proxy (%s suite)\n", s.Name, s.Class)
+	fmt.Fprintf(&src, "# signature: %s\n", s.Signature)
+	src.WriteString("\t.text\n")
+	src.WriteString("main:\n")
+	fmt.Fprintf(&src, "\tli $s6, %d\n", 12345+s.Seed) // LCG state
+	src.WriteString(b.init.String())                  // cursor registers
+	src.WriteString("\tli $s7, 100000000\n")          // outer iterations (budget-bounded)
+	src.WriteString("outer:\n")
 	src.WriteString(b.text.String())
 	src.WriteString("\taddi $s7, $s7, -1\n")
 	src.WriteString("\tbnez $s7, outer\n")
 	src.WriteString("\thalt\n")
 	src.WriteString("\t.data\n")
-	src.WriteString(b.data.String())
+	src.Write(b.data)
 	return src.String()
 }
 
@@ -92,8 +91,11 @@ func (s *Spec) SourceHash() [sha256.Size]byte {
 }
 
 // Program assembles the proxy.
-func (s *Spec) Program() (*isa.Program, error) {
-	p, err := asm.Assemble(s.Source())
+func (s *Spec) Program() (*isa.Program, error) { return s.assemble(s.Source()) }
+
+// assemble assembles src, the text Source returned.
+func (s *Spec) assemble(src string) (*isa.Program, error) {
+	p, err := asm.Assemble(src)
 	if err != nil {
 		return nil, fmt.Errorf("workload %s: %w", s.Name, err)
 	}
@@ -103,15 +105,17 @@ func (s *Spec) Program() (*isa.Program, error) {
 // BuildTrace assembles, emulates and analyzes the proxy for at most
 // maxInstr instructions.
 func (s *Spec) BuildTrace(maxInstr int64) (*trace.Trace, error) {
-	return s.BuildTraceCtx(nil, maxInstr)
+	return s.BuildTraceFrom(nil, s.Source(), maxInstr)
 }
 
-// BuildTraceCtx is BuildTrace with cancellation: the emulation polls ctx
-// periodically and aborts with a *trace.BuildCanceled error (which
-// unwraps to the context error) when a deadline or cancel fires
-// mid-build. A nil ctx never cancels.
-func (s *Spec) BuildTraceCtx(ctx context.Context, maxInstr int64) (*trace.Trace, error) {
-	p, err := s.Program()
+// BuildTraceFrom is BuildTrace over src, the text Source returned, with
+// cancellation: a caller that generated the source to hash it for a
+// cache key builds from that same text instead of generating it again.
+// The emulation polls ctx periodically and aborts with a
+// *trace.BuildCanceled error (which unwraps to the context error) when a
+// deadline or cancel fires mid-build. A nil ctx never cancels.
+func (s *Spec) BuildTraceFrom(ctx context.Context, src string, maxInstr int64) (*trace.Trace, error) {
+	p, err := s.assemble(src)
 	if err != nil {
 		return nil, err
 	}

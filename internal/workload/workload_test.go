@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"encoding/hex"
 	"strings"
 	"testing"
 )
@@ -57,6 +58,45 @@ func TestSourcesAreDeterministic(t *testing.T) {
 		a, b := s.Source(), s.Source()
 		if a != b {
 			t.Fatalf("%s: nondeterministic source generation", s.Name)
+		}
+	}
+}
+
+// TestSourceHashPinned pins every proxy's SourceHash, the workload half
+// of persistent trace and result keys: a change to how the source text is
+// generated must leave every byte of it, and so every stored artifact's
+// key, as it was.
+func TestSourceHashPinned(t *testing.T) {
+	want := map[string]string{
+		"perl":     "104e0b5a43aee57bb145c0fed6389f112fd415af0224eee62a028fbaaf70c7ae",
+		"bzip2":    "948595d991d46504928fce8aa170a7f6b999904fdeb8616a163c716d522840d6",
+		"gcc":      "4271e28656cce06f831f81c77d4d90e0b7a0f91bb4af61bd18fbc7c5dad72253",
+		"mcf":      "2fdace508390fe2b306a934823fa6746e140414ac2bb7fa296d854f05fa4b14d",
+		"gobmk":    "042ef749901cdd5ebb41c5f9c2a29aee859552f250a1aa245dc683cdef58113d",
+		"hmmer":    "49f8ef3f368018ec57a38385c365448f3d9356332b77fc30f139eb55923af35b",
+		"sjeng":    "511944e50b18fa51d080d3918290b12432478ea20ea2f391f97be5f5af695295",
+		"lib":      "b6c3d5f79fd8ee58d557c0ecb4713ed0f1fb31d255771027f1fd8534776540b1",
+		"h264ref":  "96829f829cebf5fcb73677b7628307d41386e17c78696717cdf9b3c9d96d2160",
+		"astar":    "b6cc4a52a72be2dede86ffa882f779d9e6514ae587a7b95f22bb03db9b8da49f",
+		"bwaves":   "c2530cc48ecbc4cf3916023930bdf127a76a31fd35e7ed73db330e1537bcb6f2",
+		"milc":     "7e7244f9f6d97296617baf2b3b3b5d3eadcc662ee0ed0a55db5e7f121fd6144f",
+		"zeusmp":   "497e723038a5642b18f4198c1b7ac82263d734c5e369885a60f22b2a3db2d730",
+		"gromacs":  "e757b907beeeb8cd144d97e5c0769e680f2fa5391cf8e45717128281850b0bbc",
+		"leslie3d": "d2b94c34d0afeaf541de1521c6c604924aa7f5b835564200ae4ed360fb5dfa3c",
+		"namd":     "e59555b5c5fca07a229dffa712bb4f2da93e798054ddeb4c509662ffed775e4c",
+		"Gems":     "3d364d9979a9b08e2a62c3b51a4b0ef34ee66fd8320d735921a0ef101e9b087e",
+		"tonto":    "d56788472e47adf8280bf38887a713c62eb532f06c3d88062cfdc133abca407b",
+		"lbm":      "04ea5f524bf0c7217c44c8e28a8c0a1f9f6392305f2695087525b3d8eca8df63",
+		"wrf":      "ce2356b45336720573c8458701a9d74eb8c9c7af0dc827980b084a7d113eea21",
+		"sphinx3":  "daa478a1d6396ee31f65cdb02f154279def2f632eb958bdc7f8231d3196dd376",
+	}
+	if len(want) != len(All()) {
+		t.Fatalf("%d pinned hashes for %d proxies", len(want), len(All()))
+	}
+	for _, s := range All() {
+		h := s.SourceHash()
+		if got := hex.EncodeToString(h[:]); got != want[s.Name] {
+			t.Errorf("%s: SourceHash %s, pinned %s", s.Name, got, want[s.Name])
 		}
 	}
 }
