@@ -34,12 +34,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var p *isa.Program
-	if isa.IsObjectFile(data) {
-		p, err = isa.UnmarshalProgram(data)
-	} else {
-		p, err = asm.Assemble(string(data))
-	}
+	p, err := asm.Load(data)
 	if err != nil {
 		fatal(err)
 	}

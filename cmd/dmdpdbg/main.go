@@ -35,13 +35,8 @@ func main() {
 		p, err = s.Program()
 	case flag.NArg() == 1:
 		var data []byte
-		data, err = os.ReadFile(flag.Arg(0))
-		if err == nil {
-			if isa.IsObjectFile(data) {
-				p, err = isa.UnmarshalProgram(data)
-			} else {
-				p, err = asm.Assemble(string(data))
-			}
+		if data, err = os.ReadFile(flag.Arg(0)); err == nil {
+			p, err = asm.Load(data)
 		}
 	default:
 		fmt.Fprintln(os.Stderr, "usage: dmdpdbg [-bench name] [file.s|file.dmo]")

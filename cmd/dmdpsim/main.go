@@ -27,10 +27,10 @@ import (
 	"dmdp/internal/cliutil"
 	"dmdp/internal/config"
 	"dmdp/internal/core"
+	"dmdp/internal/emu"
 	"dmdp/internal/isa"
 	"dmdp/internal/profiling"
 	"dmdp/internal/sampling"
-	"dmdp/internal/workload"
 )
 
 func main() {
@@ -129,60 +129,43 @@ func main() {
 		return
 	}
 
-	// The workload's identity for the artifact cache is the SHA-256 of
-	// the bytes it is built from: the generated proxy source, or the raw
-	// -file contents (source or object alike).
-	var sourceHash [sha256.Size]byte
-	var fileData []byte
+	// The workload is the bytes it is built from: the generated proxy
+	// source, or the raw -file contents (source or object alike). They
+	// are produced once; the trace key hashes them, and the trace build
+	// and the streaming path both load the program from them.
+	var text []byte
 	if *file != "" {
-		fileData, err = os.ReadFile(*file)
-		if err != nil {
-			fatal(err)
-		}
-		sourceHash = sha256.Sum256(fileData)
+		text, err = os.ReadFile(*file)
 	} else {
-		s, err := dmdp.WorkloadSource(*benchName)
-		if err != nil {
-			fatal(err)
-		}
-		sourceHash = sha256.Sum256([]byte(s))
+		var s string
+		s, err = dmdp.WorkloadSource(*benchName)
+		text = []byte(s)
 	}
-	traceKey := artifact.TraceKey(sourceHash, budget)
+	if err != nil {
+		fatal(err)
+	}
+	traceKey := artifact.TraceKey(sha256.Sum256(text), budget)
+	name := workloadName(*benchName, *file)
+
+	// loadProg loads the program without emulating it — the streaming
+	// sampled path re-materializes only the planned intervals, so 100M+
+	// budgets never hold a full trace in memory.
+	loadProg := func() (*isa.Program, error) { return asm.Load(text) }
 
 	// loadTrace builds the trace through the trace store: decode on hit,
 	// build + persist on miss.
 	loadTrace := func() *dmdp.Trace {
-		tr, err := store.Trace(traceKey, func() (*dmdp.Trace, error) {
-			switch {
-			case *file != "" && len(fileData) >= 4 && string(fileData[:4]) == "DMO1":
-				return dmdp.LoadObject(fileData, budget)
-			case *file != "":
-				return dmdp.BuildTrace(string(fileData), budget)
+		tr, err := store.Trace(traceKey, name, func() (*dmdp.Trace, error) {
+			prog, err := loadProg()
+			if err != nil {
+				return nil, err
 			}
-			return dmdp.BuildWorkloadTrace(*benchName, budget)
+			return emu.Run(prog, budget)
 		})
 		if err != nil {
 			fatal(err)
 		}
 		return tr
-	}
-
-	// loadProg assembles the workload without emulating it — the
-	// streaming sampled path re-materializes only the planned intervals,
-	// so 100M+ budgets never hold a full trace in memory.
-	loadProg := func() (*isa.Program, error) {
-		switch {
-		case *file != "" && len(fileData) >= 4 && string(fileData[:4]) == "DMO1":
-			return isa.UnmarshalProgram(fileData)
-		case *file != "":
-			return asm.Assemble(string(fileData))
-		default:
-			s, ok := workload.Get(*benchName)
-			if !ok {
-				return nil, fmt.Errorf("unknown workload %q", *benchName)
-			}
-			return s.Program()
-		}
 	}
 
 	if *cores > 1 {
@@ -222,7 +205,7 @@ func main() {
 	if *flipRate == 0 {
 		resultKey = artifact.ResultKey(traceKey, cfg.Digest(), budget)
 	}
-	st, err := store.Result(resultKey, workloadName(*benchName, *file), model.String(), func() (*dmdp.Stats, error) {
+	st, err := store.Result(resultKey, name, model.String(), func() (*dmdp.Stats, error) {
 		return dmdp.Run(cfg, loadTrace())
 	})
 	if err != nil {

@@ -14,16 +14,18 @@
 package main
 
 import (
-	"crypto/sha256"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"dmdp"
 	"dmdp/internal/artifact"
 	"dmdp/internal/cliutil"
 	"dmdp/internal/config"
+	"dmdp/internal/experiments"
 )
 
 func main() {
@@ -61,33 +63,23 @@ func main() {
 	}
 }
 
-// digest prints one proxy's line per model through the result store and
-// reports whether any failed. In verify mode a hit is re-simulated and
-// compared; a mismatch is a hard error (and a non-zero exit). The trace
-// is resolved on the proxy's first miss or verified hit, so a warm store
-// serves every result without reading it.
+// digest prints one proxy's line per model and reports whether any
+// failed. The runs go through an experiments.Runner over the store, the
+// path every suite run takes: a hit needs no trace, a miss or a
+// verify-mode hit resolves the proxy's trace once, and in verify mode a
+// mismatch is a hard error (and a non-zero exit). Each proxy gets its own
+// runner, so at most one proxy's trace is held at a time.
 func digest(store *artifact.Store, bench string, budget int64) (bad bool) {
-	src, err := dmdp.WorkloadSource(bench)
-	if err != nil {
-		fmt.Printf("%-12s -        trace error: %v\n", bench, err)
+	if !slices.Contains(dmdp.Workloads(), bench) {
+		fmt.Printf("%-12s -        trace error: dmdp: unknown workload %q\n", bench, bench)
 		return true
 	}
-	traceKey := artifact.TraceKey(sha256.Sum256([]byte(src)), budget)
-	var tr *dmdp.Trace
+	r := experiments.NewRunner(experiments.Options{Budget: budget, Benchmarks: []string{bench}, Cache: store})
 	for _, m := range config.Models {
-		cfg := dmdp.DefaultConfig(m)
-		key := artifact.ResultKey(traceKey, cfg.Digest(), budget)
-		st, err := store.Result(key, bench, m.String(), func() (st *dmdp.Stats, err error) {
-			if tr == nil {
-				tr, err = store.Trace(traceKey, func() (*dmdp.Trace, error) { return dmdp.BuildWorkloadTrace(bench, budget) })
-			}
-			if err == nil {
-				st, err = dmdp.Run(cfg, tr)
-			}
-			return st, err
-		})
+		st, err := r.RunModel(bench, m)
 		if err != nil {
-			fmt.Printf("%-12s %-8s error: %v\n", bench, m, err)
+			// The runner prefixes the bench and label this line prints.
+			fmt.Printf("%-12s %-8s error: %v\n", bench, m, errors.Unwrap(err))
 			bad = true
 			continue
 		}

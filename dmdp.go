@@ -17,9 +17,11 @@
 package dmdp
 
 import (
+	"context"
 	"fmt"
 
 	"dmdp/internal/asm"
+	"dmdp/internal/cliutil"
 	"dmdp/internal/config"
 	"dmdp/internal/core"
 	"dmdp/internal/emu"
@@ -189,21 +191,25 @@ func LoadObject(data []byte, maxInstr int64) (*Trace, error) {
 	return emu.Run(p, maxInstr)
 }
 
-// SamplingPlan selects weighted trace intervals to simulate (the paper's
-// SimPoint-style methodology, §V).
-type SamplingPlan = sampling.Plan
-
 // SampledResult is the weighted aggregate of a sampled simulation.
 type SampledResult = sampling.Combined
 
-// UniformSampling builds a plan of count equally weighted intervals of
-// intervalLen entries spread across a trace of traceLen entries.
-func UniformSampling(traceLen, intervalLen, count int) (SamplingPlan, error) {
-	return sampling.Uniform(traceLen, intervalLen, count)
-}
-
-// RunSampled simulates the plan's intervals independently (cold start,
-// like the paper's checkpoints) and combines the statistics by weight.
-func RunSampled(cfg Config, tr *Trace, plan SamplingPlan) (*SampledResult, error) {
-	return sampling.Run(tr, cfg, plan)
+// RunSampled estimates a run of tr under cfg by simulating only the
+// intervals the sampling spec selects (the paper's SimPoint-style
+// methodology, §V) and combining their statistics by weight. The spec
+// takes the -sample syntax of the command-line tools: "auto", "auto:K"
+// or "COUNTxLEN", optionally "+WARMUP". Each interval starts cold, like
+// the paper's checkpoints.
+func RunSampled(cfg Config, tr *Trace, spec string) (*SampledResult, error) {
+	sp, err := cliutil.ParseSampleSpec(spec)
+	if err != nil {
+		return nil, err
+	}
+	out, err := sampling.Execute(context.Background(), cfg, sampling.Request{
+		Spec: sp, Budget: int64(len(tr.Entries)), Jobs: 1, Trace: tr,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out.Combined, nil
 }

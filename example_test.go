@@ -74,11 +74,7 @@ func ExampleRunSampled() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	plan, err := dmdp.UniformSampling(len(tr.Entries), 5_000, 3)
-	if err != nil {
-		log.Fatal(err)
-	}
-	res, err := dmdp.RunSampled(dmdp.DefaultConfig(dmdp.DMDP), tr, plan)
+	res, err := dmdp.RunSampled(dmdp.DefaultConfig(dmdp.DMDP), tr, "3x5000")
 	if err != nil {
 		log.Fatal(err)
 	}

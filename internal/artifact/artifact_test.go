@@ -2,12 +2,15 @@ package artifact
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"testing"
 	"time"
+	"unsafe"
 
 	"dmdp/internal/config"
 	"dmdp/internal/core"
+	"dmdp/internal/mem"
 	"dmdp/internal/trace"
 	"dmdp/internal/workload"
 )
@@ -64,8 +67,8 @@ func TestTraceRoundTrip(t *testing.T) {
 	}
 
 	// Semantic equality: re-encoding the decoded trace must reproduce
-	// the original file bytes exactly (same entries, program, memory
-	// image, counters — and a canonical encoder).
+	// the original payload exactly (same entries, index, program,
+	// counters — and a canonical encoder).
 	a, b := encodeTrace(tr), encodeTrace(got)
 	if !bytes.Equal(a, b) {
 		t.Fatal("decoded trace re-encodes differently")
@@ -88,8 +91,8 @@ func TestTraceEncodingCanonical(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Fatal("two encodings of the same trace differ")
 	}
-	// Decode → encode must also be canonical even though maps (symbols,
-	// memory pages) were rebuilt with fresh iteration order.
+	// Decode → encode must also be canonical even though the symbol map
+	// was rebuilt with fresh iteration order.
 	dec := decodeTrace(append([]byte(nil), a...))
 	if dec == nil {
 		t.Fatal("decode failed")
@@ -110,7 +113,7 @@ func TestCorruptEntriesAreMisses(t *testing.T) {
 	if _, ok := s.LoadTrace(key); !ok {
 		t.Fatal("miss after store")
 	}
-	path := s.path(key, traceSuffix)
+	path := s.path(key, traceKind.suffix)
 	orig, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -122,8 +125,8 @@ func TestCorruptEntriesAreMisses(t *testing.T) {
 		"flipped payload": func(b []byte) []byte { b[len(b)-1] ^= 0xff; return b },
 		"flipped header":  func(b []byte) []byte { b[0] ^= 0xff; return b },
 		"wrong version":   func(b []byte) []byte { b[7] = '9'; return b },
-		"foreign layout":  func(b []byte) []byte { b[8] ^= 0xff; return b },
-		"header only":     func(b []byte) []byte { return b[:traceHeaderSize] },
+		"foreign layout":  resignedShort,
+		"header only":     func(b []byte) []byte { return b[:frameHeaderSize] },
 		"garbage":         func(b []byte) []byte { return []byte("not a cache entry") },
 	}
 	for name, fn := range mutate {
@@ -157,11 +160,11 @@ func TestStatsRoundTripAndCorruption(t *testing.T) {
 	cfg := config.Default(config.NoSQ)
 	key := ResultKey(Key{1}, cfg.Digest(), testBudget)
 
-	if _, _, ok := s.LoadStats(key); ok {
+	if _, ok := s.LoadStats(key); ok {
 		t.Fatal("hit before store")
 	}
 	s.StoreStats(key, st)
-	got, path, ok := s.LoadStats(key)
+	got, ok := s.LoadStats(key)
 	if !ok {
 		t.Fatal("miss after store")
 	}
@@ -172,6 +175,7 @@ func TestStatsRoundTripAndCorruption(t *testing.T) {
 		t.Fatal("wall clock should not round-trip")
 	}
 
+	path := s.path(key, resultKind.suffix)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -180,7 +184,7 @@ func TestStatsRoundTripAndCorruption(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := s.LoadStats(key); ok {
+	if _, ok := s.LoadStats(key); ok {
 		t.Fatal("corrupt stats entry hit")
 	}
 }
@@ -204,11 +208,11 @@ func TestReadOnlyStoreNeverWrites(t *testing.T) {
 	}
 	other := TraceKey(spec.SourceHash(), testBudget+1)
 	ro.StoreTrace(other, tr)
-	if _, err := os.Stat(ro.path(other, traceSuffix)); !os.IsNotExist(err) {
+	if _, err := os.Stat(ro.path(other, traceKind.suffix)); !os.IsNotExist(err) {
 		t.Fatal("ro store wrote a file")
 	}
 	// A corrupt entry must not be deleted by an ro store either.
-	path := ro.path(key, traceSuffix)
+	path := ro.path(key, traceKind.suffix)
 	if err := os.WriteFile(path, []byte("junk"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +232,7 @@ func TestNilStoreIsSafe(t *testing.T) {
 	if _, ok := s.LoadTrace(Key{}); ok {
 		t.Fatal("nil store hit")
 	}
-	if _, _, ok := s.LoadStats(Key{}); ok {
+	if _, ok := s.LoadStats(Key{}); ok {
 		t.Fatal("nil store hit")
 	}
 	s.StoreTrace(Key{}, nil)
@@ -259,7 +263,7 @@ func TestLRUEviction(t *testing.T) {
 	}
 	// A hit refreshes key 1; storing one more must evict key 2 (now the
 	// oldest), not key 1.
-	if _, _, ok := s.LoadStats(keys[0]); !ok {
+	if _, ok := s.LoadStats(keys[0]); !ok {
 		t.Fatal("miss")
 	}
 	s.StoreStats(Key{4}, st)
@@ -318,36 +322,116 @@ func TestParseMode(t *testing.T) {
 	}
 }
 
-// TestV1TraceIsMissAndRewritten: a file in the previous trace format
-// ("DMDPTRC1") under a current key reads as a miss, is dropped, and the
-// get-or-build path rebuilds the trace and rewrites it in the current
-// format.
+// resignedShort drops the file's last 8 bytes, which leaves the entry
+// and index sections short of a whole record, and re-signs the frame:
+// the checksum holds, but the sections no longer match the entry count,
+// so the structural decoder must refuse the record.
+func resignedShort(b []byte) []byte {
+	b = b[:len(b)-8]
+	binary.LittleEndian.PutUint32(b[8:12], payloadChecksum(b[frameHeaderSize:]))
+	return b
+}
+
+// TestV1TraceIsMissAndRewritten: a file in an earlier trace format
+// ("DMDPTRC1", "DMDPTRC2") under a current key reads as a miss, is
+// dropped, and the get-or-build path rebuilds the trace and rewrites it
+// in the current format.
 func TestV1TraceIsMissAndRewritten(t *testing.T) {
 	spec, tr := buildTestTrace(t, "hmmer")
 	s := openRW(t)
 	key := TraceKey(spec.SourceHash(), testBudget)
-	path := s.path(key, traceSuffix)
-	v1 := encodeTrace(tr)
-	copy(v1[:8], "DMDPTRC1")
-	if err := os.WriteFile(path, v1, 0o644); err != nil {
-		t.Fatal(err)
+	path := s.path(key, traceKind.suffix)
+	for i, magic := range []string{"DMDPTRC1", "DMDPTRC2"} {
+		old := traceKind.encodeFile(tr)
+		copy(old[:8], magic)
+		if err := os.WriteFile(path, old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		builds := 0
+		got, err := s.Trace(key, "hmmer", func() (*trace.Trace, error) { builds++; return tr, nil })
+		if err != nil || got != tr || builds != 1 {
+			t.Fatalf("%s file: trace %p err %v after %d builds, want the rebuilt trace", magic, got, err, builds)
+		}
+		onDisk, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(onDisk[:8]) != "DMDPTRC3" {
+			t.Fatalf("rewritten file has magic %q", onDisk[:8])
+		}
+		if _, ok := s.LoadTrace(key); !ok {
+			t.Fatal("rewritten trace missed")
+		}
+		if c := s.Counters(); c.CorruptDropped != int64(i+1) {
+			t.Fatalf("dropped %d files, want the %s one", c.CorruptDropped, magic)
+		}
 	}
-	builds := 0
-	got, err := s.Trace(key, func() (*trace.Trace, error) { builds++; return tr, nil })
-	if err != nil || got != tr || builds != 1 {
-		t.Fatalf("v1 file: trace %p err %v after %d builds, want the rebuilt trace", got, err, builds)
+}
+
+// TestDecodedInitMemIsTheLoadedImage: a trace file holds no memory
+// image, and decode rebuilds InitMem from the program. For every proxy
+// the rebuilt image must hold exactly the pages, and the bytes, of the
+// image the emulator started from.
+func TestDecodedInitMemIsTheLoadedImage(t *testing.T) {
+	for _, name := range workload.Names() {
+		spec, ok := workload.Get(name)
+		if !ok {
+			t.Fatalf("unknown workload %s", name)
+		}
+		tr, err := spec.BuildTrace(100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := decodeTrace(encodeTrace(tr))
+		if got == nil {
+			t.Fatalf("%s: decode failed", name)
+		}
+		if got.InitMem.Pages() != tr.InitMem.Pages() {
+			t.Fatalf("%s: decoded image has %d pages, want %d", name, got.InitMem.Pages(), tr.InitMem.Pages())
+		}
+		tr.InitMem.ForEachPage(func(base uint32, want *[mem.PageSize]byte) {
+			if pg, ok := got.InitMem.PageCopy(base); !ok || *pg != *want {
+				t.Fatalf("%s: decoded page 0x%08x differs (present %t)", name, base, ok)
+			}
+		})
 	}
-	onDisk, err := os.ReadFile(path)
+}
+
+// TestTraceHitAliasesTheFile: a hit casts the entries and the index in
+// place. Both sections must lie back to back inside one image of the
+// whole file (the mapping), not in copies.
+func TestTraceHitAliasesTheFile(t *testing.T) {
+	spec, tr := buildTestTrace(t, "gcc")
+	dir := t.TempDir()
+	key := TraceKey(spec.SourceHash(), testBudget)
+	rw, err := Open(dir, RW, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(onDisk[:8]) != "DMDPTRC2" {
-		t.Fatalf("rewritten file has magic %q", onDisk[:8])
+	rw.StoreTrace(key, tr)
+	// A second store has no memo: its hit maps and decodes the file.
+	s, err := Open(dir, RO, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := s.LoadTrace(key); !ok {
-		t.Fatal("rewritten trace missed")
+	got, ok := s.LoadTrace(key)
+	if !ok {
+		t.Fatal("miss after store")
 	}
-	if c := s.Counters(); c.CorruptDropped != 1 {
-		t.Fatalf("dropped %d files, want the v1 one", c.CorruptDropped)
+	file, err := os.ReadFile(s.path(key, traceKind.suffix))
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := unsafe.Pointer(&got.Entries[0])
+	n := len(got.Entries) * entrySize
+	if uintptr(unsafe.Pointer(&got.Seq[0])) != uintptr(entries)+uintptr(n) {
+		t.Fatal("the index does not follow the entries: the sections were copied")
+	}
+	off := len(file) - n - len(got.Seq)*seqBlockSize
+	if off%8 != 0 {
+		t.Fatalf("entries start at file offset %d, not 8-aligned", off)
+	}
+	if img := unsafe.Slice((*byte)(unsafe.Add(entries, -off)), len(file)); !bytes.Equal(img, file) {
+		t.Fatal("the entries do not lie inside an image of the file")
 	}
 }

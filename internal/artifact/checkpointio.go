@@ -34,8 +34,10 @@ var planMagic = [8]byte{'D', 'M', 'D', 'P', 'P', 'L', 'N', '1'}
 // Plans share the checkpoint counters: a plan hit without its
 // checkpoints still re-streams, so the two degrade together.
 var (
-	checkpointKind = framedKind[emu.Checkpoint]{checkpointMagic, ".ckpt", checkpointLookups, encodeCheckpoint, decodeCheckpoint}
-	planKind       = framedKind[PlanRecord]{planMagic, ".plan", checkpointLookups, encodePlan, decodePlan}
+	checkpointKind = framedKind[emu.Checkpoint]{magic: checkpointMagic, suffix: ".ckpt",
+		lookups: checkpointLookups, encode: encodeCheckpoint, decode: decodeCheckpoint}
+	planKind = framedKind[PlanRecord]{magic: planMagic, suffix: ".plan",
+		lookups: checkpointLookups, encode: encodePlan, decode: decodePlan}
 )
 
 // Payload sizes: each kind's fixed prefix and its per-page or

@@ -33,7 +33,7 @@ func TestOpenUnusableDirDegradesToReadOnly(t *testing.T) {
 	cfg := config.Default(config.DMDP)
 	key := ResultKey(Key{1}, cfg.Digest(), 1000)
 	s.StoreStats(key, &core.Stats{Instructions: 42})
-	if _, _, hit := s.LoadStats(key); hit {
+	if _, hit := s.LoadStats(key); hit {
 		t.Fatal("degraded store claims a hit it could not have written")
 	}
 	if c := s.Counters(); !c.Degraded || c.Writes != 0 {
@@ -57,7 +57,7 @@ func TestPublishFailureDegradesOnce(t *testing.T) {
 	cfgB := config.Default(config.Baseline)
 	good := ResultKey(Key{1}, cfgB.Digest(), 1000)
 	s.StoreStats(good, &core.Stats{Instructions: 7})
-	if _, _, hit := s.LoadStats(good); !hit {
+	if _, hit := s.LoadStats(good); !hit {
 		t.Fatal("pre-degradation entry should hit")
 	}
 	if s.Degraded() {

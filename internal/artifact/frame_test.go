@@ -12,6 +12,36 @@ import (
 	"dmdp/internal/core"
 )
 
+// encodeFile returns the complete file image of v, as the store writes
+// it: the frame header, then the payload.
+func (k *framedKind[T]) encodeFile(v *T) []byte {
+	payload := k.encode(v)
+	return append(k.header(payload), payload...)
+}
+
+// TestPayloadChecksumChunks pins the frame checksum: up to one 4 MiB
+// chunk it is the plain CRC32C of the payload, which is what kept the
+// bytes of the records framed before traces joined; past that it is the
+// CRC32C of the chunk CRC32Cs in chunk order, however the chunks were
+// spread over goroutines.
+func TestPayloadChecksumChunks(t *testing.T) {
+	p := make([]byte, 2*crcChunkSize+123)
+	for i := range p {
+		p[i] = byte(i*7 + i>>13)
+	}
+	one := p[:crcChunkSize]
+	if got, want := payloadChecksum(one), crc32.Checksum(one, crcTable); got != want {
+		t.Fatalf("one chunk: checksum %08x, want the plain CRC32C %08x", got, want)
+	}
+	var sums []byte
+	for lo := 0; lo < len(p); lo += crcChunkSize {
+		sums = binary.LittleEndian.AppendUint32(sums, crc32.Checksum(p[lo:min(lo+crcChunkSize, len(p))], crcTable))
+	}
+	if got, want := payloadChecksum(p), crc32.Checksum(sums, crcTable); got != want {
+		t.Fatalf("three chunks: checksum %08x, want the folded %08x", got, want)
+	}
+}
+
 func testPlan() *PlanRecord {
 	return &PlanRecord{
 		ChunkLen: 100_000,
@@ -26,11 +56,14 @@ func testPlan() *PlanRecord {
 }
 
 // TestFramedEncodingsPinned pins the exact file bytes of each framed kind
-// for a fixed record, as written by the per-kind encoders the shared
-// frame replaced. A changed magic, header layout, field order or width
-// changes the hash; the round trips elsewhere cannot see that. The
-// result record carries the canonical Stats, so a Stats schema bump
-// re-records its pin (schema v2: 644 bytes).
+// for a fixed record. The four kinds that predate the shared frame keep
+// the bytes their per-kind encoders wrote; the trace record (format v3)
+// is the small program of fuzzTrace. A changed magic, header
+// layout, field order or width changes the hash; the round trips
+// elsewhere cannot see that. The result record carries the canonical
+// Stats, so a Stats schema bump re-records its pin (schema v2: 644
+// bytes), and the trace record carries trace.Entry verbatim, so a
+// layout change re-records its pin.
 func TestFramedEncodingsPinned(t *testing.T) {
 	st := &core.Stats{Cycles: 123, Instructions: 456, L1MissRate: 0.25, SimWallClockNS: 999}
 	st.LoadCount[1] = 7
@@ -41,6 +74,7 @@ func TestFramedEncodingsPinned(t *testing.T) {
 		size int
 		want string
 	}{
+		{"trace", traceKind.encodeFile(fuzzTrace(t)), 312, "8449b07cf9bd98d23225d52bccc659249c0dd1ebc71436c6c3c8b817f5f27af1"},
 		{"checkpoint", checkpointKind.encodeFile(testCheckpoint()), 8360, "5ea23a338361be17b603de685bf87202411986971618a55042df6ed5ec7665c9"},
 		{"plan", planKind.encodeFile(testPlan()), 100, "9f7db1b63c475789b391158a49ba2667cd820221a0109e31f5c1199b01fe1045"},
 		{"result", resultKind.encodeFile(st), 644, "0f4954ffcb4f625f06660f7b7d601fda848ac37950a5d335300965e80251489e"},
@@ -89,7 +123,7 @@ func TestPlanCountOverflowIsMiss(t *testing.T) {
 }
 
 // FuzzFramedDecode feeds mutated bytes to the checkpoint and plan
-// decoders. The contract matches FuzzTraceDecode: any input is a miss
+// decoders. The contract matches FuzzTraceDecode's: any input is a miss
 // (nil) or a record that survives a re-encode unchanged — never a panic
 // and never an allocation sized by an unchecked count. Each mutation is
 // decoded as-is (the magic/CRC gate) and re-signed as both kinds, which

@@ -9,10 +9,9 @@ import (
 	"dmdp/internal/trace"
 )
 
-// fuzzTraceBytes builds a small but structurally complete encoded trace
-// (program text, data, symbols, memory pages, entry section) to seed the
-// corpus.
-func fuzzTraceBytes(tb testing.TB) []byte {
+// fuzzTrace builds a small but structurally complete trace (program
+// text, data, symbols, entries and index) to seed the corpus.
+func fuzzTrace(tb testing.TB) *trace.Trace {
 	tb.Helper()
 	src := "\t.text\nmain:\n\tli $t0, 7\n\tsw $t0, 0($gp)\n\tlw $t1, 0($gp)\n\taddi $t1, $t1, 1\n\thalt\n\t.data\nx:\n\t.word 1, 2, 3, 4\n"
 	prog, err := asm.Assemble(src)
@@ -23,49 +22,41 @@ func fuzzTraceBytes(tb testing.TB) []byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	buf := encodeTrace(tr)
-	if buf == nil {
-		tb.Fatal("encodeTrace returned nil")
-	}
-	return buf
+	return tr
 }
 
 // FuzzTraceDecode feeds mutated artifact-store bytes to the trace
 // decoder. The contract: any input yields either a miss (nil) or a
 // structurally sound trace — never a panic and never a silently wrong
-// trace. Mutations are decoded twice: once as-is (exercising the magic/
-// fingerprint/checksum gate) and once with the header and payload CRC
-// patched to valid values, which drives the fuzzer past the checksum
-// into the structural decoder — the territory the recover() backstop
-// and the length checks guard.
+// trace. Mutations are decoded twice: once as-is (exercising the frame's
+// magic and checksum gate) and once re-signed through the frame — the
+// trace magic restored and the payload checksum recomputed over
+// whatever bytes the fuzzer produced — which drives the fuzzer past the
+// checksum into the structural decoder, the territory the recover()
+// backstop and the length checks guard.
 func FuzzTraceDecode(f *testing.F) {
-	valid := fuzzTraceBytes(f)
+	valid := traceKind.encodeFile(fuzzTrace(f))
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])        // truncated mid-payload
-	f.Add(valid[:traceHeaderSize])     // header only
+	f.Add(valid[:frameHeaderSize])     // header only
 	f.Add([]byte{})                    // empty
-	f.Add([]byte("DMDPTRC2 not real")) // magic, garbage rest
+	f.Add([]byte("DMDPTRC3 not real")) // magic, garbage rest
 	flipped := append([]byte(nil), valid...)
 	flipped[len(flipped)/2] ^= 0x40
 	f.Add(flipped)
-	v1 := append([]byte(nil), valid...)
-	v1[7] = '1' // a v1 header: a miss, whatever follows
-	f.Add(v1)
+	v2 := append([]byte(nil), valid...)
+	v2[7] = '2' // the previous format's magic: a miss, whatever follows
+	f.Add(v2)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		checkSound(t, decodeTrace(data))
-
-		// Re-sign the mutation so the structural decoder runs: restore
-		// magic and fingerprint, then recompute the payload CRC over
-		// whatever bytes the fuzzer produced.
-		if len(data) < traceHeaderSize+4*8 {
+		checkSound(t, traceKind.decodeFile(data))
+		if len(data) < frameHeaderSize {
 			return
 		}
 		patched := append([]byte(nil), data...)
-		copy(patched[:8], traceMagic[:])
-		binary.LittleEndian.PutUint32(patched[8:12], layoutFingerprint)
-		binary.LittleEndian.PutUint32(patched[12:16], payloadChecksum(patched[traceHeaderSize:]))
-		checkSound(t, decodeTrace(patched))
+		copy(patched, traceMagic[:])
+		binary.LittleEndian.PutUint32(patched[8:12], payloadChecksum(patched[frameHeaderSize:]))
+		checkSound(t, traceKind.decodeFile(patched))
 	})
 }
 

@@ -1,6 +1,7 @@
 package artifact
 
 import (
+	"bytes"
 	"errors"
 	"strings"
 	"testing"
@@ -10,110 +11,132 @@ import (
 	"dmdp/internal/trace"
 )
 
-// TestResultPath covers every rule of Store.Result. Each case seeds a
-// fresh directory, opens a store on it in the case's mode (Off: a nil
-// store), makes one call whose run closure counts its calls, and checks
-// the returned stats or error, the run count, the store's counters and
-// what the directory holds under the key afterwards.
-func TestResultPath(t *testing.T) {
-	cfg := config.Default(config.DMDP)
-	key := ResultKey(Key{7}, cfg.Digest(), testBudget)
-	stored := &core.Stats{Cycles: 100, Instructions: 50}
-	// fresh encodes like stored; only its wall clock, which is not part
-	// of the canonical encoding, tells the two apart.
-	fresh := &core.Stats{Cycles: 100, Instructions: 50, SimWallClockNS: 5}
-	other := &core.Stats{Cycles: 101, Instructions: 50}
+// getPathKind adapts one framed kind to the get-path table: the store
+// call under test, its key and label, a value seeded under the key
+// before the call, a fresh value that encodes like it, and another that
+// does not.
+type getPathKind[T any] struct {
+	kind                 *framedKind[T]
+	call                 func(s *Store, key Key, compute func() (*T, error)) (*T, error)
+	key                  Key
+	label                string
+	stored, fresh, other *T
+}
 
+// testGetPath covers every rule of get for one kind. Each case seeds a
+// fresh directory, opens a store on it in the case's mode (Off: a nil
+// store), makes one call whose compute closure counts its calls, and
+// checks the returned value or error, the compute count, the kind's
+// counters and what the directory holds under the key afterwards.
+func testGetPath[T any](t *testing.T, k getPathKind[T]) {
+	// What a case's compute returns, and what the call must return: the
+	// stored entry, or the very value compute returned.
+	const (
+		none = iota // compute fails; the call returns its error
+		stored
+		fresh
+		other
+	)
 	cases := []struct {
 		name       string
 		mode       Mode
-		seed       *core.Stats // stored under key before the call
-		key        Key         // the key the call passes
-		run        *core.Stats
-		runErr     error
-		wantWall   int64 // SimWallClockNS of the returned stats
-		wantCycles int64 // 0: an error is expected
+		seed       bool // k.stored is stored under the key before the call
+		zeroKey    bool // the call passes the zero key
+		compute    int
+		want       int
 		wantErr    string
 		wantRuns   int
 		wantHits   int64
 		wantMisses int64
-		wantAfter  int64 // cycles stored under key afterwards (0: none)
+		wantAfter  bool // an entry encoding like k.stored is under the key afterwards
 	}{
-		{name: "nil store runs", mode: Off, key: key, run: fresh,
-			wantCycles: 100, wantWall: 5, wantRuns: 1},
-		{name: "zero key only runs", mode: RW, seed: stored, key: Key{}, run: other,
-			wantCycles: 101, wantRuns: 1, wantAfter: 100},
-		{name: "miss runs and stores", mode: RW, key: key, run: fresh,
-			wantCycles: 100, wantWall: 5, wantRuns: 1, wantMisses: 1, wantAfter: 100},
-		{name: "hit does not run", mode: RW, seed: stored, key: key, run: other,
-			wantCycles: 100, wantHits: 1, wantAfter: 100},
-		{name: "read-only miss runs and writes nothing", mode: RO, key: key, run: fresh,
-			wantCycles: 100, wantWall: 5, wantRuns: 1, wantMisses: 1},
-		{name: "verify hit with equal bytes returns the stored stats", mode: Verify, seed: stored, key: key, run: fresh,
-			wantCycles: 100, wantRuns: 1, wantHits: 1, wantAfter: 100},
-		{name: "verify mismatch", mode: Verify, seed: stored, key: key, run: other,
-			wantErr: "verify mismatch for perl/dmdp", wantRuns: 1, wantHits: 1, wantAfter: 100},
-		{name: "run error is returned and not stored", mode: RW, key: key, runErr: errors.New("run failed"),
+		{name: "nil store runs", mode: Off, compute: fresh, want: fresh, wantRuns: 1},
+		{name: "zero key only runs", mode: RW, seed: true, zeroKey: true, compute: other, want: other,
+			wantRuns: 1, wantAfter: true},
+		{name: "miss runs and stores", mode: RW, compute: fresh, want: fresh,
+			wantRuns: 1, wantMisses: 1, wantAfter: true},
+		{name: "hit does not run", mode: RW, seed: true, compute: other, want: stored,
+			wantHits: 1, wantAfter: true},
+		{name: "read-only miss runs and writes nothing", mode: RO, compute: fresh, want: fresh,
+			wantRuns: 1, wantMisses: 1},
+		{name: "verify hit with equal bytes returns the stored stats", mode: Verify, seed: true, compute: fresh, want: stored,
+			wantRuns: 1, wantHits: 1, wantAfter: true},
+		{name: "verify mismatch", mode: Verify, seed: true, compute: other,
+			wantErr: "verify mismatch for perl/" + k.label, wantRuns: 1, wantHits: 1, wantAfter: true},
+		{name: "run error is returned and not stored", mode: RW, compute: none,
 			wantErr: "run failed", wantRuns: 1, wantMisses: 1},
-		{name: "verify-mode run error is returned", mode: Verify, seed: stored, key: key, runErr: errors.New("run failed"),
-			wantErr: "run failed", wantRuns: 1, wantHits: 1, wantAfter: 100},
+		{name: "verify-mode run error is returned", mode: Verify, seed: true, compute: none,
+			wantErr: "run failed", wantRuns: 1, wantHits: 1, wantAfter: true},
 	}
+	values := map[int]*T{stored: k.stored, fresh: k.fresh, other: k.other}
+	encodes := func(v, like *T) bool { return bytes.Equal(k.kind.encode(v), k.kind.encode(like)) }
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			dir := t.TempDir()
-			if c.seed != nil {
+			if c.seed {
 				seeder, err := Open(dir, RW, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
-				seeder.StoreStats(key, c.seed)
+				k.kind.store(seeder, k.key, k.stored)
 			}
 			s, err := Open(dir, c.mode, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
 			runs := 0
-			run := func() (*core.Stats, error) {
+			compute := func() (*T, error) {
 				runs++
-				if c.runErr != nil {
-					return nil, c.runErr
+				if c.compute == none {
+					return nil, errors.New("run failed")
 				}
-				st := *c.run
-				return &st, nil
+				return values[c.compute], nil
+			}
+			key := k.key
+			if c.zeroKey {
+				key = Key{}
 			}
 
-			st, resErr := s.Result(c.key, "perl", "dmdp", run)
+			got, err := k.call(s, key, compute)
 			switch {
 			case c.wantErr != "":
-				if resErr == nil || !strings.Contains(resErr.Error(), c.wantErr) {
-					t.Fatalf("err %v, want %q", resErr, c.wantErr)
+				if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+					t.Fatalf("err %v, want %q", err, c.wantErr)
 				}
-			case resErr != nil:
-				t.Fatal(resErr)
-			case st.Cycles != c.wantCycles || st.SimWallClockNS != c.wantWall:
-				t.Fatalf("got cycles %d wall %d, want %d and %d", st.Cycles, st.SimWallClockNS, c.wantCycles, c.wantWall)
+			case err != nil:
+				t.Fatal(err)
+			case c.want == stored:
+				if got == k.fresh || got == k.other || !encodes(got, k.stored) {
+					t.Fatal("the call did not return the stored entry")
+				}
+			case got != values[c.want]:
+				t.Fatal("the call did not return what compute returned")
 			}
 			if runs != c.wantRuns {
-				t.Errorf("run called %d times, want %d", runs, c.wantRuns)
+				t.Errorf("compute called %d times, want %d", runs, c.wantRuns)
 			}
-			if got := s.Counters(); got.ResultHits != c.wantHits || got.ResultMisses != c.wantMisses {
-				t.Errorf("counters %d hit / %d miss, want %d / %d", got.ResultHits, got.ResultMisses, c.wantHits, c.wantMisses)
+			var hits, misses int64
+			if s != nil {
+				hits, misses = s.hits[k.kind.lookups].Load(), s.misses[k.kind.lookups].Load()
+			}
+			if hits != c.wantHits || misses != c.wantMisses {
+				t.Errorf("counters %d hit / %d miss, want %d / %d", hits, misses, c.wantHits, c.wantMisses)
 			}
 			reader, err := Open(dir, RO, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			after, _, ok := reader.LoadStats(key)
-			if (c.wantAfter != 0) != ok || (ok && after.Cycles != c.wantAfter) {
-				t.Errorf("entry after the call: %v (ok=%t), want cycles %d", after, ok, c.wantAfter)
+			after, _, ok := k.kind.load(reader, k.key)
+			if ok != c.wantAfter || (ok && !encodes(after, k.stored)) {
+				t.Errorf("entry after the call: present %t, want %t (or it encodes differently)", ok, c.wantAfter)
 			}
 
 			var verr *VerifyError
-			if errors.As(resErr, &verr) && (verr.Bench != "perl" || verr.Label != "dmdp" || verr.Key != key) {
+			if errors.As(err, &verr) && (verr.Bench != "perl" || verr.Label != k.label || verr.Key != k.key) {
 				t.Errorf("verify error misattributed: %+v", verr)
 			}
 			if c.name == "miss runs and stores" {
-				if _, err := s.Result(key, "perl", "dmdp", run); err != nil || runs != 1 {
+				if _, err := k.call(s, k.key, compute); err != nil || runs != 1 {
 					t.Errorf("the call after a miss ran again (runs=%d, err=%v)", runs, err)
 				}
 			}
@@ -121,59 +144,45 @@ func TestResultPath(t *testing.T) {
 	}
 }
 
-// TestTracePath covers Store.Trace: a nil store builds every time, a
-// miss builds once and stores so the next call hits without building, a
-// read-only store builds and writes nothing, and a failed build is
-// returned and never stored.
+// TestResultPath runs the get-path table over Store.Result. The fresh
+// stats differ from the stored ones only in their wall clock, which the
+// canonical encoding leaves out.
+func TestResultPath(t *testing.T) {
+	cfg := config.Default(config.DMDP)
+	testGetPath(t, getPathKind[core.Stats]{
+		kind: &resultKind,
+		call: func(s *Store, key Key, run func() (*core.Stats, error)) (*core.Stats, error) {
+			return s.Result(key, "perl", "dmdp", run)
+		},
+		key:    ResultKey(Key{7}, cfg.Digest(), testBudget),
+		label:  "dmdp",
+		stored: &core.Stats{Cycles: 100, Instructions: 50},
+		fresh:  &core.Stats{Cycles: 100, Instructions: 50, SimWallClockNS: 5},
+		other:  &core.Stats{Cycles: 101, Instructions: 50},
+	})
+}
+
+// TestTracePath runs the get-path table over Store.Trace. The fresh
+// trace is a second build of the stored one; the other is built at a
+// smaller budget, as a stale entry under the wrong key would be. So a
+// verify-mode hit rebuilds and matches in one case and fails in the
+// other.
 func TestTracePath(t *testing.T) {
-	spec, tr := buildTestTrace(t, "hmmer")
-	key := TraceKey(spec.SourceHash(), testBudget)
-	builds := 0
-	build := func() (*trace.Trace, error) { builds++; return tr, nil }
-	fail := func() (*trace.Trace, error) { builds++; return nil, errors.New("build failed") }
-
-	var nilStore *Store
-	for i := 0; i < 2; i++ {
-		if got, err := nilStore.Trace(key, build); err != nil || got != tr {
-			t.Fatalf("nil store: %v, %v", got, err)
-		}
-	}
-	if builds != 2 {
-		t.Errorf("nil store built %d times, want 2", builds)
-	}
-
-	dir := t.TempDir()
-	ro, err := Open(dir, RO, 0)
+	spec, tr := buildTestTrace(t, "perl")
+	_, again := buildTestTrace(t, "perl")
+	short, err := spec.BuildTrace(testBudget / 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	builds = 0
-	if _, err := ro.Trace(key, build); err != nil || builds != 1 || ro.Counters().Writes != 0 {
-		t.Errorf("read-only store: err %v, %d builds, %d writes", err, builds, ro.Counters().Writes)
-	}
-
-	rw, err := Open(dir, RW, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	builds = 0
-	if _, err := rw.Trace(key, fail); err == nil || !strings.Contains(err.Error(), "build failed") {
-		t.Fatalf("failed build: err %v", err)
-	}
-	if rw.Counters().Writes != 0 {
-		t.Error("a failed build was stored")
-	}
-	if _, err := rw.Trace(key, build); err != nil {
-		t.Fatal(err)
-	}
-	got, err := rw.Trace(key, fail)
-	if err != nil {
-		t.Fatalf("the call after a miss built again: %v", err)
-	}
-	if builds != 2 || len(got.Entries) != len(tr.Entries) {
-		t.Errorf("the call after a miss: %d builds (want 2), %d entries", builds, len(got.Entries))
-	}
-	if c := rw.Counters(); c.TraceHits != 1 || c.TraceMisses != 2 || c.Writes != 1 {
-		t.Errorf("counters %d hit / %d miss / %d written, want 1 / 2 / 1", c.TraceHits, c.TraceMisses, c.Writes)
-	}
+	testGetPath(t, getPathKind[trace.Trace]{
+		kind: &traceKind,
+		call: func(s *Store, key Key, build func() (*trace.Trace, error)) (*trace.Trace, error) {
+			return s.Trace(key, "perl", build)
+		},
+		key:    TraceKey(spec.SourceHash(), testBudget),
+		label:  "trace",
+		stored: tr,
+		fresh:  again,
+		other:  short,
+	})
 }

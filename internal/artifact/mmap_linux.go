@@ -7,18 +7,20 @@ import (
 	"syscall"
 )
 
-// readEntire maps the file privately and returns its bytes. A private
+// readEntire maps the file privately and returns its bytes; it is the
+// read of mapped framed kinds (traces, see framedKind.read). A private
 // (copy-on-write) read-write mapping is deliberate: decoded traces alias
 // the mapping, and MAP_PRIVATE guarantees that even an accidental write
 // through an aliased entry can never reach the cache file. Mappings are
 // intentionally never unmapped — decoded traces live for the process
-// lifetime in the runner's in-memory cache, and the handful of proxy
+// lifetime in the runner's in-memory cache, the store memoizes each
+// decoded file so one content maps once, and the handful of proxy
 // traces is small. That bargain only holds for traces: every other
-// entry kind decodes by copying and must load through the owned read of
-// framedKind.load, or each read leaks a mapping. Eviction unlinking a
-// mapped file is safe: the pages stay valid until the mapping goes
-// away, and writers only ever rename fresh inodes into place (entries
-// are immutable once published).
+// kind decodes by copying and reads into an owned buffer, or each read
+// would leak a mapping. Eviction unlinking a mapped file is safe: the
+// pages stay valid until the mapping goes away, and writers only ever
+// rename fresh inodes into place (entries are immutable once
+// published).
 func readEntire(path string) ([]byte, bool) {
 	f, err := os.Open(path)
 	if err != nil {

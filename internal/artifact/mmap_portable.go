@@ -4,9 +4,10 @@ package artifact
 
 import "os"
 
-// readEntire reads the whole file. Non-Linux builds take the portable
-// path (one buffered read into the heap); the Linux build maps the file
-// instead, which avoids copying and zeroing the entries section.
+// readEntire reads the whole file; it is the read of mapped framed kinds
+// (traces). Non-Linux builds take the portable path (one buffered read
+// into the heap); the Linux build maps the file instead, which avoids
+// copying and zeroing the entries section.
 func readEntire(path string) ([]byte, bool) {
 	data, err := os.ReadFile(path)
 	return data, err == nil

@@ -1,12 +1,13 @@
 // Package artifact is the persistent, content-addressed cache behind the
-// experiment runner: a trace store (binary-encoded trace.Trace, §DESIGN
-// 9) and a result store (canonical core.Stats encodings). Entries are
-// keyed by SHA-256 over every input that determines their content plus
-// an explicit format/schema version, written via temp file + atomic
-// rename, and validated (magic, version, layout fingerprint, CRC32C,
-// exact length) on read — anything that fails validation is a miss, and
-// read-write stores overwrite it with a fresh entry. A size cap evicts
-// least-recently-used files (hits refresh mtime).
+// experiment runner: traces (binary-encoded trace.Trace, DESIGN §9),
+// simulation results (canonical core.Stats encodings), and the sampling
+// layer's checkpoints, plans and warm state. Every entry is one framed
+// record (frame.go). Entries are keyed by SHA-256 over every input that
+// determines their content plus an explicit format/schema version,
+// written via temp file + atomic rename, and validated (magic, version,
+// checksum, exact length) on read — anything that fails validation is a
+// miss, and read-write stores overwrite it with a fresh entry. A size
+// cap evicts least-recently-used files (hits refresh mtime).
 package artifact
 
 import (
@@ -36,9 +37,10 @@ const (
 	RO
 	// RW reads and writes (the normal warm-cache mode).
 	RW
-	// Verify reads and writes like RW, but Store.Result re-simulates
-	// every result hit and fails loudly on mismatch (the stale-artifact
-	// oracle); see VerifyError.
+	// Verify reads and writes like RW, but Store.Trace and Store.Result
+	// recompute every hit (rebuild the trace, re-simulate the result)
+	// and fail loudly on mismatch (the stale-artifact oracle); see
+	// VerifyError.
 	Verify
 )
 
@@ -88,22 +90,6 @@ const DefaultMaxBytes = 2 << 30
 type Key [sha256.Size]byte
 
 func (k Key) String() string { return hex.EncodeToString(k[:]) }
-
-// TraceKey derives the trace-store key for a workload (identified by the
-// SHA-256 of its generated source, see workload.Spec.SourceHash) at an
-// instruction budget. The trace format version is part of the hash.
-func TraceKey(sourceHash [sha256.Size]byte, budget int64) Key {
-	h := sha256.New()
-	h.Write([]byte("dmdp-trace\x00"))
-	h.Write(traceMagic[:])
-	h.Write(sourceHash[:])
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(budget))
-	h.Write(b[:])
-	var k Key
-	h.Sum(k[:0])
-	return k
-}
 
 // ResultKey derives the result-store key for one simulation: the trace
 // key (which already encodes workload, budget and trace format), the
@@ -175,15 +161,16 @@ type Store struct {
 	dirKnown bool
 	capWalks int64
 
-	// loaded memoizes decoded traces per key, tagged with the identity
-	// of the file they were decoded from (see traceio.go). Reloading an
-	// unchanged file returns the already-verified, already-mapped trace
-	// — no second mapping (mappings are never unmapped, so repeated
-	// loads must not map repeatedly) and no second checksum pass. Any
-	// rewrite, truncation or eviction changes the identity and forces a
-	// fresh verified decode.
+	// loaded memoizes the decoded values of mapped kinds (traces) per
+	// key, tagged with the identity of the file they were decoded from
+	// (see framedKind.load). Reloading an unchanged file returns the
+	// already-verified, already-mapped value — no second mapping
+	// (mappings are never unmapped, so repeated loads must not map
+	// repeatedly) and no second checksum pass. Any rewrite, truncation
+	// or eviction changes the identity and forces a fresh verified
+	// decode.
 	loadedMu sync.Mutex
-	loaded   map[Key]loadedTrace
+	loaded   map[Key]memoized
 
 	hits, misses            [numLookups]atomic.Int64
 	warmBytes               atomic.Int64
@@ -350,28 +337,29 @@ func (s *Store) Summary() string {
 	return line
 }
 
-// VerifyError reports a verify-mode mismatch: a cached result entry
-// whose canonical encoding differs from a fresh re-simulation with
-// identical inputs. It means the entry is stale or the simulator became
-// nondeterministic — either way the cache cannot be trusted.
+// VerifyError reports a verify-mode mismatch: a cached entry whose
+// payload differs from the encoding of a fresh recomputation with
+// identical inputs (a rebuilt trace, a re-simulated result). It means
+// the entry is stale or the simulator became nondeterministic — either
+// way the cache cannot be trusted.
 type VerifyError struct {
-	Key       Key    // result-store key of the poisoned entry
+	Key       Key    // store key of the poisoned entry
 	Path      string // file the entry was read from
 	Bench     string // workload name
-	Label     string // configuration label
-	CachedSHA string // SHA-256 of the cached canonical encoding
-	FreshSHA  string // SHA-256 of the re-simulated canonical encoding
-	FirstDiff int    // first differing byte offset in the canonical encoding
+	Label     string // configuration label, or "trace"
+	CachedSHA string // SHA-256 of the cached payload
+	FreshSHA  string // SHA-256 of the recomputed encoding
+	FirstDiff int    // first differing byte offset in the payload
 }
 
 func (e *VerifyError) Error() string {
 	return fmt.Sprintf(
-		"artifact: verify mismatch for %s/%s: cached stats %s != re-simulated %s (first differing byte %d, key %s, file %s)",
+		"artifact: verify mismatch for %s/%s: cached entry %s != recomputed %s (first differing byte %d, key %s, file %s)",
 		e.Bench, e.Label, e.CachedSHA, e.FreshSHA, e.FirstDiff, e.Key, e.Path)
 }
 
-// newVerifyError builds the structured diagnostic for a poisoned result
-// entry from the two canonical encodings.
+// newVerifyError builds the structured diagnostic for a poisoned entry
+// from the cached payload and the recomputed encoding.
 func newVerifyError(key Key, path, bench, label string, cached, fresh []byte) *VerifyError {
 	diff := len(cached)
 	if len(fresh) < diff {
@@ -397,12 +385,12 @@ func (s *Store) path(key Key, suffix string) string {
 	return filepath.Join(s.dir, key.String()+suffix)
 }
 
-// publish atomically installs data at path via a temp file + rename, then
-// enforces the size cap. A failed write (unwritable directory, ENOSPC
-// mid-write, rename failure) degrades the whole store to read-only with
-// a one-time warning — the entry stays absent, later writes stop being
-// attempted, and the run continues.
-func (s *Store) publish(path string, data []byte) {
+// publish atomically installs the concatenated parts at path via a temp
+// file + rename, then enforces the size cap. A failed write (unwritable
+// directory, ENOSPC mid-write, rename failure) degrades the whole store
+// to read-only with a one-time warning — the entry stays absent, later
+// writes stop being attempted, and the run continues.
+func (s *Store) publish(path string, parts ...[]byte) {
 	if !s.writable() {
 		return
 	}
@@ -411,7 +399,14 @@ func (s *Store) publish(path string, data []byte) {
 		s.degrade(fmt.Sprintf("cannot create cache entry (%v)", err))
 		return
 	}
-	_, werr := tmp.Write(data)
+	var n int64
+	var werr error
+	for _, p := range parts {
+		if _, werr = tmp.Write(p); werr != nil {
+			break
+		}
+		n += int64(len(p))
+	}
 	cerr := tmp.Close()
 	if werr != nil || cerr != nil {
 		os.Remove(tmp.Name())
@@ -427,8 +422,8 @@ func (s *Store) publish(path string, data []byte) {
 		return
 	}
 	s.writes.Add(1)
-	s.bytesWritten.Add(int64(len(data)))
-	s.noteWrite(int64(len(data)))
+	s.bytesWritten.Add(n)
+	s.noteWrite(n)
 }
 
 // noteWrite advances the running size estimate by a published entry of n

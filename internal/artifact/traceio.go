@@ -1,125 +1,83 @@
 package artifact
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"hash/crc32"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"unsafe"
 
+	"dmdp/internal/emu"
 	"dmdp/internal/isa"
-	"dmdp/internal/mem"
 	"dmdp/internal/trace"
 )
 
-// Trace store format v2 ("DMDPTRC2"). Little endian throughout.
+// Trace store format v3 ("DMDPTRC3", framed — see frame.go). Little
+// endian throughout.
 //
-//	header (16 bytes, excluded from the checksum):
-//	  [8]  magic+version  "DMDPTRC2"
-//	  [4]  layout fingerprint of the compiled trace.Entry and
-//	       trace.SeqBlock (see entryFingerprint)
-//	  [4]  payload checksum (see payloadChecksum: chunked CRC32C)
 //	payload:
 //	  [8]  entry count     [8] stores     [8] loads
-//	  [1]  hitHalt         [7] zero padding (keeps the payload 8-aligned)
+//	  [1]  hitHalt         [7] zero padding
 //	  program section:
 //	    [4] textBase  [4] entry  [4] dataBase
 //	    [4] text len (instrs)  [4] data len (bytes)  [4] symbol count
 //	    text: len × 12 bytes (Op Rd Rs Rt, i32 imm, u32 target)
 //	    data: raw bytes
 //	    symbols, sorted by name: per symbol [4] name len, name bytes, [4] addr
-//	  init-memory section:
-//	    [4] page count, then per page (ascending base): [4] base, 4096 bytes
-//	  [0..7] zero padding to an 8-byte boundary
+//	  [0..7] zero padding to an 8-byte file offset (the frame header counts)
 //	  entries: count × 24 bytes — trace.Entry verbatim
 //	  index: ceil(count/64) × 24 bytes — trace.SeqBlock verbatim
 //
 // The entries and index sections are the in-memory []trace.Entry and
 // []trace.SeqBlock layouts, so encoding is two unsafe slice views and
-// decoding is two pointer casts into the mapped (or read) file: no
-// per-entry work for 500k records. 24-byte records keep the index
-// 8-aligned. The decoder checks the index against itself
-// (Trace.IndexConsistent), a pass over one block per 64 entries. The
-// layout fingerprint binds files to the exact compiled structs — a
-// build whose layout differs (new field, different offsets, big-endian
-// target) computes a different fingerprint, sees every existing file as
-// a miss, and rewrites it. v1 files ("DMDPTRC1", 56-byte records with
-// the sequence numbers inline) live under other keys, since TraceKey
-// hashes the magic; one read under a v2 key fails the magic check and
-// is rewritten. Symbols and pages are sorted so identical traces always
-// produce identical bytes despite Go's randomized map iteration.
-var traceMagic = [8]byte{'D', 'M', 'D', 'P', 'T', 'R', 'C', '2'}
+// decoding is two pointer casts into the mapped file: no per-entry work
+// for 500k records. Both start 8-aligned from the file start, and a
+// mapping starts on a page, so the casts are aligned. The decoder checks
+// the index against itself (Trace.IndexConsistent), a pass over one
+// block per 64 entries.
+//
+// The file holds no initial memory image. Every stored trace comes from
+// emu.Run or emu.RunCtx, whose InitMem is the program's data segment as
+// the emulator loads it, so decode rebuilds it with emu.LoadImage and
+// the data segment is stored once, in the program section.
+//
+// TraceKey hashes the magic and the layout fingerprint of the compiled
+// trace.Entry and trace.SeqBlock (entryFingerprint): a build whose
+// layout differs (new field, different offsets, big-endian target)
+// reads and writes other keys, and files of an older format (DMDPTRC1
+// and DMDPTRC2, which kept a header of their own and an init-memory
+// section) live under other keys and age out through LRU eviction.
+// Symbols are sorted so identical traces always produce identical bytes
+// despite Go's randomized map iteration.
+var traceMagic = [8]byte{'D', 'M', 'D', 'P', 'T', 'R', 'C', '3'}
 
 const (
-	traceHeaderSize = 16
-	entrySize       = int(unsafe.Sizeof(trace.Entry{}))
-	seqBlockSize    = int(unsafe.Sizeof(trace.SeqBlock{}))
-	traceSuffix     = ".trace"
+	entrySize    = int(unsafe.Sizeof(trace.Entry{}))
+	seqBlockSize = int(unsafe.Sizeof(trace.SeqBlock{}))
+	traceFixed   = 4 * 8
 )
 
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
+var traceKind = framedKind[trace.Trace]{
+	magic: traceMagic, suffix: ".trace", lookups: traceLookups, mapped: true,
+	encode: encodeTrace, decode: decodeTrace,
+}
 
-// crcChunkSize is the unit of the trace payload checksum. Multi-chunk
-// payloads are checksummed per chunk so decode can verify on all cores.
-const crcChunkSize = 1 << 22 // 4 MiB
-
-// payloadChecksum is the trace-format integrity check: the CRC32C of
-// each 4 MiB chunk, folded by a CRC32C over the little-endian chunk
-// CRCs. Single-chunk payloads degenerate to a plain CRC32C. Any flipped
-// bit changes its chunk's CRC and therefore the folded value, so the
-// detection strength matches a whole-payload CRC — but the chunks
-// verify in parallel, which keeps a trace-store hit an order of
-// magnitude cheaper than rebuilding the trace even though the hit
-// rereads tens of megabytes. The fold is deterministic (chunk order is
-// positional), so identical payloads always store identical checksums.
-func payloadChecksum(p []byte) uint32 {
-	n := (len(p) + crcChunkSize - 1) / crcChunkSize
-	if n <= 1 {
-		return crc32.Checksum(p, crcTable)
-	}
-	sums := make([]byte, 4*n)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		// Single-CPU hosts skip the goroutine machinery: same chunking,
-		// same folded value, no scheduler overhead.
-		for i := 0; i < n; i++ {
-			lo := i * crcChunkSize
-			hi := lo + crcChunkSize
-			if hi > len(p) {
-				hi = len(p)
-			}
-			binary.LittleEndian.PutUint32(sums[4*i:],
-				crc32.Checksum(p[lo:hi], crcTable))
-		}
-		return crc32.Checksum(sums, crcTable)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				lo := i * crcChunkSize
-				hi := lo + crcChunkSize
-				if hi > len(p) {
-					hi = len(p)
-				}
-				binary.LittleEndian.PutUint32(sums[4*i:],
-					crc32.Checksum(p[lo:hi], crcTable))
-			}
-		}()
-	}
-	wg.Wait()
-	return crc32.Checksum(sums, crcTable)
+// TraceKey derives the trace-store key for a workload (identified by the
+// SHA-256 of its generated source, see workload.Spec.SourceHash) at an
+// instruction budget. The trace format version and the compiled entry
+// layout are part of the hash.
+func TraceKey(sourceHash [sha256.Size]byte, budget int64) Key {
+	h := sha256.New()
+	h.Write([]byte("dmdp-trace\x00"))
+	h.Write(traceMagic[:])
+	var b [8]byte
+	binary.LittleEndian.PutUint32(b[:4], layoutFingerprint)
+	h.Write(b[:4])
+	h.Write(sourceHash[:])
+	binary.LittleEndian.PutUint64(b[:], uint64(budget))
+	h.Write(b[:])
+	var k Key
+	h.Sum(k[:0])
+	return k
 }
 
 // entryFingerprint hashes the compiled layouts of trace.Entry and
@@ -158,21 +116,20 @@ func entryFingerprint() uint32 {
 
 var layoutFingerprint = entryFingerprint()
 
-// encodeTrace serializes tr into the v2 format. Returns nil when the
-// trace cannot be represented: no program, an index that does not cover
-// the entries (Analyze has not run), or 32-bit section lengths that
-// would overflow (belt and braces).
+// entriesPad returns the zero padding that puts the entries section,
+// after a payload prefix of n bytes, on an 8-byte file offset.
+func entriesPad(n int) int { return (8 - (frameHeaderSize+n)%8) % 8 }
+
+// encodeTrace returns tr's v3 payload, or nil when the trace cannot be
+// represented: no program, an index that does not cover the entries
+// (Analyze has not run), or 32-bit section lengths that would overflow
+// (belt and braces).
 func encodeTrace(tr *trace.Trace) []byte {
 	p := tr.Prog
 	if p == nil || len(p.Text) > 1<<28 || len(p.Data) > 1<<30 ||
 		len(tr.Seq) != trace.SeqBlocks(len(tr.Entries)) {
 		return nil
 	}
-	pageCount := 0
-	if tr.InitMem != nil {
-		pageCount = tr.InitMem.Pages()
-	}
-
 	symNames := make([]string, 0, len(p.Symbols))
 	symBytes := 0
 	for name := range p.Symbols {
@@ -181,17 +138,10 @@ func encodeTrace(tr *trace.Trace) []byte {
 	}
 	sortStrings(symNames)
 
-	progSize := 6*4 + len(p.Text)*12 + len(p.Data) + symBytes
-	memSize := 4 + pageCount*(4+mem.PageSize)
-	prefix := 3*8 + 8 + progSize + memSize
-	pad := (8 - prefix%8) % 8
-	total := traceHeaderSize + prefix + pad + len(tr.Entries)*entrySize + len(tr.Seq)*seqBlockSize
+	prefix := traceFixed + 6*4 + len(p.Text)*12 + len(p.Data) + symBytes
+	total := prefix + entriesPad(prefix) + len(tr.Entries)*entrySize + len(tr.Seq)*seqBlockSize
 
 	buf := make([]byte, 0, total)
-	buf = append(buf, traceMagic[:]...)
-	buf = binary.LittleEndian.AppendUint32(buf, layoutFingerprint)
-	buf = binary.LittleEndian.AppendUint32(buf, 0) // CRC patched below
-
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(tr.Entries)))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(tr.Stores))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(tr.Loads))
@@ -219,61 +169,36 @@ func encodeTrace(tr *trace.Trace) []byte {
 		buf = binary.LittleEndian.AppendUint32(buf, p.Symbols[name])
 	}
 
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(pageCount))
-	if tr.InitMem != nil {
-		tr.InitMem.ForEachPage(func(base uint32, data *[mem.PageSize]byte) {
-			buf = binary.LittleEndian.AppendUint32(buf, base)
-			buf = append(buf, data[:]...)
-		})
-	}
-
-	for len(buf)%8 != 0 {
-		buf = append(buf, 0)
-	}
+	buf = append(buf, make([]byte, entriesPad(len(buf)))...)
 	if len(tr.Entries) > 0 {
 		buf = append(buf, unsafe.Slice((*byte)(unsafe.Pointer(&tr.Entries[0])),
 			len(tr.Entries)*entrySize)...)
 		buf = append(buf, unsafe.Slice((*byte)(unsafe.Pointer(&tr.Seq[0])),
 			len(tr.Seq)*seqBlockSize)...)
 	}
-
-	crc := payloadChecksum(buf[traceHeaderSize:])
-	binary.LittleEndian.PutUint32(buf[12:16], crc)
 	return buf
 }
 
-// decodeTrace parses a v2 file image. The returned trace's Entries and
-// Seq slices alias buf (zero-copy), so buf must stay reachable — and
-// unmodified — for the trace's lifetime; mmap-backed buffers are mapped
-// privately so even a stray write cannot reach the file. Any structural
-// problem (short file, bad magic, foreign layout, checksum mismatch,
-// lengths that disagree with the file size, an index that contradicts
-// itself or the trace's store and load counts) returns nil: the caller
-// treats it as a miss.
-func decodeTrace(buf []byte) (tr *trace.Trace) {
-	// The CRC makes accidental corruption unreachable below, but a file
-	// whose stored CRC happens to match inconsistent section lengths
-	// must degrade to a miss, not an index panic.
+// decodeTrace parses a v3 payload. The returned trace's Entries and Seq
+// slices alias p (zero-copy), so p must stay reachable — and unmodified
+// — for the trace's lifetime; mapped files are mapped privately so even
+// a stray write cannot reach the file. InitMem is rebuilt from the
+// program (emu.LoadImage). Any structural problem (short payload,
+// lengths that disagree with its size, an index that contradicts itself
+// or the trace's store and load counts) returns nil: the caller treats
+// it as a miss.
+func decodeTrace(p []byte) (tr *trace.Trace) {
+	// The checksum makes accidental corruption unreachable below, but a
+	// payload whose checksum happens to match inconsistent section
+	// lengths must degrade to a miss, not an index panic.
 	defer func() {
 		if recover() != nil {
 			tr = nil
 		}
 	}()
-	if len(buf) < traceHeaderSize+4*8 {
+	if len(p) < traceFixed {
 		return nil
 	}
-	if [8]byte(buf[:8]) != traceMagic {
-		return nil
-	}
-	if binary.LittleEndian.Uint32(buf[8:12]) != layoutFingerprint {
-		return nil
-	}
-	wantCRC := binary.LittleEndian.Uint32(buf[12:16])
-	if payloadChecksum(buf[traceHeaderSize:]) != wantCRC {
-		return nil
-	}
-
-	p := buf[traceHeaderSize:]
 	off := 0
 	u64 := func() uint64 {
 		v := binary.LittleEndian.Uint64(p[off:])
@@ -335,21 +260,7 @@ func decodeTrace(buf []byte) (tr *trace.Trace) {
 		prog.Symbols[name] = u32()
 	}
 
-	if off+4 > len(p) {
-		return nil
-	}
-	pageCount := int(u32())
-	img := mem.NewImage()
-	for i := 0; i < pageCount; i++ {
-		if off+4+mem.PageSize > len(p) {
-			return nil
-		}
-		base := u32()
-		img.SetPage(base, (*[mem.PageSize]byte)(p[off:off+mem.PageSize]))
-		off += mem.PageSize
-	}
-
-	off += (8 - off%8) % 8
+	off += entriesPad(off)
 	if entryCount > trace.MaxEntries {
 		return nil
 	}
@@ -359,7 +270,7 @@ func decodeTrace(buf []byte) (tr *trace.Trace) {
 		return nil
 	}
 	tr = &trace.Trace{
-		Prog: prog, InitMem: img,
+		Prog: prog, InitMem: emu.LoadImage(prog),
 		Stores: stores, Loads: loads, HitHalt: hitHalt,
 	}
 	if n > 0 {
@@ -395,95 +306,27 @@ func sortStrings(s []string) {
 	}
 }
 
-// loadedTrace is one memoized decoded trace: the trace and the identity
-// of the file it was decoded (and checksum-verified) from.
-type loadedTrace struct {
-	id fileID
-	tr *trace.Trace
-}
-
-// remember records tr as the decoded trace for key, tagged with the
-// file's current (post-touch) identity.
-func (s *Store) remember(key Key, path string, tr *trace.Trace) {
-	id, ok := statID(path)
-	if !ok {
-		return
-	}
-	s.loadedMu.Lock()
-	if s.loaded == nil {
-		s.loaded = make(map[Key]loadedTrace)
-	}
-	s.loaded[key] = loadedTrace{id: id, tr: tr}
-	s.loadedMu.Unlock()
+// Trace is the get-or-build path for one trace (see get): a hit returns
+// the stored trace, a miss calls build and stores the trace it returns,
+// and a verify-mode hit builds the trace again and compares encodings.
+// bench names the workload in a verify error. The trace must come from
+// emu.Run or emu.RunCtx (see the format notes above). A returned hit
+// aliases a private file mapping that stays live for the process
+// lifetime, and callers must treat it as read-only.
+func (s *Store) Trace(key Key, bench string, build func() (*trace.Trace, error)) (*trace.Trace, error) {
+	return get(s, &traceKind, key, bench, "trace", build)
 }
 
 // LoadTrace fetches the trace stored under key, or (nil, false) on any
 // miss — absent, corrupt, truncated or foreign-format entries all read
 // as misses (corrupt ones are deleted in read-write modes so the caller
-// rewrites them). The returned trace aliases a private file mapping that
-// stays live for the process lifetime, and callers must treat it as
-// read-only: reloading a file this process already decoded (same
-// device, inode, size and mtime) returns the same *trace.Trace — one
-// mapping and one checksum pass per distinct file content, which is
-// what keeps a trace-store hit orders of magnitude cheaper than
-// rebuilding the trace.
+// rewrites them). Reloading a file this store already decoded returns
+// the same *trace.Trace.
 func (s *Store) LoadTrace(key Key) (*trace.Trace, bool) {
-	if s == nil {
-		return nil, false
-	}
-	path := s.path(key, traceSuffix)
-	if id, ok := statID(path); ok {
-		s.loadedMu.Lock()
-		m, hit := s.loaded[key]
-		s.loadedMu.Unlock()
-		if hit && m.id == id {
-			s.hits[traceLookups].Add(1)
-			s.touch(path)
-			s.remember(key, path, m.tr) // refresh the post-touch mtime
-			return m.tr, true
-		}
-	}
-	buf, ok := readEntire(path)
-	if !ok {
-		s.misses[traceLookups].Add(1)
-		return nil, false
-	}
-	tr := decodeTrace(buf)
-	if tr == nil {
-		s.drop(path)
-		s.misses[traceLookups].Add(1)
-		return nil, false
-	}
-	s.hits[traceLookups].Add(1)
-	s.bytesRead.Add(int64(len(buf)))
-	s.touch(path)
-	s.remember(key, path, tr)
-	return tr, true
-}
-
-// Trace is the get-or-build path for one trace: a hit returns the
-// stored trace (see LoadTrace), and a miss calls build, stores the
-// trace it returns and returns it. A failed build is returned and
-// nothing is stored. A nil store always builds.
-func (s *Store) Trace(key Key, build func() (*trace.Trace, error)) (*trace.Trace, error) {
-	if tr, ok := s.LoadTrace(key); ok {
-		return tr, nil
-	}
-	tr, err := build()
-	if err != nil {
-		return nil, err
-	}
-	s.StoreTrace(key, tr)
-	return tr, nil
+	tr, _, ok := traceKind.load(s, key)
+	return tr, ok
 }
 
 // StoreTrace persists tr under key (no-op for nil or read-only stores,
 // or for traces the format cannot hold).
-func (s *Store) StoreTrace(key Key, tr *trace.Trace) {
-	if !s.writable() || tr == nil {
-		return
-	}
-	if buf := encodeTrace(tr); buf != nil {
-		s.publish(s.path(key, traceSuffix), buf)
-	}
-}
+func (s *Store) StoreTrace(key Key, tr *trace.Trace) { traceKind.store(s, key, tr) }

@@ -21,7 +21,8 @@ import (
 // opaque bytes; the warm package owns the snapshot and delta formats.
 var warmMagic = [8]byte{'D', 'M', 'D', 'P', 'C', 'K', 'P', '2'}
 
-var warmKind = framedKind[WarmRecord]{warmMagic, ".warm", warmLookups, encodeWarm, decodeWarm}
+var warmKind = framedKind[WarmRecord]{magic: warmMagic, suffix: ".warm",
+	lookups: warmLookups, encode: encodeWarm, decode: decodeWarm}
 
 const warmFixed = 8 + 8
 

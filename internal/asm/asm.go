@@ -28,6 +28,16 @@ func Assemble(src string) (*isa.Program, error) {
 	return AssembleWithOptions(src, DefaultOptions)
 }
 
+// Load turns a program file's bytes into a program: a DMO1 object
+// (isa.IsObjectFile) is decoded, anything else is assembled as source
+// text.
+func Load(data []byte) (*isa.Program, error) {
+	if isa.IsObjectFile(data) {
+		return isa.UnmarshalProgram(data)
+	}
+	return Assemble(string(data))
+}
+
 // Error describes an assembly failure with its source line.
 type Error struct {
 	Line int

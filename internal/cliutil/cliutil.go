@@ -115,7 +115,7 @@ type CacheFlags struct {
 func RegisterCache(fs *flag.FlagSet) *CacheFlags {
 	c := &CacheFlags{}
 	fs.StringVar(&c.Mode, "cache", "off",
-		"persistent artifact cache: off | ro | rw | verify (verify re-simulates hits and fails on mismatch)")
+		"persistent artifact cache: off | ro | rw | verify (verify rebuilds and re-simulates hits and fails on mismatch)")
 	fs.StringVar(&c.Dir, "cachedir", artifact.DefaultDir(), "artifact cache directory")
 	fs.Int64Var(&c.Max, "cachemax", artifact.DefaultMaxBytes,
 		"artifact cache size cap in bytes (LRU-evicted)")

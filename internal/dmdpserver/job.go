@@ -298,7 +298,7 @@ func (s *Server) runInline(ctx context.Context, p *jobPlan) (*core.Stats, error)
 		resultKey = artifact.ResultKey(traceKey, p.cfg.Digest(), p.budget)
 	}
 	return s.cfg.Cache.Result(resultKey, p.workload, p.model.String(), func() (*core.Stats, error) {
-		tr, err := s.cfg.Cache.Trace(traceKey, func() (*trace.Trace, error) {
+		tr, err := s.cfg.Cache.Trace(traceKey, p.workload, func() (*trace.Trace, error) {
 			prog, err := asm.Assemble(p.source)
 			if err != nil {
 				return nil, fmt.Errorf("assemble: %w", err)

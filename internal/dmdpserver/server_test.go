@@ -175,7 +175,7 @@ func TestVerifyModeCatchesPoisonedInlineResult(t *testing.T) {
 
 	cfg := config.Default(config.Baseline)
 	key := artifact.ResultKey(artifact.TraceKey(sha256.Sum256([]byte(inlineProgram)), 20_000), cfg.Digest(), 20_000)
-	st, _, ok := rw.LoadStats(key)
+	st, ok := rw.LoadStats(key)
 	if !ok {
 		t.Fatal("inline result was not stored")
 	}
@@ -191,7 +191,7 @@ func TestVerifyModeCatchesPoisonedInlineResult(t *testing.T) {
 	if msg, _ := out["error"].(string); code != http.StatusInternalServerError || !strings.Contains(msg, "verify mismatch") {
 		t.Fatalf("poisoned inline result under verify: status %d %v; want 500 with a verify mismatch", code, out)
 	}
-	if got, _, _ := verify.LoadStats(key); got == nil || got.Cycles != st.Cycles {
+	if got, _ := verify.LoadStats(key); got == nil || got.Cycles != st.Cycles {
 		t.Error("verify mode rewrote the poisoned entry")
 	}
 }

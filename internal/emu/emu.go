@@ -26,11 +26,19 @@ type Emulator struct {
 	count  int64
 }
 
-// New loads the program image into a fresh memory and prepares the
-// architectural state ($sp at StackTop, $gp at the data base).
+// LoadImage returns the program's initial memory: a fresh image holding
+// the data segment at its base.
+func LoadImage(p *isa.Program) *mem.Image {
+	m := mem.NewImage()
+	m.SetBytes(p.DataBase, p.Data)
+	return m
+}
+
+// New loads the program image into a fresh memory (LoadImage) and
+// prepares the architectural state ($sp at StackTop, $gp at the data
+// base).
 func New(p *isa.Program) *Emulator {
-	e := &Emulator{Prog: p, Mem: mem.NewImage(), PC: p.Entry}
-	e.Mem.SetBytes(p.DataBase, p.Data)
+	e := &Emulator{Prog: p, Mem: LoadImage(p), PC: p.Entry}
 	e.Regs[isa.SP] = StackTop
 	e.Regs[isa.GP] = p.DataBase
 	return e

@@ -191,3 +191,49 @@ func TestVerifyDetectsPoisonedResult(t *testing.T) {
 		t.Errorf("verify failure not recorded with a diagnostic: %+v", fails)
 	}
 }
+
+// TestVerifyDetectsStaleTrace plants a valid trace built at another
+// budget under gcc's trace key: every check a load makes passes, only
+// the content is stale. A plain render trusts it, so the results it
+// stores come from the stale trace, and re-simulating them from the
+// same trace would match. Verify mode must rebuild the trace itself and
+// fail the run with a *artifact.VerifyError naming the trace entry.
+func TestVerifyDetectsStaleTrace(t *testing.T) {
+	dir := t.TempDir()
+	spec, ok := workload.Get("gcc")
+	if !ok {
+		t.Fatal("gcc workload missing")
+	}
+	stale, err := spec.BuildTrace(e2eBudget / 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := artifact.TraceKey(spec.SourceHash(), e2eBudget)
+	openStore(t, dir, artifact.RW).StoreTrace(key, stale)
+
+	render := func(mode artifact.Mode) (string, *Runner, error) {
+		r := NewRunner(Options{Budget: e2eBudget, Benchmarks: []string{"gcc"},
+			Cache: openStore(t, dir, mode)})
+		e, _ := ByID("fig12")
+		err := r.WarmUp(e)
+		out, _ := e.Run(r)
+		return out, r, err
+	}
+	if _, r, err := render(artifact.RW); err != nil || r.Sims() == 0 {
+		t.Fatalf("rw render over the stale trace: %v after %d simulations", err, r.Sims())
+	}
+	_, vr, err := render(artifact.Verify)
+	if err == nil {
+		t.Fatal("verify mode accepted a stale trace entry")
+	}
+	fails := vr.Failures()
+	if len(fails) == 0 {
+		t.Fatal("verify failure not recorded")
+	}
+	for _, f := range fails {
+		var verr *artifact.VerifyError
+		if !errors.As(f.Err, &verr) || verr.Bench != "gcc" || verr.Label != "trace" || verr.Key != key || f.Diagnostic == "" {
+			t.Errorf("failure %s/%s: want a trace *artifact.VerifyError with a diagnostic, got %v", f.Bench, f.Label, f.Err)
+		}
+	}
+}

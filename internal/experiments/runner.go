@@ -245,9 +245,10 @@ func (r *Runner) jobs() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Trace returns (building and caching) the proxy's analyzed trace. Builds
-// are deduplicated: concurrent callers for the same proxy share one
-// build.
+// Trace returns (building and caching) the proxy's analyzed trace,
+// through the trace store (Store.Trace: in verify mode a hit is rebuilt
+// and compared). Builds are deduplicated: concurrent callers for the
+// same proxy share one build.
 func (r *Runner) Trace(name string) (*trace.Trace, error) {
 	r.mu.Lock()
 	c, ok := r.traces[name]
@@ -264,7 +265,7 @@ func (r *Runner) Trace(name string) (*trace.Trace, error) {
 	if s, ok := workload.Get(name); ok {
 		key, _ := r.traceKey(name)
 		src := r.takeSource(name)
-		c.tr, c.err = r.opt.Cache.Trace(key, func() (*trace.Trace, error) {
+		c.tr, c.err = r.opt.Cache.Trace(key, name, func() (*trace.Trace, error) {
 			if src == "" { // dropped by an earlier result hit
 				src = s.Source()
 			}

@@ -8,11 +8,8 @@
 package sampling
 
 import (
-	"context"
 	"fmt"
 
-	"dmdp/internal/artifact"
-	"dmdp/internal/config"
 	"dmdp/internal/core"
 	"dmdp/internal/trace"
 )
@@ -128,16 +125,4 @@ type Combined struct {
 	// TotalInstructions and TotalCycles sum over the simulated
 	// intervals (unweighted).
 	TotalInstructions, TotalCycles int64
-}
-
-// Run simulates every interval of the plan under cfg and combines the
-// results by weight. It is the serial convenience wrapper around RunPlan;
-// use RunPlan directly for parallel execution, checkpoint-backed interval
-// extraction or cancellation.
-func Run(tr *trace.Trace, cfg config.Config, plan Plan) (*Combined, error) {
-	src, err := NewTraceSource(tr, plan, nil, artifact.Key{}, false, nil)
-	if err != nil {
-		return nil, err
-	}
-	return RunPlan(context.Background(), cfg, plan, src, 1)
 }

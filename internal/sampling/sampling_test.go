@@ -1,14 +1,27 @@
 package sampling
 
 import (
+	"context"
 	"math"
 	"testing"
 
+	"dmdp/internal/artifact"
 	"dmdp/internal/config"
 	"dmdp/internal/core"
 	"dmdp/internal/trace"
 	"dmdp/internal/workload"
 )
+
+// Run simulates every interval of the plan under cfg, serially and from
+// the trace itself, and combines the results by weight: the reference
+// RunPlan path these tests compare against.
+func Run(tr *trace.Trace, cfg config.Config, plan Plan) (*Combined, error) {
+	src, err := NewTraceSource(tr, plan, nil, artifact.Key{}, false, nil)
+	if err != nil {
+		return nil, err
+	}
+	return RunPlan(context.Background(), cfg, plan, src, 1)
+}
 
 func buildTrace(t *testing.T, bench string, n int64) *trace.Trace {
 	t.Helper()

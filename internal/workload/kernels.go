@@ -11,6 +11,7 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -44,6 +45,13 @@ func (b *builder) t(format string, args ...any) {
 
 func (b *builder) d(format string, args ...any) {
 	b.data = fmt.Appendf(b.data, format+"\n", args...)
+}
+
+// growWords grows data once for n dWord lines of p+name, so a pointer
+// table of hundreds of thousands of lines does not regrow the buffer by
+// doubling. Ten bytes cover any int32 offset.
+func (b *builder) growWords(p, name string, n int) {
+	b.data = slices.Grow(b.data, n*(len("\t.word +\n")+len(p)+len(name)+10))
 }
 
 // dWord appends a data word holding the address p+name+off. It uses
@@ -115,6 +123,7 @@ func (b *builder) ocPointer(slots, tableLen int, adjDup, gapDup float64, iters, 
 	// short-range recurrence (in-flight DiffStore churn, Fig. 13).
 	prev := 0
 	hist := make([]int, 0, tableLen)
+	b.growWords(p, "slots", tableLen)
 	for i := 0; i < tableLen; i++ {
 		var s int
 		switch r := b.rng.Float64(); {
@@ -218,6 +227,7 @@ func (b *builder) linked(nodes, iters int) {
 		next[perm[i]] = perm[(i+1)%nodes]
 	}
 	b.d("%snodes:", p)
+	b.growWords(p, "nodes", nodes)
 	for i := 0; i < nodes; i++ {
 		b.dWord(p, "nodes", next[i]*4)
 	}
@@ -242,6 +252,7 @@ func (b *builder) linkedRMW(nodes, iters int) {
 		next[perm[i]] = perm[(i+1)%nodes]
 	}
 	b.d("%snodes:", p)
+	b.growWords(p, "nodes", nodes)
 	for i := 0; i < nodes; i++ {
 		b.dWord(p, "nodes", next[i]*4)
 	}
