@@ -50,7 +50,7 @@ func main() {
 		pipeview  = flag.Int("pipeview", 0, "render a pipeline view of the first N retired instructions")
 		src       = flag.Bool("source", false, "print the benchmark's generated assembly and exit")
 		sample    = flag.String("sample", "", "interval sampling: auto | auto:K | COUNTxLEN, optionally +WARMUP (e.g. auto:8+2k, 10x1000+200)")
-		ckpt      = flag.Bool("checkpoint", false, "persist/restore sampling checkpoints and plans in the artifact cache (needs -cache rw or ro)")
+		ckpt      = flag.Bool("checkpoint", false, "stream the sampled run and persist/restore its checkpoints and plan in the artifact cache (needs -cache rw or ro)")
 		warmF     = flag.Bool("warm", false, "functionally warm caches/TLB/predictors from the profiling pass before each sampled interval (needs -sample; forced off with -flip)")
 		jobs      = flag.Int("j", 1, "sampled-interval worker-pool width (results are byte-identical at any width)")
 		sampFull  = flag.String("samplefull", "auto", "also simulate the full trace and report sampled-vs-full IPC error: auto (only for budgets <= 5M) | on | off")
@@ -221,14 +221,10 @@ func workloadName(bench, file string) string {
 	return bench
 }
 
-// Sampled-path budget thresholds: beyond materializeLimit the sampled
-// run streams (the trace is never held in memory); beyond
-// fullCompareLimit the -samplefull auto comparison is skipped (a full
-// run would defeat the point of sampling a 100M budget).
-const (
-	materializeLimit = 16_000_000
-	fullCompareLimit = 5_000_000
-)
+// fullCompareLimit is the largest budget -samplefull auto compares
+// against a full run (a full run would defeat the point of sampling a
+// 100M budget).
+const fullCompareLimit = 5_000_000
 
 // sampleRun bundles everything the sampled path needs from main.
 type sampleRun struct {
@@ -249,10 +245,11 @@ type sampleRun struct {
 // runSampled exercises the checkpointed sampling methodology (paper §V):
 // plan intervals (BBV phase clustering for auto specs, centered
 // systematic sampling otherwise), simulate them on a deterministic
-// worker pool, and combine by weight. Small budgets materialize the
-// trace; large ones stream it, restoring intervals from architectural
-// checkpoints. Timing goes to stderr so stdout stays byte-identical
-// across hosts and -j widths.
+// worker pool, and combine by weight. The trace is loaded only when the
+// full-run comparison needs it, and then sliced unless -checkpoint is
+// set; every other run streams, restoring intervals from architectural
+// checkpoints. The path, timing and warming lines go to stderr so
+// stdout stays byte-identical across hosts, -j widths and cache states.
 func runSampled(r sampleRun) {
 	spec, err := cliutil.ParseSampleSpec(r.spec)
 	if err != nil {
@@ -271,7 +268,7 @@ func runSampled(r sampleRun) {
 		Warm: r.warm,
 	}
 	var fullTrace *dmdp.Trace
-	if compareFull || r.budget <= materializeLimit {
+	if compareFull {
 		fullTrace = r.loadTrace()
 		req.Trace = fullTrace
 	} else {
@@ -289,17 +286,9 @@ func runSampled(r sampleRun) {
 	}
 	sampledWall := time.Since(start)
 
-	path := "materialized"
-	if out.Streamed {
-		path = "streamed"
-	}
-	if out.PlanCached {
-		path += " (cached plan)"
-	}
 	c := out.Combined
 	fmt.Printf("model              %s\n", r.model)
 	fmt.Printf("sampling spec      %s\n", spec.String())
-	fmt.Printf("sampling path      %s\n", path)
 	fmt.Printf("plan               %d intervals over %d entries\n", len(out.Plan.Intervals), out.Total)
 	fmt.Printf("sampled instrs     %d of %d (%.1f%%)\n",
 		c.TotalInstructions, out.Total,
@@ -316,8 +305,16 @@ func runSampled(r sampleRun) {
 		fmt.Printf("full MPKI          %.3f\n", full.MPKI())
 		fmt.Printf("IPC error          %+.2f%%\n", 100*(c.WeightedIPC-fullIPC)/fullIPC)
 	}
-	// Warming accounting goes to stderr with the timing: stdout must stay
-	// byte-identical across -j widths and cold/warm artifact caches.
+	// The path, warming accounting and timing go to stderr: stdout must
+	// stay byte-identical across -j widths and cold/warm artifact caches.
+	path := "materialized"
+	if out.Streamed {
+		path = "streamed"
+	}
+	if out.PlanCached {
+		path += " (cached plan)"
+	}
+	fmt.Fprintf(os.Stderr, "sampling path      %s\n", path)
 	if out.Warmed {
 		fmt.Fprintf(os.Stderr, "functional warming warmed %d of %d intervals (%d cold starts), %.1f KiB of snapshots installed\n",
 			out.WarmedIntervals, out.WarmedIntervals+out.ColdStartIntervals,

@@ -36,7 +36,6 @@ func main() {
 		memProf  = flag.String("memprofile", "", "write an allocation profile to this file")
 		timeout  = flag.Duration("timeout", 0, "wall-clock bound for the whole suite; on expiry in-flight runs cancel cleanly and partial results + the failure table still print (0 = none)")
 		sample   = flag.String("sample", "", "samp-err sampling spec: auto | auto:K | COUNTxLEN, optionally +WARMUP (default: budget-derived)")
-		ckpt     = flag.Bool("checkpoint", false, "persist/restore sampling checkpoints and plans in the artifact cache during samp-err")
 		warmF    = flag.Bool("warm", false, "add functionally-warmed rows to samp-err (caches/TLB/predictors warmed from the profiling pass)")
 		cache    = cliutil.RegisterCache(flag.CommandLine)
 	)
@@ -68,7 +67,7 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	opt := experiments.Options{Budget: budget, Parallel: !*serial, Jobs: *jobsFlag, Cache: store, Context: ctx, SampleCheckpoint: *ckpt, SampleWarm: *warmF}
+	opt := experiments.Options{Budget: budget, Parallel: !*serial, Jobs: *jobsFlag, Cache: store, Context: ctx, SampleWarm: *warmF}
 	if *sample != "" {
 		opt.Sample, err = cliutil.ParseSampleSpec(*sample)
 		if err != nil {

@@ -69,7 +69,7 @@ func TestTraceRoundTrip(t *testing.T) {
 	// Semantic equality: re-encoding the decoded trace must reproduce
 	// the original payload exactly (same entries, index, program,
 	// counters — and a canonical encoder).
-	a, b := encodeTrace(tr), encodeTrace(got)
+	a, b := tracePayload(tr), tracePayload(got)
 	if !bytes.Equal(a, b) {
 		t.Fatal("decoded trace re-encodes differently")
 	}
@@ -86,8 +86,8 @@ func TestTraceRoundTrip(t *testing.T) {
 
 func TestTraceEncodingCanonical(t *testing.T) {
 	_, tr := buildTestTrace(t, "perl")
-	a := encodeTrace(tr)
-	b := encodeTrace(tr)
+	a := tracePayload(tr)
+	b := tracePayload(tr)
 	if !bytes.Equal(a, b) {
 		t.Fatal("two encodings of the same trace differ")
 	}
@@ -97,7 +97,7 @@ func TestTraceEncodingCanonical(t *testing.T) {
 	if dec == nil {
 		t.Fatal("decode failed")
 	}
-	if !bytes.Equal(encodeTrace(dec), a) {
+	if !bytes.Equal(tracePayload(dec), a) {
 		t.Fatal("encoding depends on map iteration order")
 	}
 }
@@ -382,7 +382,7 @@ func TestDecodedInitMemIsTheLoadedImage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := decodeTrace(encodeTrace(tr))
+		got := decodeTrace(tracePayload(tr))
 		if got == nil {
 			t.Fatalf("%s: decode failed", name)
 		}

@@ -14,7 +14,7 @@ import (
 // Checkpoint store format v1 ("DMDPCKP1", framed — see frame.go).
 //
 //	payload:
-//	  [8] at  [4] pc  [1] hasArch  [3] zero pad
+//	  [8] at  [4] pc  [1] has-arch = 1  [3] zero pad
 //	  NumArchRegs x [4] regs
 //	  [4] page count, then per page (ascending base address):
 //	    [4] base  [PageSize] content
@@ -22,6 +22,9 @@ import (
 // Checkpoints are memory-image deltas plus architectural state; they are
 // independently restorable, so corruption of one checkpoint only costs a
 // longer roll-forward from an earlier one (or from the program start).
+// The has-arch byte is always 1: older builds also wrote image-only
+// checkpoints (0) under the same keys, which carry no registers, so the
+// decoder rejects any other value and such a file is a dropped miss.
 var checkpointMagic = [8]byte{'D', 'M', 'D', 'P', 'C', 'K', 'P', '1'}
 
 // Plan store format v1 ("DMDPPLN1", framed — see frame.go).
@@ -82,7 +85,7 @@ func PlanKey(traceKey Key, spec string, version int64) Key {
 	return k
 }
 
-func encodeCheckpoint(ck *emu.Checkpoint) []byte {
+func encodeCheckpoint(ck *emu.Checkpoint) [][]byte {
 	bases := make([]uint32, 0, len(ck.Pages))
 	for base := range ck.Pages {
 		bases = append(bases, base)
@@ -92,11 +95,7 @@ func encodeCheckpoint(ck *emu.Checkpoint) []byte {
 	payload := make([]byte, 0, checkpointFixed+len(bases)*checkpointPage)
 	payload = binary.LittleEndian.AppendUint64(payload, uint64(ck.At))
 	payload = binary.LittleEndian.AppendUint32(payload, ck.PC)
-	hasArch := byte(0)
-	if ck.HasArch {
-		hasArch = 1
-	}
-	payload = append(payload, hasArch, 0, 0, 0)
+	payload = append(payload, 1, 0, 0, 0)
 	for _, r := range ck.Regs {
 		payload = binary.LittleEndian.AppendUint32(payload, r)
 	}
@@ -105,17 +104,16 @@ func encodeCheckpoint(ck *emu.Checkpoint) []byte {
 		payload = binary.LittleEndian.AppendUint32(payload, base)
 		payload = append(payload, ck.Pages[base][:]...)
 	}
-	return payload
+	return [][]byte{payload}
 }
 
 func decodeCheckpoint(payload []byte) *emu.Checkpoint {
-	if len(payload) < checkpointFixed {
+	if len(payload) < checkpointFixed || payload[12] != 1 {
 		return nil
 	}
 	ck := &emu.Checkpoint{
-		At:      int64(binary.LittleEndian.Uint64(payload[0:8])),
-		PC:      binary.LittleEndian.Uint32(payload[8:12]),
-		HasArch: payload[12] == 1,
+		At: int64(binary.LittleEndian.Uint64(payload[0:8])),
+		PC: binary.LittleEndian.Uint32(payload[8:12]),
 	}
 	off := 16
 	for i := range ck.Regs {
@@ -175,7 +173,7 @@ type PlanRecord struct {
 	Intervals []PlanInterval
 }
 
-func encodePlan(p *PlanRecord) []byte {
+func encodePlan(p *PlanRecord) [][]byte {
 	payload := make([]byte, 0, planFixed+planInterval*len(p.Intervals))
 	payload = binary.LittleEndian.AppendUint64(payload, uint64(p.ChunkLen))
 	payload = binary.LittleEndian.AppendUint64(payload, uint64(p.Total))
@@ -191,7 +189,7 @@ func encodePlan(p *PlanRecord) []byte {
 		payload = binary.LittleEndian.AppendUint64(payload, uint64(iv.End))
 		payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(iv.Weight))
 	}
-	return payload
+	return [][]byte{payload}
 }
 
 func decodePlan(payload []byte) *PlanRecord {

@@ -12,10 +12,9 @@ import (
 
 func testCheckpoint() *emu.Checkpoint {
 	ck := &emu.Checkpoint{
-		At:      123456,
-		PC:      0x40,
-		HasArch: true,
-		Pages:   map[uint32]*[mem.PageSize]byte{},
+		At:    123456,
+		PC:    0x40,
+		Pages: map[uint32]*[mem.PageSize]byte{},
 	}
 	for i := range ck.Regs {
 		ck.Regs[i] = uint32(i * 7)
@@ -31,7 +30,7 @@ func testCheckpoint() *emu.Checkpoint {
 }
 
 func ckEqual(a, b *emu.Checkpoint) bool {
-	if a.At != b.At || a.PC != b.PC || a.HasArch != b.HasArch || a.Regs != b.Regs {
+	if a.At != b.At || a.PC != b.PC || a.Regs != b.Regs {
 		return false
 	}
 	if len(a.Pages) != len(b.Pages) {

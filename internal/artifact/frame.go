@@ -1,7 +1,6 @@
 package artifact
 
 import (
-	"bytes"
 	"encoding/binary"
 	"hash/crc32"
 	"os"
@@ -35,7 +34,10 @@ type framedKind[T any] struct {
 	// (Store.loaded). Only traces are mapped: their decoder casts the
 	// entries in place instead of copying them out.
 	mapped bool
-	encode func(v *T) []byte       // payload encoder; nil refuses the value
+	// encode returns the payload as parts whose concatenation is the
+	// payload, so a kind can hand over views of the value's own memory
+	// instead of copying them (traces do); nil refuses the value.
+	encode func(v *T) [][]byte
 	decode func(payload []byte) *T // payload decoder; nil rejects the record
 }
 
@@ -54,17 +56,34 @@ const crcChunkSize = 1 << 22 // 4 MiB
 // in parallel, which keeps a trace-store hit an order of magnitude
 // cheaper than rebuilding the trace even though the hit rereads tens of
 // megabytes. The fold is deterministic (chunk order is positional), so
-// identical payloads always store identical checksums.
-func payloadChecksum(p []byte) uint32 {
-	n := (len(p) + crcChunkSize - 1) / crcChunkSize
+// identical payloads always store identical checksums. The payload may
+// come in parts: chunks are cut from their concatenation, so any split
+// of one payload gives the same checksum.
+func payloadChecksum(parts ...[]byte) uint32 {
+	size := 0
+	for _, p := range parts {
+		size += len(p)
+	}
+	// crcRange is the CRC32C of bytes [lo, hi) of the concatenation.
+	crcRange := func(lo, hi int) uint32 {
+		var c uint32
+		off := 0
+		for _, p := range parts {
+			if a, b := max(lo, off), min(hi, off+len(p)); a < b {
+				c = crc32.Update(c, crcTable, p[a-off:b-off])
+			}
+			off += len(p)
+		}
+		return c
+	}
+	n := (size + crcChunkSize - 1) / crcChunkSize
 	if n <= 1 {
-		return crc32.Checksum(p, crcTable)
+		return crcRange(0, size)
 	}
 	sums := make([]byte, 4*n)
 	sum := func(i int) {
 		lo := i * crcChunkSize
-		hi := min(lo+crcChunkSize, len(p))
-		binary.LittleEndian.PutUint32(sums[4*i:], crc32.Checksum(p[lo:hi], crcTable))
+		binary.LittleEndian.PutUint32(sums[4*i:], crcRange(lo, min(lo+crcChunkSize, size)))
 	}
 	workers := min(runtime.GOMAXPROCS(0), n)
 	if workers <= 1 {
@@ -90,12 +109,12 @@ func payloadChecksum(p []byte) uint32 {
 	return crc32.Checksum(sums, crcTable)
 }
 
-// header returns the frame header of payload: the kind's magic and the
-// payload checksum.
-func (k *framedKind[T]) header(payload []byte) []byte {
+// header returns the frame header of the payload made of parts: the
+// kind's magic and the payload checksum.
+func (k *framedKind[T]) header(parts ...[]byte) []byte {
 	h := make([]byte, frameHeaderSize)
 	copy(h, k.magic[:])
-	binary.LittleEndian.PutUint32(h[8:], payloadChecksum(payload))
+	binary.LittleEndian.PutUint32(h[8:], payloadChecksum(parts...))
 	return h
 }
 
@@ -177,8 +196,8 @@ func (k *framedKind[T]) store(s *Store, key Key, v *T) {
 	if !s.writable() || v == nil {
 		return
 	}
-	if payload := k.encode(v); payload != nil {
-		s.publish(s.path(key, k.suffix), k.header(payload), payload)
+	if parts := k.encode(v); parts != nil {
+		s.publish(s.path(key, k.suffix), append([][]byte{k.header(parts...)}, parts...)...)
 	}
 }
 
@@ -186,13 +205,13 @@ func (k *framedKind[T]) store(s *Store, key Key, v *T) {
 // one: a hit returns the stored value, and a miss calls compute and
 // stores what it returns. In verify mode a hit calls compute too and
 // compares the stored payload with the encoding of the recomputed
-// value, byte for byte: a match returns the stored value, so verify
-// output equals a plain warm run's, and a mismatch returns a
-// *VerifyError naming bench and label and writes nothing. The zero key
-// only computes: callers pass it for values that must never be stored,
-// such as fault-injected runs, which the store cannot tell from clean
-// ones. A nil store misses every lookup. A failed compute is returned as
-// is and never stored.
+// value, byte for byte (part by part, never joined into a copy): a
+// match returns the stored value, so verify output equals a plain warm
+// run's, and a mismatch returns a *VerifyError naming bench and label
+// and writes nothing. The zero key only computes: callers pass it for
+// values that must never be stored, such as fault-injected runs, which
+// the store cannot tell from clean ones. A nil store misses every
+// lookup. A failed compute is returned as is and never stored.
 func get[T any](s *Store, k *framedKind[T], key Key, bench, label string, compute func() (*T, error)) (*T, error) {
 	if key == (Key{}) {
 		return compute()
@@ -209,7 +228,7 @@ func get[T any](s *Store, k *framedKind[T], key Key, bench, label string, comput
 		k.store(s, key, v)
 		return v, nil
 	}
-	if fresh := k.encode(v); !bytes.Equal(payload, fresh) {
+	if fresh := k.encode(v); firstDiff(payload, fresh) >= 0 {
 		return nil, newVerifyError(key, s.path(key, k.suffix), bench, label, payload, fresh)
 	}
 	return cached, nil

@@ -10,14 +10,18 @@ import (
 	"testing"
 
 	"dmdp/internal/core"
+	"dmdp/internal/trace"
 )
 
 // encodeFile returns the complete file image of v, as the store writes
 // it: the frame header, then the payload.
 func (k *framedKind[T]) encodeFile(v *T) []byte {
-	payload := k.encode(v)
-	return append(k.header(payload), payload...)
+	parts := k.encode(v)
+	return bytes.Join(append([][]byte{k.header(parts...)}, parts...), nil)
 }
+
+// tracePayload returns encodeTrace's payload as one buffer.
+func tracePayload(tr *trace.Trace) []byte { return bytes.Join(encodeTrace(tr), nil) }
 
 // TestPayloadChecksumChunks pins the frame checksum: up to one 4 MiB
 // chunk it is the plain CRC32C of the payload, which is what kept the
@@ -37,8 +41,30 @@ func TestPayloadChecksumChunks(t *testing.T) {
 	for lo := 0; lo < len(p); lo += crcChunkSize {
 		sums = binary.LittleEndian.AppendUint32(sums, crc32.Checksum(p[lo:min(lo+crcChunkSize, len(p))], crcTable))
 	}
-	if got, want := payloadChecksum(p), crc32.Checksum(sums, crcTable); got != want {
+	want := crc32.Checksum(sums, crcTable)
+	if got := payloadChecksum(p); got != want {
 		t.Fatalf("three chunks: checksum %08x, want the folded %08x", got, want)
+	}
+	// Any split into parts checksums as the concatenation: cuts on,
+	// next to and away from the chunk boundaries, and empty parts.
+	c := crcChunkSize
+	for _, cuts := range [][]int{
+		{c}, {c - 1}, {c + 1}, {1}, {len(p) - 1}, {0, 0, c, c},
+		{100, c - 5, c + 5, 2*c - 1, 2 * c}, {3, c / 2, 3 * c / 2, 2*c + 100},
+	} {
+		var parts [][]byte
+		lo := 0
+		for _, cut := range cuts {
+			parts = append(parts, p[lo:cut])
+			lo = cut
+		}
+		parts = append(parts, p[lo:])
+		if got := payloadChecksum(parts...); got != want {
+			t.Fatalf("split at %v: checksum %08x, want %08x", cuts, got, want)
+		}
+	}
+	if got, want := payloadChecksum(one[:c/2], one[c/2:]), crc32.Checksum(one, crcTable); got != want {
+		t.Fatalf("one chunk in two parts: checksum %08x, want %08x", got, want)
 	}
 }
 

@@ -69,7 +69,9 @@ func testGetPath[T any](t *testing.T, k getPathKind[T]) {
 			wantErr: "run failed", wantRuns: 1, wantHits: 1, wantAfter: true},
 	}
 	values := map[int]*T{stored: k.stored, fresh: k.fresh, other: k.other}
-	encodes := func(v, like *T) bool { return bytes.Equal(k.kind.encode(v), k.kind.encode(like)) }
+	encodes := func(v, like *T) bool {
+		return bytes.Equal(bytes.Join(k.kind.encode(v), nil), bytes.Join(k.kind.encode(like), nil))
+	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			dir := t.TempDir()

@@ -12,7 +12,7 @@ var resultMagic = [8]byte{'D', 'M', 'D', 'P', 'R', 'E', 'S', '1'}
 
 var resultKind = framedKind[core.Stats]{
 	magic: resultMagic, suffix: ".stats", lookups: resultLookups,
-	encode: (*core.Stats).MarshalCanonical,
+	encode: func(st *core.Stats) [][]byte { return [][]byte{st.MarshalCanonical()} },
 	decode: func(payload []byte) *core.Stats {
 		st, _ := core.UnmarshalCanonicalStats(payload) // a wrong length is a miss: nil
 		return st

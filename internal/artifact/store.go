@@ -11,6 +11,7 @@
 package artifact
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -359,25 +360,43 @@ func (e *VerifyError) Error() string {
 }
 
 // newVerifyError builds the structured diagnostic for a poisoned entry
-// from the cached payload and the recomputed encoding.
-func newVerifyError(key Key, path, bench, label string, cached, fresh []byte) *VerifyError {
-	diff := len(cached)
-	if len(fresh) < diff {
-		diff = len(fresh)
+// from the cached payload and the parts of the recomputed encoding.
+func newVerifyError(key Key, path, bench, label string, cached []byte, fresh [][]byte) *VerifyError {
+	cs := sha256.Sum256(cached)
+	h := sha256.New()
+	for _, p := range fresh {
+		h.Write(p)
 	}
-	first := diff
-	for i := 0; i < diff; i++ {
-		if cached[i] != fresh[i] {
-			first = i
-			break
-		}
-	}
-	cs, fs := sha256.Sum256(cached), sha256.Sum256(fresh)
 	return &VerifyError{
 		Key: key, Path: path, Bench: bench, Label: label,
-		CachedSHA: hex.EncodeToString(cs[:8]), FreshSHA: hex.EncodeToString(fs[:8]),
-		FirstDiff: first,
+		CachedSHA: hex.EncodeToString(cs[:8]), FreshSHA: hex.EncodeToString(h.Sum(nil)[:8]),
+		FirstDiff: firstDiff(cached, fresh),
 	}
+}
+
+// firstDiff returns the offset of the first byte at which b and the
+// concatenation of parts differ (the shorter length when one is a
+// prefix of the other), or -1 when they are equal.
+func firstDiff(b []byte, parts [][]byte) int {
+	off := 0
+	for _, p := range parts {
+		n := min(len(p), len(b)-off)
+		if !bytes.Equal(b[off:off+n], p[:n]) {
+			for i := range n {
+				if b[off+i] != p[i] {
+					return off + i
+				}
+			}
+		}
+		if n < len(p) {
+			return off + n
+		}
+		off += n
+	}
+	if off < len(b) {
+		return off
+	}
+	return -1
 }
 
 // path returns the file for a key with the given suffix.

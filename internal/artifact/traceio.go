@@ -28,10 +28,12 @@ import (
 //	  index: ceil(count/64) × 24 bytes — trace.SeqBlock verbatim
 //
 // The entries and index sections are the in-memory []trace.Entry and
-// []trace.SeqBlock layouts, so encoding is two unsafe slice views and
-// decoding is two pointer casts into the mapped file: no per-entry work
-// for 500k records. Both start 8-aligned from the file start, and a
-// mapping starts on a page, so the casts are aligned. The decoder checks
+// []trace.SeqBlock layouts, so encoding hands over two unsafe byte views
+// of the trace's own slices as payload parts (stored and verified
+// without a copy) and decoding is two pointer casts into the mapped
+// file: no per-entry work for 500k records. Both start 8-aligned from
+// the file start, and a mapping starts on a page, so the casts are
+// aligned. The decoder checks
 // the index against itself (Trace.IndexConsistent), a pass over one
 // block per 64 entries.
 //
@@ -120,11 +122,12 @@ var layoutFingerprint = entryFingerprint()
 // after a payload prefix of n bytes, on an 8-byte file offset.
 func entriesPad(n int) int { return (8 - (frameHeaderSize+n)%8) % 8 }
 
-// encodeTrace returns tr's v3 payload, or nil when the trace cannot be
-// represented: no program, an index that does not cover the entries
-// (Analyze has not run), or 32-bit section lengths that would overflow
-// (belt and braces).
-func encodeTrace(tr *trace.Trace) []byte {
+// encodeTrace returns tr's v3 payload as parts — counters, program
+// section and padding, then byte views of the entries and index — or nil
+// when the trace cannot be represented: no program, an index that does
+// not cover the entries (Analyze has not run), or 32-bit section lengths
+// that would overflow (belt and braces).
+func encodeTrace(tr *trace.Trace) [][]byte {
 	p := tr.Prog
 	if p == nil || len(p.Text) > 1<<28 || len(p.Data) > 1<<30 ||
 		len(tr.Seq) != trace.SeqBlocks(len(tr.Entries)) {
@@ -139,9 +142,8 @@ func encodeTrace(tr *trace.Trace) []byte {
 	sortStrings(symNames)
 
 	prefix := traceFixed + 6*4 + len(p.Text)*12 + len(p.Data) + symBytes
-	total := prefix + entriesPad(prefix) + len(tr.Entries)*entrySize + len(tr.Seq)*seqBlockSize
 
-	buf := make([]byte, 0, total)
+	buf := make([]byte, 0, prefix+entriesPad(prefix))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(tr.Entries)))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(tr.Stores))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(tr.Loads))
@@ -170,13 +172,13 @@ func encodeTrace(tr *trace.Trace) []byte {
 	}
 
 	buf = append(buf, make([]byte, entriesPad(len(buf)))...)
-	if len(tr.Entries) > 0 {
-		buf = append(buf, unsafe.Slice((*byte)(unsafe.Pointer(&tr.Entries[0])),
-			len(tr.Entries)*entrySize)...)
-		buf = append(buf, unsafe.Slice((*byte)(unsafe.Pointer(&tr.Seq[0])),
-			len(tr.Seq)*seqBlockSize)...)
+	if len(tr.Entries) == 0 {
+		return [][]byte{buf}
 	}
-	return buf
+	return [][]byte{buf,
+		unsafe.Slice((*byte)(unsafe.Pointer(&tr.Entries[0])), len(tr.Entries)*entrySize),
+		unsafe.Slice((*byte)(unsafe.Pointer(&tr.Seq[0])), len(tr.Seq)*seqBlockSize),
+	}
 }
 
 // decodeTrace parses a v3 payload. The returned trace's Entries and Seq

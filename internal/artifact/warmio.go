@@ -56,11 +56,11 @@ func WarmKey(traceKey Key, at int64, params [sha256.Size]byte) Key {
 	return k
 }
 
-func encodeWarm(r *WarmRecord) []byte {
+func encodeWarm(r *WarmRecord) [][]byte {
 	payload := make([]byte, 0, warmFixed+len(r.Payload))
 	payload = binary.LittleEndian.AppendUint64(payload, uint64(r.At))
 	payload = binary.LittleEndian.AppendUint64(payload, uint64(r.BaseAt))
-	return append(payload, r.Payload...)
+	return [][]byte{append(payload, r.Payload...)}
 }
 
 func decodeWarm(payload []byte) *WarmRecord {

@@ -19,13 +19,9 @@ type Checkpoint struct {
 	// At is the number of instructions retired when the snapshot was
 	// taken (the trace index of the next instruction to execute).
 	At int64
-	// PC and Regs are the architectural state (valid when HasArch).
+	// PC and Regs are the architectural state.
 	PC   uint32
 	Regs [isa.NumArchRegs]uint32
-	// HasArch distinguishes full architectural checkpoints (resumable by
-	// the emulator) from image-only checkpoints used to rebuild interval
-	// sub-traces from an already-materialized trace.
-	HasArch bool
 	// Pages maps page base address -> page content at capture time, for
 	// every page written since the initial image.
 	Pages map[uint32]*[mem.PageSize]byte
@@ -37,11 +33,10 @@ type Checkpoint struct {
 // bases whose page was never materialized are skipped.
 func (e *Emulator) Snapshot(dirty []uint32) *Checkpoint {
 	ck := &Checkpoint{
-		At:      e.count,
-		PC:      e.PC,
-		Regs:    e.Regs,
-		HasArch: true,
-		Pages:   make(map[uint32]*[mem.PageSize]byte, len(dirty)),
+		At:    e.count,
+		PC:    e.PC,
+		Regs:  e.Regs,
+		Pages: make(map[uint32]*[mem.PageSize]byte, len(dirty)),
 	}
 	for _, base := range dirty {
 		if pg, ok := e.Mem.PageCopy(base); ok {
@@ -51,31 +46,17 @@ func (e *Emulator) Snapshot(dirty []uint32) *Checkpoint {
 	return ck
 }
 
-// RestoreImage overlays the checkpoint's dirty pages on a clone of the
-// initial memory image, yielding memory as it was at ck.At.
-func (ck *Checkpoint) RestoreImage(init *mem.Image) *mem.Image {
+// Resume reconstructs an emulator mid-execution from a checkpoint taken
+// by Snapshot during an earlier run of the same program: the
+// checkpoint's dirty pages overlay a clone of the initial image. Emulation
+// is deterministic, so stepping the resumed emulator yields entries
+// bit-identical to the original run from instruction ck.At onward.
+func Resume(p *isa.Program, init *mem.Image, ck *Checkpoint) *Emulator {
 	img := init.Clone()
 	for base, pg := range ck.Pages {
 		img.SetPage(base, pg)
 	}
-	return img
-}
-
-// Resume reconstructs an emulator mid-execution from a checkpoint taken
-// by Snapshot during an earlier run of the same program. Emulation is
-// deterministic, so stepping the resumed emulator yields entries
-// bit-identical to the original run from instruction ck.At onward.
-func Resume(p *isa.Program, init *mem.Image, ck *Checkpoint) (*Emulator, error) {
-	if !ck.HasArch {
-		return nil, fmt.Errorf("emu: checkpoint at %d has no architectural state", ck.At)
-	}
-	return &Emulator{
-		Prog:  p,
-		Mem:   ck.RestoreImage(init),
-		Regs:  ck.Regs,
-		PC:    ck.PC,
-		count: ck.At,
-	}, nil
+	return &Emulator{Prog: p, Mem: img, Regs: ck.Regs, PC: ck.PC, count: ck.At}
 }
 
 // StepN executes n instructions discarding their trace entries — the

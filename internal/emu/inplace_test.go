@@ -119,10 +119,7 @@ func TestInPlaceBuildersAgree(t *testing.T) {
 		for base := range dirty {
 			bases = append(bases, base)
 		}
-		r, err := emu.Resume(p, init, e.Snapshot(bases))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
+		r := emu.Resume(p, init, e.Snapshot(bases))
 		skip := int64(len(ref.Entries)) / 6
 		if err := r.StepN(skip); err != nil {
 			t.Fatalf("%s: StepN: %v", name, err)

@@ -54,9 +54,6 @@ type Options struct {
 	// Sample overrides the samp-err experiment's sampling spec (zero
 	// value: a budget-derived default, see Runner.sampSpec).
 	Sample sampling.Spec
-	// SampleCheckpoint persists/restores sampling checkpoints and plans
-	// in Cache during sampled runs.
-	SampleCheckpoint bool
 	// SampleWarm adds functionally-warmed rows to the samp-err
 	// experiment: each benchmark is sampled twice, cold-start (the
 	// paper's checkpoint semantics) and with cache/TLB/predictor tag
@@ -393,13 +390,12 @@ func (r *Runner) execute(ctx context.Context, s RunSpec) (res result, err error,
 		})
 	case s.Sampled:
 		err = run(func(tr *trace.Trace) (err error) {
-			key, _ := r.traceKey(s.Bench)
 			// Jobs 1: the pool runs whole runs side by side, and the
-			// intervals run on this goroutine, inside guard.
+			// intervals run on this goroutine, inside guard. The runner
+			// holds the trace, so Execute slices it.
 			res.samp, err = sampling.Execute(ctx, s.Cfg, sampling.Request{
 				Spec: r.sampSpec(), Budget: r.opt.Budget, Jobs: 1,
-				Checkpoint: r.opt.SampleCheckpoint, Store: r.opt.Cache,
-				TraceKey: key, Trace: tr, Warm: s.Warm,
+				Trace: tr, Warm: s.Warm,
 			})
 			return err
 		})

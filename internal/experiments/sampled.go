@@ -85,10 +85,8 @@ func (r *Runner) sampSpec() sampling.Spec {
 // SampErr validates the sampling methodology (paper §V): for every
 // benchmark and model, the full-budget IPC is compared against the
 // weighted sampled estimate, and the signed error is tabulated. The
-// sampled runs reuse the runner's cached traces (and, when
-// Options.SampleCheckpoint is set, restore intervals from persisted
-// checkpoints), so the marginal cost over the reference suite is the
-// sampled intervals themselves.
+// sampled runs slice the runner's cached traces, so the marginal cost
+// over the reference suite is the sampled intervals themselves.
 func SampErr(r *Runner) (string, error) {
 	spec := r.sampSpec()
 	t := stats.NewTable(

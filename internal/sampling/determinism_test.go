@@ -7,16 +7,18 @@ import (
 
 	"dmdp/internal/artifact"
 	"dmdp/internal/config"
+	"dmdp/internal/emu"
 	"dmdp/internal/trace"
 	"dmdp/internal/workload"
 )
 
 // sliceSource is the roll-forward reference: every interval is extracted
 // with the legacy Slice (O(Start) image replay per interval), no
-// checkpoints anywhere.
+// checkpoints anywhere, no warming.
 type sliceSource struct {
 	tr   *trace.Trace
 	plan Plan
+	*warmCollector
 }
 
 func (s sliceSource) IntervalTrace(i int) (*trace.Trace, int, error) {
@@ -27,10 +29,11 @@ func (s sliceSource) IntervalTrace(i int) (*trace.Trace, int, error) {
 
 // TestCheckpointRestoreBitIdenticalAllProxies is the full determinism
 // sweep: for every proxy benchmark and every model, intervals restored
-// from persisted checkpoints must produce combined statistics
-// byte-identical to the legacy roll-forward Slice path, serially and at
-// -j8. This is the contract that lets checkpointed sampling replace
-// roll-forward wholesale: faster, never different.
+// from the architectural checkpoints a profiling pass persisted must
+// produce combined statistics byte-identical to the legacy roll-forward
+// Slice path, serially and at -j8. This is the contract that lets
+// checkpointed sampling replace roll-forward wholesale: faster, never
+// different.
 func TestCheckpointRestoreBitIdenticalAllProxies(t *testing.T) {
 	const (
 		budget      = 24_000
@@ -42,6 +45,7 @@ func TestCheckpointRestoreBitIdenticalAllProxies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	chunkLen := autoChunkLen(budget)
 	models := []config.Model{config.Baseline, config.NoSQ, config.DMDP, config.Perfect, config.FnF}
 	ctx := context.Background()
 	for _, name := range workload.Names() {
@@ -49,7 +53,11 @@ func TestCheckpointRestoreBitIdenticalAllProxies(t *testing.T) {
 		if !ok {
 			t.Fatalf("unknown proxy %s", name)
 		}
-		tr, err := s.BuildTrace(budget)
+		prog, err := s.Program()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		tr, err := emu.Run(prog, budget)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -60,24 +68,25 @@ func TestCheckpointRestoreBitIdenticalAllProxies(t *testing.T) {
 		plan.Warmup = warmup
 		key := artifact.TraceKey(s.SourceHash(), budget)
 
-		// Cold source publishes checkpoints; warm source restores them.
-		if _, err := NewTraceSource(tr, plan, store, key, true, nil); err != nil {
-			t.Fatalf("%s cold source: %v", name, err)
-		}
-		warm, err := NewTraceSource(tr, plan, store, key, true, nil)
+		// The profiling pass publishes a checkpoint at every chunk
+		// boundary; the reopened stream holds none in memory, so every
+		// interval restores from the store.
+		built, err := BuildStream(ctx, prog, budget, chunkLen, store, key, true, nil)
 		if err != nil {
-			t.Fatalf("%s warm source: %v", name, err)
+			t.Fatalf("%s stream: %v", name, err)
 		}
+		restored := OpenStream(prog, chunkLen, built.Total, built.HitHalt, store, key, nil).Source(plan)
 		ref := sliceSource{tr: tr, plan: plan}
 
 		// Interval extraction must agree entry for entry before any
 		// simulation: a checkpoint restore is just a faster roll-forward.
+		hits := store.Counters().CheckpointHits
 		for i := range plan.Intervals {
 			a, warmA, err := ref.IntervalTrace(i)
 			if err != nil {
 				t.Fatalf("%s slice %d: %v", name, i, err)
 			}
-			b, warmB, err := warm.IntervalTrace(i)
+			b, warmB, err := restored.IntervalTrace(i)
 			if err != nil {
 				t.Fatalf("%s restore %d: %v", name, i, err)
 			}
@@ -92,6 +101,9 @@ func TestCheckpointRestoreBitIdenticalAllProxies(t *testing.T) {
 				}
 			}
 		}
+		if got := store.Counters().CheckpointHits - hits; got != int64(len(plan.Intervals)) {
+			t.Fatalf("%s: %d of %d intervals restored from a stored checkpoint", name, got, len(plan.Intervals))
+		}
 
 		for _, m := range models {
 			cfg := config.Default(m)
@@ -101,7 +113,7 @@ func TestCheckpointRestoreBitIdenticalAllProxies(t *testing.T) {
 			}
 			enc := want.MarshalCanonical()
 			for _, jobs := range []int{1, 8} {
-				got, err := RunPlan(ctx, cfg, plan, warm, jobs)
+				got, err := RunPlan(ctx, cfg, plan, restored, jobs)
 				if err != nil {
 					t.Fatalf("%s/%s -j%d: %v", name, m, jobs, err)
 				}

@@ -51,14 +51,12 @@ func RunPlan(ctx context.Context, cfg config.Config, plan Plan, src Source, jobs
 		// the first cycle. A rejected snapshot leaves the core cold (the
 		// install is transactional) and degrades this interval to a cold
 		// start — never a failure, never divergent state.
-		if wp, ok := src.(warmProvider); ok {
-			if snap := wp.IntervalWarm(i); snap != nil {
-				if ierr := c.InstallWarmState(snap); ierr != nil {
-					fmt.Fprintf(os.Stderr,
-						"sampling: warning: interval [%d,%d): %v; cold-starting (event=warm_install_rejected)\n",
-						iv.Start, iv.End, ierr)
-					wp.WarmInstallFailed(i)
-				}
+		if snap := src.IntervalWarm(i); snap != nil {
+			if ierr := c.InstallWarmState(snap); ierr != nil {
+				fmt.Fprintf(os.Stderr,
+					"sampling: warning: interval [%d,%d): %v; cold-starting (event=warm_install_rejected)\n",
+					iv.Start, iv.End, ierr)
+				src.WarmInstallFailed(i)
 			}
 		}
 		st, err := c.RunContext(ctx)

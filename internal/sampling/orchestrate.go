@@ -11,17 +11,22 @@ import (
 	"dmdp/internal/warm"
 )
 
-// Request describes one sampled simulation for Execute. Exactly one of
-// Trace (an already-materialized trace) or Prog (streamed emulation, for
-// budgets too large to materialize) must be set.
+// Request describes one sampled simulation for Execute. Execute slices
+// Trace, a trace the caller already holds, unless Checkpoint is set;
+// otherwise it streams from Prog, or from Trace's own program when Prog
+// is nil. Checkpoints, plans and warm records therefore belong to the
+// streamed source alone.
 type Request struct {
-	Spec   Spec
+	Spec Spec
+	// Budget is the instruction budget the program runs for. Both
+	// sources derive the auto-plan chunk length from it, so a program
+	// that halts early gets one plan whichever source serves it.
 	Budget int64
 	// Jobs is the interval worker-pool width (<=1 serial). Results are
 	// byte-identical at any width.
 	Jobs int
-	// Checkpoint enables persisting/consuming checkpoints (and, on the
-	// streaming path, plans) in Store under TraceKey.
+	// Checkpoint streams the run and persists/consumes its checkpoints,
+	// plan and warm records in Store under TraceKey.
 	Checkpoint bool
 	Store      *artifact.Store
 	TraceKey   artifact.Key
@@ -41,7 +46,8 @@ type Outcome struct {
 	Combined *Combined
 	Plan     Plan
 	// Total is the executed/observed instruction count the plan was laid
-	// out over; Streamed reports the streaming (never-materialized) path.
+	// out over; Streamed reports that the streamed source served the
+	// intervals.
 	Total    int64
 	Streamed bool
 	// PlanCached reports that the plan (and stream geometry) came from
@@ -85,12 +91,11 @@ func autoChunkLen(budget int64) int {
 
 // Execute plans and runs one sampled simulation end to end:
 //
-//   - materialized path (req.Trace): the plan is computed over the trace
-//     (BBV clustering for auto specs, centered systematic sampling
-//     otherwise) and intervals are extracted in one rolling pass — or
-//     restored from persisted image checkpoints when Checkpoint is set.
-//   - streaming path (req.Prog): one chunked emulator pass computes BBVs
-//     and captures architectural checkpoints without materializing the
+//   - sliced (a held trace, no Checkpoint): the plan is computed over the
+//     trace (BBV clustering for auto specs, centered systematic sampling
+//     otherwise) and intervals are extracted in one rolling pass.
+//   - streamed (otherwise): one chunked emulator pass computes BBVs and
+//     captures architectural checkpoints without materializing the
 //     trace; intervals are then re-materialized independently (and in
 //     parallel) from their nearest checkpoint. With Checkpoint set, the
 //     plan and checkpoints persist, so a re-run skips the profiling pass.
@@ -104,13 +109,36 @@ func Execute(ctx context.Context, cfg config.Config, req Request) (*Outcome, err
 	if err := req.Spec.Validate(); err != nil {
 		return nil, err
 	}
-	if (req.Trace == nil) == (req.Prog == nil) {
-		return nil, fmt.Errorf("sampling: exactly one of Trace or Prog must be set")
+	if req.Budget <= 0 {
+		return nil, fmt.Errorf("sampling: budget %d must be positive", req.Budget)
 	}
-	if req.Trace != nil {
-		return executeMaterialized(ctx, cfg, req)
+	wcfg := warmConfig(cfg, req)
+	var out *Outcome
+	var src Source
+	var err error
+	if req.Trace != nil && !req.Checkpoint {
+		out, src, err = sliceTrace(req, wcfg)
+	} else {
+		prog := req.Prog
+		if prog == nil && req.Trace != nil {
+			prog = req.Trace.Prog
+		}
+		if prog == nil {
+			return nil, fmt.Errorf("sampling: request holds neither a trace nor a program")
+		}
+		out, src, err = stream(ctx, req, prog, wcfg)
 	}
-	return executeStreamed(ctx, cfg, req)
+	if err != nil {
+		return nil, err
+	}
+	if out.Combined, err = RunPlan(ctx, cfg, out.Plan, src, req.Jobs); err != nil {
+		return nil, err
+	}
+	if wcfg != nil {
+		out.Warmed = true
+		out.WarmedIntervals, out.ColdStartIntervals, out.WarmSnapshotBytes = src.warmStats()
+	}
+	return out, nil
 }
 
 // warmConfig resolves the functional-warming configuration for a
@@ -123,48 +151,33 @@ func warmConfig(cfg config.Config, req Request) *warm.Config {
 	return &wc
 }
 
-// fillWarmOutcome copies a source's warming accounting into the outcome.
-func fillWarmOutcome(out *Outcome, src Source) {
-	ws, ok := src.(warmStatsSource)
-	if !ok {
-		return
-	}
-	out.Warmed = true
-	out.WarmedIntervals, out.ColdStartIntervals, out.WarmSnapshotBytes = ws.warmStats()
-}
-
-func executeMaterialized(ctx context.Context, cfg config.Config, req Request) (*Outcome, error) {
+// sliceTrace plans over the held trace and builds its materialized
+// source.
+func sliceTrace(req Request, wcfg *warm.Config) (*Outcome, Source, error) {
 	tr := req.Trace
 	total := len(tr.Entries)
 	var plan Plan
 	var err error
 	if req.Spec.Auto {
-		chunkLen := autoChunkLen(int64(total))
+		chunkLen := autoChunkLen(req.Budget)
 		plan, err = AutoPlan(ChunkBBVs(tr.Entries, chunkLen), chunkLen, req.Spec.Phases())
 	} else {
 		plan, err = Uniform(total, req.Spec.Len, req.Spec.Count)
 	}
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	plan.Warmup = req.Spec.Warmup
-	wcfg := warmConfig(cfg, req)
-	src, err := NewTraceSource(tr, plan, req.Store, req.TraceKey, req.Checkpoint, wcfg)
+	src, err := NewTraceSource(tr, plan, wcfg)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	comb, err := RunPlan(ctx, cfg, plan, src, req.Jobs)
-	if err != nil {
-		return nil, err
-	}
-	out := &Outcome{Combined: comb, Plan: plan, Total: int64(total)}
-	if wcfg != nil {
-		fillWarmOutcome(out, src)
-	}
-	return out, nil
+	return &Outcome{Plan: plan, Total: int64(total)}, src, nil
 }
 
-func executeStreamed(ctx context.Context, cfg config.Config, req Request) (*Outcome, error) {
+// stream plans over a streamed execution of prog, or reopens the stream
+// from a cached plan, and binds its source.
+func stream(ctx context.Context, req Request, prog *isa.Program, wcfg *warm.Config) (*Outcome, Source, error) {
 	// Checkpoint spacing is budget-derived for systematic specs too, not
 	// Spec.Len: tying it to the interval length made `-sample 1x1000` at a
 	// 100M budget snapshot 100k checkpoints (each an O(dirty pages) delta —
@@ -174,8 +187,6 @@ func executeStreamed(ctx context.Context, cfg config.Config, req Request) (*Outc
 	// prefix, so 1% of budget (clamped to [1k, 1M]) serves every spec.
 	chunkLen := autoChunkLen(req.Budget)
 	out := &Outcome{Streamed: true}
-	wcfg := warmConfig(cfg, req)
-	var plan Plan
 
 	// A cached plan (only trusted when checkpoints were persisted with
 	// it) skips the profiling pass: the stream is reopened with just the
@@ -185,48 +196,35 @@ func executeStreamed(ctx context.Context, cfg config.Config, req Request) (*Outc
 	// run would pin every warm re-run to cold starts forever; one fresh
 	// profiling pass recaptures (and persists) the warm state instead.
 	planKey := artifact.PlanKey(req.TraceKey, req.Spec.String(), PlannerVersion)
-	var stream *Stream
 	if req.Checkpoint && req.Store != nil {
 		if rec, ok := req.Store.LoadPlan(planKey); ok && rec.ChunkLen == int64(chunkLen) && planRecordValid(rec) {
-			s := OpenStream(req.Prog, chunkLen, rec.Total, rec.HitHalt, req.Store, req.TraceKey, wcfg)
-			p := planFromRecord(rec)
-			if wcfg == nil || s.warmPlanUsable(p) {
-				plan, stream = p, s
-				out.Total, out.PlanCached = rec.Total, true
+			s := OpenStream(prog, chunkLen, rec.Total, rec.HitHalt, req.Store, req.TraceKey, wcfg)
+			if p := planFromRecord(rec); wcfg == nil || s.warmPlanUsable(p) {
+				p.Warmup = req.Spec.Warmup
+				out.Plan, out.Total, out.PlanCached = p, rec.Total, true
+				return out, s.Source(p), nil
 			}
 		}
 	}
-	if stream == nil {
-		s, err := BuildStream(ctx, req.Prog, req.Budget, chunkLen, req.Store, req.TraceKey, req.Checkpoint, wcfg)
-		if err != nil {
-			return nil, err
-		}
-		if req.Spec.Auto {
-			plan, err = s.AutoPlan(req.Spec.Phases())
-		} else {
-			plan, err = Uniform(int(s.Total), req.Spec.Len, req.Spec.Count)
-		}
-		if err != nil {
-			return nil, err
-		}
-		plan.Warmup = req.Spec.Warmup
-		if req.Checkpoint && req.Store != nil {
-			req.Store.StorePlan(planKey, planToRecord(plan, s))
-		}
-		stream, out.Total = s, s.Total
-		out.WarmEntries, out.WarmNanos = s.WarmEntries, s.WarmNanos
-	}
-	plan.Warmup = req.Spec.Warmup
-	src := stream.Source(plan)
-	comb, err := RunPlan(ctx, cfg, plan, src, req.Jobs)
+	s, err := BuildStream(ctx, prog, req.Budget, chunkLen, req.Store, req.TraceKey, req.Checkpoint, wcfg)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	out.Combined, out.Plan = comb, plan
-	if wcfg != nil {
-		fillWarmOutcome(out, src)
+	if req.Spec.Auto {
+		out.Plan, err = s.AutoPlan(req.Spec.Phases())
+	} else {
+		out.Plan, err = Uniform(int(s.Total), req.Spec.Len, req.Spec.Count)
 	}
-	return out, nil
+	if err != nil {
+		return nil, nil, err
+	}
+	out.Plan.Warmup = req.Spec.Warmup
+	if req.Checkpoint && req.Store != nil {
+		req.Store.StorePlan(planKey, planToRecord(out.Plan, s))
+	}
+	out.Total = s.Total
+	out.WarmEntries, out.WarmNanos = s.WarmEntries, s.WarmNanos
+	return out, s.Source(out.Plan), nil
 }
 
 // ChunkBBVs computes the basic-block vector of every full chunkLen-sized

@@ -97,14 +97,7 @@ func Slice(tr *trace.Trace, iv Interval) (*trace.Trace, error) {
 			img.Write(e.Addr, uint32(e.Size), e.Value)
 		}
 	}
-	sub := &trace.Trace{
-		Prog:    tr.Prog,
-		Entries: append([]trace.Entry(nil), tr.Entries[iv.Start:iv.End]...),
-		InitMem: img,
-		HitHalt: false,
-	}
-	sub.Analyze()
-	return sub, nil
+	return subTrace(tr, iv.Start, iv.End, img), nil
 }
 
 // IntervalResult pairs an interval with its simulation statistics.

@@ -5,7 +5,6 @@ import (
 	"math"
 	"testing"
 
-	"dmdp/internal/artifact"
 	"dmdp/internal/config"
 	"dmdp/internal/core"
 	"dmdp/internal/trace"
@@ -16,7 +15,7 @@ import (
 // the trace itself, and combines the results by weight: the reference
 // RunPlan path these tests compare against.
 func Run(tr *trace.Trace, cfg config.Config, plan Plan) (*Combined, error) {
-	src, err := NewTraceSource(tr, plan, nil, artifact.Key{}, false, nil)
+	src, err := NewTraceSource(tr, plan, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -7,26 +7,20 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"dmdp/internal/artifact"
-	"dmdp/internal/emu"
 	"dmdp/internal/mem"
 	"dmdp/internal/trace"
 	"dmdp/internal/warm"
 )
 
-// Source supplies the standalone sub-trace for each interval of a plan.
-// IntervalTrace must be safe for concurrent calls with distinct indices
-// (RunPlan invokes it from pool workers).
+// Source supplies the standalone sub-trace for each interval of a plan,
+// and the warm state to install before it. IntervalTrace must be safe
+// for concurrent calls with distinct indices (RunPlan invokes it from
+// pool workers).
 type Source interface {
 	// IntervalTrace returns interval i extended backwards by the plan's
 	// warmup (clamped at the trace start) as a runnable trace, plus the
 	// number of warmup entries actually prepended.
 	IntervalTrace(i int) (*trace.Trace, int, error)
-}
-
-// warmProvider is the optional Source extension for functional warming.
-// RunPlan type-asserts for it after IntervalTrace succeeds.
-type warmProvider interface {
 	// IntervalWarm returns the warm snapshot to install before running
 	// interval i, or nil for a cold start. Only valid after
 	// IntervalTrace(i) returned, from the same worker.
@@ -34,12 +28,15 @@ type warmProvider interface {
 	// WarmInstallFailed records that interval i's snapshot was rejected
 	// at install time and the interval ran cold.
 	WarmInstallFailed(i int)
+	// warmStats reads the warmed/cold accounting back out after RunPlan.
+	warmStats() (warmed, cold, snapBytes int64)
 }
 
 // warmCollector accumulates per-interval warm snapshots and the
-// warmed/cold accounting shared by both sources. A nil snapshot is a
-// cold start; the first one emits a structured warning (subsequent ones
-// only count, to keep a badly degraded cache from flooding stderr).
+// warmed/cold accounting shared by both sources, which embed it. A nil
+// snapshot is a cold start; the first one emits a structured warning
+// (subsequent ones only count, to keep a badly degraded cache from
+// flooding stderr).
 type warmCollector struct {
 	snaps     [][]byte
 	warmed    atomic.Int64
@@ -67,16 +64,17 @@ func (wc *warmCollector) set(i int, snap []byte, start, end int) {
 	})
 }
 
-// get, installFailed and stats tolerate a nil collector (warming off):
-// the sources satisfy the warm interfaces unconditionally.
-func (wc *warmCollector) get(i int) []byte {
+// The Source warm methods tolerate a nil collector (warming off): every
+// interval then starts cold and nothing is counted.
+
+func (wc *warmCollector) IntervalWarm(i int) []byte {
 	if wc == nil {
 		return nil
 	}
 	return wc.snaps[i]
 }
 
-func (wc *warmCollector) installFailed(i int) {
+func (wc *warmCollector) WarmInstallFailed(i int) {
 	if wc == nil {
 		return
 	}
@@ -85,17 +83,11 @@ func (wc *warmCollector) installFailed(i int) {
 	wc.snapBytes.Add(-int64(len(wc.snaps[i])))
 }
 
-func (wc *warmCollector) stats() (warmed, cold, snapBytes int64) {
+func (wc *warmCollector) warmStats() (warmed, cold, snapBytes int64) {
 	if wc == nil {
 		return 0, 0, 0
 	}
 	return wc.warmed.Load(), wc.cold.Load(), wc.snapBytes.Load()
-}
-
-// warmStatsSource lets Execute read the accounting back out of a source
-// after RunPlan finishes.
-type warmStatsSource interface {
-	warmStats() (warmed, cold, snapBytes int64)
 }
 
 // traceSource extracts intervals from a fully materialized trace. The
@@ -104,19 +96,13 @@ type warmStatsSource interface {
 // k-interval plan costs O(traceLen + k·pages) instead of the O(k·traceLen)
 // of calling Slice per interval.
 type traceSource struct {
-	subs  []*trace.Trace
-	warms []int
-	wc    *warmCollector // nil = warming off
+	subs           []*trace.Trace
+	warms          []int
+	*warmCollector // nil = warming off
 }
 
 func (s *traceSource) IntervalTrace(i int) (*trace.Trace, int, error) {
 	return s.subs[i], s.warms[i], nil
-}
-
-func (s *traceSource) IntervalWarm(i int) []byte { return s.wc.get(i) }
-func (s *traceSource) WarmInstallFailed(i int)   { s.wc.installFailed(i) }
-func (s *traceSource) warmStats() (int64, int64, int64) {
-	return s.wc.stats()
 }
 
 // beginOf returns the warmup-extended begin of interval i under the plan.
@@ -129,22 +115,17 @@ func beginOf(plan Plan, i int) (begin, warm int) {
 	return iv.Start - warm, warm
 }
 
-// NewTraceSource builds the interval source for a materialized trace.
+// NewTraceSource builds the interval source for a materialized trace:
+// one rolling pass, ascending by begin index, clones the memory image at
+// each interval begin.
 //
-// When useCkpt is true and store is non-nil, each interval begin is first
-// looked up in the checkpoint store (keyed by traceKey and the begin
-// index): hits restore the memory image in microseconds; misses fall back
-// to the rolling forward pass and publish an image checkpoint for next
-// time. Corrupt checkpoints decode as misses, so a damaged cache degrades
-// to re-extraction, never to wrong results.
-//
-// With wcfg set, one additional rolling pass drives the functional warm
-// models over the entries preceding each interval begin and captures a
-// snapshot per interval. The trace is fully present, so the materialized
+// With wcfg set, the same pass drives the functional warm models over
+// the entries preceding each interval begin and captures a snapshot per
+// interval. The trace is fully present, so the materialized
 // path never cold-starts — and because the streamed path's snapshots are
 // restore-continue equivalent to this continuous pass, the two paths
 // install byte-identical warm state for identical plans.
-func NewTraceSource(tr *trace.Trace, plan Plan, store *artifact.Store, traceKey artifact.Key, useCkpt bool, wcfg *warm.Config) (Source, error) {
+func NewTraceSource(tr *trace.Trace, plan Plan, wcfg *warm.Config) (Source, error) {
 	if len(plan.Intervals) == 0 {
 		return nil, fmt.Errorf("sampling: empty plan")
 	}
@@ -159,61 +140,33 @@ func NewTraceSource(tr *trace.Trace, plan Plan, store *artifact.Store, traceKey 
 		}
 		begins[i], src.warms[i] = beginOf(plan, i)
 	}
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool { return begins[order[a]] < begins[order[b]] })
+	var ws *warm.State
 	if wcfg != nil {
-		src.wc = newWarmCollector(n)
-		order := make([]int, n)
-		for i := range order {
-			order[i] = i
-		}
-		sort.Slice(order, func(a, b int) bool { return begins[order[a]] < begins[order[b]] })
-		ws := warm.New(*wcfg)
-		cursor := 0
-		for _, i := range order {
-			for ; cursor < begins[i]; cursor++ {
-				ws.Update(&tr.Entries[cursor])
-			}
-			iv := plan.Intervals[i]
-			src.wc.set(i, ws.Snapshot(), iv.Start, iv.End)
-		}
+		src.warmCollector = newWarmCollector(n)
+		ws = warm.New(*wcfg)
 	}
-
-	// Restore what we can from the checkpoint store.
-	pending := make([]int, 0, n)
-	for i, begin := range begins {
-		if useCkpt && store != nil {
-			if ck, ok := store.LoadCheckpoint(artifact.CheckpointKey(traceKey, int64(begin))); ok && ck.At == int64(begin) {
-				src.subs[i] = subTrace(tr, begin, plan.Intervals[i].End, ck.RestoreImage(tr.InitMem))
-				continue
-			}
-		}
-		pending = append(pending, i)
-	}
-	if len(pending) == 0 {
-		return src, nil
-	}
-
-	// One rolling pass for the rest, ascending by begin index. The image
-	// is cloned at each begin; with checkpointing on, the dirty-page delta
-	// against InitMem is also published for the next run.
-	sort.Slice(pending, func(a, b int) bool { return begins[pending[a]] < begins[pending[b]] })
 	img := tr.InitMem.Clone()
-	dirty := map[uint32]bool{}
 	cursor := 0
-	for _, i := range pending {
-		begin := begins[i]
-		for ; cursor < begin; cursor++ {
+	for _, i := range order {
+		for ; cursor < begins[i]; cursor++ {
 			e := &tr.Entries[cursor]
+			if ws != nil {
+				ws.Update(e)
+			}
 			if e.IsStore() {
 				img.Write(e.Addr, uint32(e.Size), e.Value)
-				for b := uint32(0); b < uint32(e.Size); b++ {
-					dirty[(e.Addr+b)&^uint32(mem.PageSize-1)] = true
-				}
 			}
 		}
-		src.subs[i] = subTrace(tr, begin, plan.Intervals[i].End, img.Clone())
-		if useCkpt && store != nil {
-			store.StoreCheckpoint(artifact.CheckpointKey(traceKey, int64(begin)), imageCheckpoint(int64(begin), img, dirty))
+		iv := plan.Intervals[i]
+		if ws != nil {
+			src.set(i, ws.Snapshot(), iv.Start, iv.End)
 		}
+		src.subs[i] = subTrace(tr, begins[i], iv.End, img.Clone())
 	}
 	return src, nil
 }
@@ -230,17 +183,4 @@ func subTrace(tr *trace.Trace, begin, end int, img *mem.Image) *trace.Trace {
 	}
 	sub.Analyze()
 	return sub
-}
-
-// imageCheckpoint captures the dirty pages of img as an image-only
-// checkpoint (no architectural state: a materialized trace already knows
-// every entry, only the memory image needs restoring).
-func imageCheckpoint(at int64, img *mem.Image, dirty map[uint32]bool) *emu.Checkpoint {
-	ck := &emu.Checkpoint{At: at, Pages: make(map[uint32]*[mem.PageSize]byte, len(dirty))}
-	for base := range dirty {
-		if pg, ok := img.PageCopy(base); ok {
-			ck.Pages[base] = pg
-		}
-	}
-	return ck
 }

@@ -223,7 +223,7 @@ func (s *Stream) checkpointAt(at int64) *emu.Checkpoint {
 	if ck := s.cks[at]; ck != nil {
 		return ck
 	}
-	if ck, ok := s.store.LoadCheckpoint(artifact.CheckpointKey(s.traceKey, at)); ok && ck.At == at && ck.HasArch {
+	if ck, ok := s.store.LoadCheckpoint(artifact.CheckpointKey(s.traceKey, at)); ok && ck.At == at {
 		return ck
 	}
 	return nil
@@ -308,16 +308,12 @@ func (s *Stream) resumeWarmAt(begin int64) (*emu.Emulator, []byte, error) {
 	for ci := begin / int64(s.ChunkLen); ; ci-- {
 		at := ci * int64(s.ChunkLen)
 		var e *emu.Emulator
-		if ck := s.checkpointAt(at); ck != nil {
-			var err error
-			if e, err = emu.Resume(s.Prog, s.Init, ck); err != nil {
-				e = nil
-			}
-		}
-		if e == nil {
-			if at > 0 {
-				continue
-			}
+		switch ck := s.checkpointAt(at); {
+		case ck != nil:
+			e = emu.Resume(s.Prog, s.Init, ck)
+		case at > 0:
+			continue
+		default:
 			e = emu.New(s.Prog) // boundary 0 needs no stored checkpoint
 		}
 		var ws *warm.State
@@ -369,15 +365,15 @@ const warmRollChunk = 1 << 16
 func (s *Stream) Source(plan Plan) Source {
 	src := &streamSource{s: s, plan: plan}
 	if s.warmCfg != nil {
-		src.wc = newWarmCollector(len(plan.Intervals))
+		src.warmCollector = newWarmCollector(len(plan.Intervals))
 	}
 	return src
 }
 
 type streamSource struct {
-	s    *Stream
-	plan Plan
-	wc   *warmCollector // nil = warming off
+	s              *Stream
+	plan           Plan
+	*warmCollector // nil = warming off
 }
 
 func (ss *streamSource) IntervalTrace(i int) (*trace.Trace, int, error) {
@@ -391,8 +387,8 @@ func (ss *streamSource) IntervalTrace(i int) (*trace.Trace, int, error) {
 	if err != nil {
 		return nil, 0, fmt.Errorf("sampling: interval [%d,%d): %w", iv.Start, iv.End, err)
 	}
-	if ss.wc != nil {
-		ss.wc.set(i, snap, iv.Start, iv.End)
+	if ss.warmCollector != nil {
+		ss.set(i, snap, iv.Start, iv.End)
 	}
 	init := e.Mem.Clone()
 	sub, err := trace.Collect(e, int64(iv.End-begin), ss.s.Prog, init)
@@ -407,10 +403,4 @@ func (ss *streamSource) IntervalTrace(i int) (*trace.Trace, int, error) {
 	// not a program that halted.
 	sub.HitHalt = false
 	return sub, warmN, nil
-}
-
-func (ss *streamSource) IntervalWarm(i int) []byte { return ss.wc.get(i) }
-func (ss *streamSource) WarmInstallFailed(i int)   { ss.wc.installFailed(i) }
-func (ss *streamSource) warmStats() (int64, int64, int64) {
-	return ss.wc.stats()
 }

@@ -226,7 +226,7 @@ func TestWarmMissingStateColdStarts(t *testing.T) {
 	if _, err := RunPlan(context.Background(), cfg, plan, src, 2); err != nil {
 		t.Fatal(err)
 	}
-	warmed, cold, _ := src.(*streamSource).warmStats()
+	warmed, cold, _ := src.warmStats()
 	if cold == 0 {
 		t.Fatal("no interval cold-started with all non-zero warm snapshots dropped")
 	}

@@ -11,9 +11,10 @@ import (
 )
 
 // The checkpoint-vs-roll-forward pair below measures interval extraction
-// for a whole sampling plan on a materialized trace. Roll-forward pays
-// O(interval start) memory-image replay per interval; a warm checkpoint
-// store restores each begin image from its persisted dirty-page delta.
+// for a whole sampling plan. Roll-forward pays O(interval start)
+// memory-image replay per interval over a materialized trace; a stream
+// reopened over a warm checkpoint store restores each interval from its
+// nearest persisted checkpoint and re-emulates at most one chunk.
 // The gap is the reason checkpointed sampling scales to 100M+ budgets
 // (BENCH_0005.json records the baseline; DESIGN.md §12 has the scheme).
 
@@ -44,10 +45,10 @@ func samplingBenchSetup(b *testing.B) (*Trace, sampling.Plan, artifact.Key) {
 // BenchmarkRollForwardSlice: every interval begin is reached by replaying
 // the memory image from entry 0 — the legacy Slice path.
 func BenchmarkRollForwardSlice(b *testing.B) {
-	tr, plan, key := samplingBenchSetup(b)
+	tr, plan, _ := samplingBenchSetup(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sampling.NewTraceSource(tr, plan, nil, key, false, nil); err != nil {
+		if _, err := sampling.NewTraceSource(tr, plan, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -89,23 +90,28 @@ func benchmarkSampledExecute(b *testing.B, warm bool) {
 func BenchmarkSampledExecuteCold(b *testing.B) { benchmarkSampledExecute(b, false) }
 func BenchmarkSampledExecuteWarm(b *testing.B) { benchmarkSampledExecute(b, true) }
 
-// BenchmarkCheckpointRestore: identical extraction against a warm
-// checkpoint store — each begin image restores from its dirty-page delta
-// instead of replaying the prefix.
+// BenchmarkCheckpointRestore: identical extraction from a stream reopened
+// over a warm checkpoint store — each interval resumes from its nearest
+// architectural checkpoint instead of replaying the prefix.
 func BenchmarkCheckpointRestore(b *testing.B) {
 	tr, plan, key := samplingBenchSetup(b)
 	store, err := artifact.Open(b.TempDir(), artifact.RW, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
-	// Cold pass publishes the checkpoints the timed passes restore.
-	if _, err := sampling.NewTraceSource(tr, plan, store, key, true, nil); err != nil {
+	chunkLen := samplingBenchBudget / 100 // Execute's spacing at this budget
+	// The profiling pass publishes the checkpoints the timed passes restore.
+	built, err := sampling.BuildStream(context.Background(), tr.Prog, samplingBenchBudget, chunkLen, store, key, true, nil)
+	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sampling.NewTraceSource(tr, plan, store, key, true, nil); err != nil {
-			b.Fatal(err)
+		src := sampling.OpenStream(tr.Prog, chunkLen, built.Total, built.HitHalt, store, key, nil).Source(plan)
+		for j := range plan.Intervals {
+			if _, _, err := src.IntervalTrace(j); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }
