@@ -390,7 +390,7 @@ func TestDecodedInitMemIsTheLoadedImage(t *testing.T) {
 			t.Fatalf("%s: decoded image has %d pages, want %d", name, got.InitMem.Pages(), tr.InitMem.Pages())
 		}
 		tr.InitMem.ForEachPage(func(base uint32, want *[mem.PageSize]byte) {
-			if pg, ok := got.InitMem.PageCopy(base); !ok || *pg != *want {
+			if pg, ok := got.InitMem.Page(base); !ok || *pg != *want {
 				t.Fatalf("%s: decoded page 0x%08x differs (present %t)", name, base, ok)
 			}
 		})

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"math"
-	"sort"
 
 	"dmdp/internal/emu"
 	"dmdp/internal/isa"
@@ -85,28 +84,33 @@ func PlanKey(traceKey Key, spec string, version int64) Key {
 	return k
 }
 
+// encodeCheckpoint hands over the checkpoint's dirty pages as parts of
+// the payload, straight from its memory image: the fixed prefix, then
+// per page its base and a view of its content. Nothing is joined; the
+// store writes the parts through one buffer.
 func encodeCheckpoint(ck *emu.Checkpoint) [][]byte {
-	bases := make([]uint32, 0, len(ck.Pages))
-	for base := range ck.Pages {
-		bases = append(bases, base)
-	}
-	sort.Slice(bases, func(i, j int) bool { return bases[i] < bases[j] })
-
-	payload := make([]byte, 0, checkpointFixed+len(bases)*checkpointPage)
-	payload = binary.LittleEndian.AppendUint64(payload, uint64(ck.At))
-	payload = binary.LittleEndian.AppendUint32(payload, ck.PC)
-	payload = append(payload, 1, 0, 0, 0)
+	fixed := make([]byte, 0, checkpointFixed)
+	fixed = binary.LittleEndian.AppendUint64(fixed, uint64(ck.At))
+	fixed = binary.LittleEndian.AppendUint32(fixed, ck.PC)
+	fixed = append(fixed, 1, 0, 0, 0)
 	for _, r := range ck.Regs {
-		payload = binary.LittleEndian.AppendUint32(payload, r)
+		fixed = binary.LittleEndian.AppendUint32(fixed, r)
 	}
-	payload = binary.LittleEndian.AppendUint32(payload, uint32(len(bases)))
-	for _, base := range bases {
-		payload = binary.LittleEndian.AppendUint32(payload, base)
-		payload = append(payload, ck.Pages[base][:]...)
+	bases := make([]byte, 0, 4*len(ck.Dirty))
+	parts := make([][]byte, 1, 1+2*len(ck.Dirty))
+	for _, base := range ck.Dirty {
+		if pg, ok := ck.Mem.Page(base); ok {
+			bases = binary.LittleEndian.AppendUint32(bases, base)
+			parts = append(parts, bases[len(bases)-4:], pg[:])
+		}
 	}
-	return [][]byte{payload}
+	parts[0] = binary.LittleEndian.AppendUint32(fixed, uint32(len(bases)/4))
+	return parts
 }
 
+// decodeCheckpoint copies each stored page once, into the checkpoint's
+// own image; Resume then shares those pages instead of copying them
+// again.
 func decodeCheckpoint(payload []byte) *emu.Checkpoint {
 	if len(payload) < checkpointFixed || payload[12] != 1 {
 		return nil
@@ -125,14 +129,14 @@ func decodeCheckpoint(payload []byte) *emu.Checkpoint {
 	if n > (len(payload)-checkpointFixed)/checkpointPage || len(payload) != checkpointFixed+n*checkpointPage {
 		return nil
 	}
-	ck.Pages = make(map[uint32]*[mem.PageSize]byte, n)
-	for i := 0; i < n; i++ {
+	ck.Mem = mem.NewImage()
+	ck.Dirty = make([]uint32, n)
+	for i := range ck.Dirty {
 		base := binary.LittleEndian.Uint32(payload[off : off+4])
 		off += 4
-		pg := new([mem.PageSize]byte)
-		copy(pg[:], payload[off:off+mem.PageSize])
+		ck.Mem.SetPage(base, (*[mem.PageSize]byte)(payload[off:off+mem.PageSize]))
 		off += mem.PageSize
-		ck.Pages[base] = pg
+		ck.Dirty[i] = base
 	}
 	return ck
 }

@@ -4,18 +4,17 @@ import (
 	"crypto/sha256"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"dmdp/internal/emu"
 	"dmdp/internal/mem"
 )
 
+// testCheckpoint holds two dirty pages, plus a page its image holds but
+// Dirty does not list, which is not stored.
 func testCheckpoint() *emu.Checkpoint {
-	ck := &emu.Checkpoint{
-		At:    123456,
-		PC:    0x40,
-		Pages: map[uint32]*[mem.PageSize]byte{},
-	}
+	ck := &emu.Checkpoint{At: 123456, PC: 0x40, Mem: mem.NewImage()}
 	for i := range ck.Regs {
 		ck.Regs[i] = uint32(i * 7)
 	}
@@ -24,21 +23,23 @@ func testCheckpoint() *emu.Checkpoint {
 		for j := range pg {
 			pg[j] = byte(j) ^ byte(base>>12)
 		}
-		ck.Pages[base] = pg
+		ck.Mem.SetPage(base, pg)
+		ck.Dirty = append(ck.Dirty, base)
 	}
+	ck.Mem.SetWord(0x4000, 0xdeadbeef)
 	return ck
 }
 
+// ckEqual compares architectural state and the content of the listed
+// dirty pages.
 func ckEqual(a, b *emu.Checkpoint) bool {
-	if a.At != b.At || a.PC != b.PC || a.Regs != b.Regs {
+	if a.At != b.At || a.PC != b.PC || a.Regs != b.Regs || !slices.Equal(a.Dirty, b.Dirty) {
 		return false
 	}
-	if len(a.Pages) != len(b.Pages) {
-		return false
-	}
-	for base, pg := range a.Pages {
-		q, ok := b.Pages[base]
-		if !ok || *pg != *q {
+	for _, base := range a.Dirty {
+		p, ok := a.Mem.Page(base)
+		q, ok2 := b.Mem.Page(base)
+		if !ok || !ok2 || *p != *q {
 			return false
 		}
 	}
@@ -62,6 +63,9 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 	if !ckEqual(ck, got) {
 		t.Fatal("round trip changed the checkpoint")
+	}
+	if got.Mem.Pages() != len(ck.Dirty) {
+		t.Fatalf("decoded image holds %d pages, want the %d dirty ones", got.Mem.Pages(), len(ck.Dirty))
 	}
 	c := s.Counters()
 	if c.CheckpointHits != 1 || c.CheckpointMisses != 1 {

@@ -11,6 +11,7 @@
 package artifact
 
 import (
+	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
@@ -404,6 +405,12 @@ func (s *Store) path(key Key, suffix string) string {
 	return filepath.Join(s.dir, key.String()+suffix)
 }
 
+// publishBufs holds the write buffers publish gathers parts in, so an
+// entry made of many small parts (a checkpoint's pages) costs one write
+// call per buffer, not one per part; a part larger than the buffer goes
+// to the file directly.
+var publishBufs = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 256<<10) }}
+
 // publish atomically installs the concatenated parts at path via a temp
 // file + rename, then enforces the size cap. A failed write (unwritable
 // directory, ENOSPC mid-write, rename failure) degrades the whole store
@@ -418,14 +425,21 @@ func (s *Store) publish(path string, parts ...[]byte) {
 		s.degrade(fmt.Sprintf("cannot create cache entry (%v)", err))
 		return
 	}
+	w := publishBufs.Get().(*bufio.Writer)
+	w.Reset(tmp)
 	var n int64
 	var werr error
 	for _, p := range parts {
-		if _, werr = tmp.Write(p); werr != nil {
+		if _, werr = w.Write(p); werr != nil {
 			break
 		}
 		n += int64(len(p))
 	}
+	if werr == nil {
+		werr = w.Flush()
+	}
+	w.Reset(nil)
+	publishBufs.Put(w)
 	cerr := tmp.Close()
 	if werr != nil || cerr != nil {
 		os.Remove(tmp.Name())

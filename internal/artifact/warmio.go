@@ -56,11 +56,13 @@ func WarmKey(traceKey Key, at int64, params [sha256.Size]byte) Key {
 	return k
 }
 
+// encodeWarm hands over the fixed prefix and the record's own payload
+// as two parts, without joining them.
 func encodeWarm(r *WarmRecord) [][]byte {
-	payload := make([]byte, 0, warmFixed+len(r.Payload))
-	payload = binary.LittleEndian.AppendUint64(payload, uint64(r.At))
-	payload = binary.LittleEndian.AppendUint64(payload, uint64(r.BaseAt))
-	return [][]byte{append(payload, r.Payload...)}
+	fixed := make([]byte, 0, warmFixed)
+	fixed = binary.LittleEndian.AppendUint64(fixed, uint64(r.At))
+	fixed = binary.LittleEndian.AppendUint64(fixed, uint64(r.BaseAt))
+	return [][]byte{fixed, r.Payload}
 }
 
 func decodeWarm(payload []byte) *WarmRecord {

@@ -1,6 +1,7 @@
 package emu_test
 
 import (
+	"runtime"
 	"testing"
 
 	"dmdp/internal/emu"
@@ -41,3 +42,40 @@ func TestEmulatorStepDoesNotAllocate(t *testing.T) {
 		}
 	}
 }
+
+// TestSnapshotCopiesNoPage bounds what a boundary snapshot of lbm, whose
+// image holds its 6 MiB data segment, allocates: the copy-on-write clone's
+// page table, never a page. The streamed profiling pass takes one at
+// every chunk boundary.
+func TestSnapshotCopiesNoPage(t *testing.T) {
+	spec, ok := workload.Get("lbm")
+	if !ok {
+		t.Fatal("lbm proxy missing")
+	}
+	p, err := spec.Program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := emu.New(p)
+	if err := e.StepN(200_000); err != nil {
+		t.Fatal(err)
+	}
+	pages := e.Mem.Pages()
+	if pages < 1000 {
+		t.Fatalf("lbm's image has %d pages; the bound below assumes its full data segment", pages)
+	}
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		snapSink = e.Snapshot()
+	}
+	runtime.ReadMemStats(&after)
+	perSnap := (after.TotalAlloc - before.TotalAlloc) / runs
+	if limit := uint64(pages) * 64; perSnap > limit {
+		t.Fatalf("Snapshot of %d pages allocated %d bytes (limit %d): it copies pages", pages, perSnap, limit)
+	}
+	t.Logf("Snapshot of %d pages: %d bytes", pages, perSnap)
+}
+
+var snapSink *emu.Checkpoint

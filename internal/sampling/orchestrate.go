@@ -188,18 +188,18 @@ func stream(ctx context.Context, req Request, prog *isa.Program, wcfg *warm.Conf
 	chunkLen := autoChunkLen(req.Budget)
 	out := &Outcome{Streamed: true}
 
-	// A cached plan (only trusted when checkpoints were persisted with
-	// it) skips the profiling pass: the stream is reopened with just the
-	// recorded geometry and intervals restore from stored checkpoints.
-	// With warming requested, the cached plan is only honored when warm
-	// state is actually reconstructible for it — otherwise a cold earlier
-	// run would pin every warm re-run to cold starts forever; one fresh
-	// profiling pass recaptures (and persists) the warm state instead.
+	// A cached plan skips the profiling pass: the stream is reopened with
+	// just the recorded geometry and intervals restore from stored
+	// checkpoints. The plan is only honored when its checkpoints, and
+	// with warming requested its warm state, still load — otherwise a
+	// store whose checkpoints were dropped, or a cold earlier run, would
+	// pin every re-run to re-emulation from the start or to cold starts
+	// forever; one fresh profiling pass republishes them instead.
 	planKey := artifact.PlanKey(req.TraceKey, req.Spec.String(), PlannerVersion)
 	if req.Checkpoint && req.Store != nil {
 		if rec, ok := req.Store.LoadPlan(planKey); ok && rec.ChunkLen == int64(chunkLen) && planRecordValid(rec) {
 			s := OpenStream(prog, chunkLen, rec.Total, rec.HitHalt, req.Store, req.TraceKey, wcfg)
-			if p := planFromRecord(rec); wcfg == nil || s.warmPlanUsable(p) {
+			if p := planFromRecord(rec); s.planUsable(p) {
 				p.Warmup = req.Spec.Warmup
 				out.Plan, out.Total, out.PlanCached = p, rec.Total, true
 				return out, s.Source(p), nil

@@ -191,10 +191,11 @@ func TestExecuteParallelByteIdentical(t *testing.T) {
 
 // TestCheckpointWarmAndCorruptDegrade drives the full persistence cycle:
 // cold run publishes plan+checkpoints, warm run restores them (skipping
-// the profiling pass), and damaging every checkpoint degrades to
-// re-simulation with identical results. A checkpoint whose has-arch byte
-// is 0 (the image-only kind older builds wrote under the same keys)
-// carries no registers: it is dropped like a corrupt one, never resumed.
+// the profiling pass), and damaging every checkpoint but the one the
+// plan-cache probe loads degrades to re-simulation with identical
+// results. A checkpoint whose has-arch byte is 0 (the image-only kind
+// older builds wrote under the same keys) carries no registers: it is
+// dropped like a corrupt one, never resumed.
 func TestCheckpointWarmAndCorruptDegrade(t *testing.T) {
 	for _, c := range []struct {
 		name   string
@@ -241,17 +242,26 @@ func TestCheckpointWarmAndCorruptDegrade(t *testing.T) {
 				t.Fatal("warm (checkpoint-restored) result differs from cold")
 			}
 
-			// Damage every checkpoint: the plan still loads, every restore
-			// misses and drops its file, and interval extraction degrades
-			// to re-emulation from the program start — slower,
+			// Damage every checkpoint but the probed one, at the plan's
+			// highest interval boundary: the plan still loads, every
+			// other restore misses and drops its file, and interval
+			// extraction degrades to an older boundary or to
+			// re-emulation from the program start — slower,
 			// byte-identical.
+			maxBegin := 0
+			for i := range warm.Plan.Intervals {
+				b, _ := beginOf(warm.Plan, i)
+				maxBegin = max(maxBegin, b)
+			}
+			chunkLen := autoChunkLen(str.Budget)
+			probed := artifact.CheckpointKey(str.TraceKey, int64(maxBegin/chunkLen*chunkLen)).String() + ".ckpt"
 			ents, err := os.ReadDir(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
 			damaged := 0
 			for _, de := range ents {
-				if strings.HasSuffix(de.Name(), ".ckpt") {
+				if strings.HasSuffix(de.Name(), ".ckpt") && de.Name() != probed {
 					path := filepath.Join(dir, de.Name())
 					buf, err := os.ReadFile(path)
 					if err != nil {
@@ -270,6 +280,9 @@ func TestCheckpointWarmAndCorruptDegrade(t *testing.T) {
 			degraded, err := Execute(context.Background(), cfg, str)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if !degraded.PlanCached {
+				t.Fatal("the probed checkpoint loads, so the plan should be trusted")
 			}
 			if !bytes.Equal(ref, degraded.Combined.MarshalCanonical()) {
 				t.Fatal("degraded (damaged-checkpoint) result differs from cold")
