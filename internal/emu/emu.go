@@ -22,6 +22,11 @@ type Emulator struct {
 	Regs [isa.NumArchRegs]uint32
 	PC   uint32
 
+	// init is the image execution began from, which nothing writes. Mem
+	// shares its pages copy-on-write, so the pages of Mem that are not
+	// init's are the pages written since (Snapshot's dirty list).
+	init *mem.Image
+
 	halted bool
 	count  int64
 }
@@ -38,7 +43,8 @@ func LoadImage(p *isa.Program) *mem.Image {
 // prepares the architectural state ($sp at StackTop, $gp at the data
 // base).
 func New(p *isa.Program) *Emulator {
-	e := &Emulator{Prog: p, Mem: LoadImage(p), PC: p.Entry}
+	m := LoadImage(p)
+	e := &Emulator{Prog: p, Mem: m, PC: p.Entry, init: m.Clone()}
 	e.Regs[isa.SP] = StackTop
 	e.Regs[isa.GP] = p.DataBase
 	return e

@@ -78,8 +78,8 @@ func TestForEachChunk(t *testing.T) {
 	var starts []int64
 	var lens []int
 	var pcs []uint32
-	total, halt, err := ForEachChunk(context.Background(), &countStepper{haltAt: -1}, 25, 10,
-		func(start int64, chunk []Entry) error {
+	total, halt, err := ForEachChunk(context.Background(), &countStepper{haltAt: -1}, 25, 10, nil,
+		func(start int64, chunk []Entry, _ struct{}) error {
 			starts = append(starts, start)
 			lens = append(lens, len(chunk))
 			for i := range chunk {
@@ -109,8 +109,8 @@ func TestForEachChunk(t *testing.T) {
 
 func TestForEachChunkHalt(t *testing.T) {
 	var n int
-	total, halt, err := ForEachChunk(context.Background(), &countStepper{haltAt: 7}, 100, 4,
-		func(start int64, chunk []Entry) error { n += len(chunk); return nil })
+	total, halt, err := ForEachChunk(context.Background(), &countStepper{haltAt: 7}, 100, 4, nil,
+		func(start int64, chunk []Entry, _ struct{}) error { n += len(chunk); return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,8 +122,8 @@ func TestForEachChunkHalt(t *testing.T) {
 func TestForEachChunkCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := ForEachChunk(ctx, &countStepper{haltAt: -1}, 1_000_000, 1024,
-		func(int64, []Entry) error { return nil })
+	_, _, err := ForEachChunk(ctx, &countStepper{haltAt: -1}, 1_000_000, 1024, nil,
+		func(int64, []Entry, struct{}) error { return nil })
 	var bc *BuildCanceled
 	if !errors.As(err, &bc) || !errors.Is(err, context.Canceled) {
 		t.Fatalf("want BuildCanceled wrapping context.Canceled, got %v", err)
@@ -132,8 +132,8 @@ func TestForEachChunkCancel(t *testing.T) {
 
 func TestForEachChunkFnError(t *testing.T) {
 	sentinel := errors.New("stop")
-	_, _, err := ForEachChunk(context.Background(), &countStepper{haltAt: -1}, 100, 10,
-		func(int64, []Entry) error { return sentinel })
+	_, _, err := ForEachChunk(context.Background(), &countStepper{haltAt: -1}, 100, 10, nil,
+		func(int64, []Entry, struct{}) error { return sentinel })
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("want sentinel, got %v", err)
 	}
