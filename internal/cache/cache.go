@@ -23,26 +23,26 @@ type Config struct {
 
 // Valid reports whether the geometry has a set count that is a positive
 // power of two (tags and set indices are shifts and masks of the
-// address).
+// address) and a tag narrower than the address: the tag array stores
+// tag+1, so a full 32-bit tag (one set of one-byte lines) would not fit.
 func (c Config) Valid() bool {
 	if c.LineBytes <= 0 || c.Ways <= 0 {
 		return false
 	}
 	n := c.SizeBytes / c.LineBytes / c.Ways
-	return n > 0 && n&(n-1) == 0
+	return n > 0 && n&(n-1) == 0 && c.LineBytes*n > 1
 }
 
-type line struct {
-	tag   uint32
-	valid bool
-	dirty bool
-	used  int64 // LRU timestamp
-}
-
-// Cache is one level of the hierarchy.
+// Cache is one level of the hierarchy. Its tag state is three flat,
+// pointer-free arrays with one element per line, set-major: set s owns
+// lines [s*Ways, (s+1)*Ways). The zero value of every element is an
+// empty line, so a freshly made cache is cold.
 type Cache struct {
-	cfg      Config
-	sets     [][]line // per-set views into one backing array
+	cfg   Config
+	tags  []uint32 // tag+1 of each valid line; 0 = empty
+	used  []int64  // LRU timestamp of each valid line; 0 when empty
+	dirty []bool
+
 	setShift uint
 	setMask  uint32
 	tagShift uint // setShift + log2(set count): tags are addr >> tagShift
@@ -60,17 +60,16 @@ func NewCache(cfg Config) *Cache {
 		panic(fmt.Sprintf("cache: invalid geometry %+v", cfg))
 	}
 	numSets := cfg.SizeBytes / cfg.LineBytes / cfg.Ways
+	lines := numSets * cfg.Ways
 	c := &Cache{
 		cfg:      cfg,
-		sets:     make([][]line, numSets),
+		tags:     make([]uint32, lines),
+		used:     make([]int64, lines),
+		dirty:    make([]bool, lines),
 		setShift: uint(log2(cfg.LineBytes)),
 		setMask:  uint32(numSets - 1),
 	}
 	c.tagShift = c.setShift + uint(log2(numSets))
-	lines := make([]line, numSets*cfg.Ways)
-	for i := range c.sets {
-		c.sets[i] = lines[i*cfg.Ways : (i+1)*cfg.Ways : (i+1)*cfg.Ways]
-	}
 	return c
 }
 
@@ -83,82 +82,87 @@ func log2(n int) int {
 }
 
 func (c *Cache) setIndex(addr uint32) uint32 { return addr >> c.setShift & c.setMask }
-func (c *Cache) tagOf(addr uint32) uint32    { return addr >> c.tagShift }
+
+// key returns the tag-array value of addr's line: its tag plus one.
+func (c *Cache) key(addr uint32) uint32 { return addr>>c.tagShift + 1 }
+
+// numSets returns the set count.
+func (c *Cache) numSets() int { return len(c.tags) / c.cfg.Ways }
 
 // LineAddr returns the line-aligned address.
 func (c *Cache) LineAddr(addr uint32) uint32 {
 	return addr &^ uint32(c.cfg.LineBytes-1)
 }
 
-// Lookup probes without modifying replacement state.
-func (c *Cache) Lookup(addr uint32) bool {
-	set := c.sets[c.setIndex(addr)]
-	tag := c.tagOf(addr)
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			return true
+// find returns the line index holding addr, or -1.
+func (c *Cache) find(addr uint32) int {
+	base := int(c.setIndex(addr)) * c.cfg.Ways
+	key := c.key(addr)
+	for i, t := range c.tags[base : base+c.cfg.Ways] {
+		if t == key {
+			return base + i
 		}
 	}
-	return false
+	return -1
 }
+
+// Lookup probes without modifying replacement state.
+func (c *Cache) Lookup(addr uint32) bool { return c.find(addr) >= 0 }
 
 // access touches the line; returns hit and, on fill, whether a dirty line
 // was evicted (with its reconstructed address for the writeback).
 func (c *Cache) access(addr uint32, write bool, fill bool) (hit bool, wbAddr uint32, wb bool) {
 	c.tick++
 	c.Accesses++
-	si := c.setIndex(addr)
-	set := c.sets[si]
-	tag := c.tagOf(addr)
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			set[i].used = c.tick
-			if write {
-				set[i].dirty = true
-			}
-			return true, 0, false
+	if i := c.find(addr); i >= 0 {
+		c.used[i] = c.tick
+		if write {
+			c.dirty[i] = true
 		}
+		return true, 0, false
 	}
 	c.Misses++
 	if !fill {
 		return false, 0, false
 	}
-	// Fill: evict LRU.
+	// Fill: evict LRU. An empty way past way 0 is taken at once; failing
+	// that, an empty way 0 (used 0) beats every valid way.
+	si := c.setIndex(addr)
+	base := int(si) * c.cfg.Ways
+	tags, used := c.tags[base:base+c.cfg.Ways], c.used[base:base+c.cfg.Ways]
 	victim := 0
-	for i := 1; i < len(set); i++ {
-		if !set[i].valid {
+	for i := 1; i < len(tags); i++ {
+		if tags[i] == 0 {
 			victim = i
 			break
 		}
-		if set[i].used < set[victim].used {
+		if used[i] < used[victim] {
 			victim = i
 		}
 	}
-	if set[victim].valid {
+	v := base + victim
+	if tags[victim] != 0 {
 		c.Evictions++
-		if set[victim].dirty {
+		if c.dirty[v] {
 			c.Writebacks++
 			wb = true
-			wbAddr = set[victim].tag<<c.tagShift | si<<c.setShift
+			wbAddr = (tags[victim]-1)<<c.tagShift | si<<c.setShift
 		}
 	}
-	set[victim] = line{tag: tag, valid: true, dirty: write, used: c.tick}
+	tags[victim], used[victim], c.dirty[v] = c.key(addr), c.tick, write
 	return false, wbAddr, wb
 }
 
 // Invalidate drops the line containing addr (consistency hook). It
 // reports whether the line was present.
 func (c *Cache) Invalidate(addr uint32) bool {
-	set := c.sets[c.setIndex(addr)]
-	tag := c.tagOf(addr)
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			set[i] = line{}
-			c.Invalidations++
-			return true
-		}
+	i := c.find(addr)
+	if i < 0 {
+		return false
 	}
-	return false
+	c.tags[i], c.used[i], c.dirty[i] = 0, 0, false
+	c.Invalidations++
+	return true
 }
 
 // MissRate returns Misses/Accesses.

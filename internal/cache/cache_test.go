@@ -220,19 +220,17 @@ func TestPrefetchOffByDefault(t *testing.T) {
 	}
 }
 
-// TestNewCacheAllocatesPerTable pins the table layout: one backing array
-// for every line plus the per-set views cut from it, not one slice per
-// set (a 2 MiB L2 has 4096 sets). Each view's capacity stops at its own
-// set, so no set can grow into its neighbour.
+// TestNewCacheAllocatesPerTable pins the table layout: one flat array
+// per line field (tags, LRU stamps, dirty bits), not one slice per set
+// (a 2 MiB L2 has 4096 sets), each with one element per line.
 func TestNewCacheAllocatesPerTable(t *testing.T) {
 	cfg := DefaultHierarchyConfig().L2
-	if n := testing.AllocsPerRun(5, func() { NewCache(cfg) }); n > 3 {
-		t.Fatalf("NewCache made %.0f allocations, want <= 3 (cache, set views, lines)", n)
+	if n := testing.AllocsPerRun(5, func() { NewCache(cfg) }); n > 4 {
+		t.Fatalf("NewCache made %.0f allocations, want <= 4 (cache, tags, used, dirty)", n)
 	}
 	c := NewCache(cfg)
-	for i := range c.sets {
-		if len(c.sets[i]) != cfg.Ways || cap(c.sets[i]) != cfg.Ways {
-			t.Fatalf("set %d view has len %d cap %d, want %d", i, len(c.sets[i]), cap(c.sets[i]), cfg.Ways)
-		}
+	lines := cfg.SizeBytes / cfg.LineBytes
+	if len(c.tags) != lines || len(c.used) != lines || len(c.dirty) != lines {
+		t.Fatalf("arrays hold %d/%d/%d lines, want %d", len(c.tags), len(c.used), len(c.dirty), lines)
 	}
 }

@@ -31,28 +31,27 @@ const warmLineBytes = 4 + 1 // tag + dirty flag
 // WarmStateLen returns the maximum encoded warm-state size for this
 // cache (every set full).
 func (c *Cache) WarmStateLen() int {
-	return len(c.sets) * (1 + c.cfg.Ways*warmLineBytes)
+	return c.numSets() * (1 + c.cfg.Ways*warmLineBytes)
 }
 
 // AppendWarmState appends the canonical warm encoding: per set, a count
 // byte followed by the valid ways oldest-to-youngest, each as tag (4 LE
 // bytes) and a dirty flag byte.
 func (c *Cache) AppendWarmState(buf []byte) []byte {
-	var orderBuf [64]int // way indices sorted by used; Ways is small
+	var orderBuf [64]int // line indices sorted by used; Ways is small
 	order := orderBuf[:]
 	if c.cfg.Ways > len(order) {
 		order = make([]int, c.cfg.Ways)
 	}
-	for si := range c.sets {
-		set := c.sets[si]
+	for base := 0; base < len(c.tags); base += c.cfg.Ways {
 		n := 0
-		for i := range set {
-			if !set[i].valid {
+		for i := base; i < base+c.cfg.Ways; i++ {
+			if c.tags[i] == 0 {
 				continue
 			}
 			// Insertion sort by LRU timestamp, oldest first.
 			j := n
-			for j > 0 && set[order[j-1]].used > set[i].used {
+			for j > 0 && c.used[order[j-1]] > c.used[i] {
 				order[j] = order[j-1]
 				j--
 			}
@@ -60,11 +59,10 @@ func (c *Cache) AppendWarmState(buf []byte) []byte {
 			n++
 		}
 		buf = append(buf, byte(n))
-		for k := 0; k < n; k++ {
-			l := &set[order[k]]
-			buf = binary.LittleEndian.AppendUint32(buf, l.tag)
+		for _, i := range order[:n] {
+			buf = binary.LittleEndian.AppendUint32(buf, c.tags[i]-1)
 			d := byte(0)
-			if l.dirty {
+			if c.dirty[i] {
 				d = 1
 			}
 			buf = append(buf, d)
@@ -75,13 +73,13 @@ func (c *Cache) AppendWarmState(buf []byte) []byte {
 
 // LoadWarmState replaces the cache's tag state with the encoded state
 // and returns the number of bytes consumed. The geometry must match the
-// cache the state was captured from; any structural mismatch is an
-// error and leaves no partial state behind the caller should trust.
-// Counters are untouched.
+// cache the state was captured from; any structural mismatch, or a tag
+// no address can produce, is an error and leaves no partial state
+// behind the caller should trust. Counters are untouched.
 func (c *Cache) LoadWarmState(buf []byte) (int, error) {
+	maxTag := ^uint32(0) >> c.tagShift
 	off := 0
-	for si := range c.sets {
-		set := c.sets[si]
+	for si := 0; si < c.numSets(); si++ {
 		if off >= len(buf) {
 			return 0, fmt.Errorf("cache: warm state truncated at set %d", si)
 		}
@@ -93,19 +91,21 @@ func (c *Cache) LoadWarmState(buf []byte) (int, error) {
 		if off+n*warmLineBytes > len(buf) {
 			return 0, fmt.Errorf("cache: warm state truncated in set %d", si)
 		}
-		for i := range set {
-			set[i] = line{}
-		}
+		base := si * c.cfg.Ways
+		clear(c.tags[base : base+c.cfg.Ways])
+		clear(c.used[base : base+c.cfg.Ways])
+		clear(c.dirty[base : base+c.cfg.Ways])
 		for k := 0; k < n; k++ {
+			tag := binary.LittleEndian.Uint32(buf[off:])
+			if tag > maxTag {
+				return 0, fmt.Errorf("cache: warm state set %d has tag %#x (max %#x)", si, tag, maxTag)
+			}
 			if d := buf[off+4]; d > 1 {
 				return 0, fmt.Errorf("cache: warm state set %d has dirty byte %d", si, d)
 			}
-			set[k] = line{
-				tag:   binary.LittleEndian.Uint32(buf[off:]),
-				valid: true,
-				dirty: buf[off+4] == 1,
-				used:  int64(k + 1),
-			}
+			c.tags[base+k] = tag + 1
+			c.used[base+k] = int64(k + 1)
+			c.dirty[base+k] = buf[off+4] == 1
 			off += warmLineBytes
 		}
 	}
@@ -117,8 +117,8 @@ func (c *Cache) LoadWarmState(buf []byte) (int, error) {
 // share a geometry). Counters are untouched; the copy is exact, so a
 // state loaded from canonical bytes installs without re-normalizing.
 func (c *Cache) CopyWarmFrom(src *Cache) {
-	for si := range c.sets {
-		copy(c.sets[si], src.sets[si])
-	}
+	copy(c.tags, src.tags)
+	copy(c.used, src.used)
+	copy(c.dirty, src.dirty)
 	c.tick = src.tick
 }

@@ -27,19 +27,23 @@ type fetchEntry struct {
 	hist     uint32 // global branch history as of this instruction's fetch
 }
 
-// robQ is the reorder buffer (FIFO ring of in-flight instructions).
+// robQ is the reorder buffer: a FIFO ring of in-flight instructions
+// that is also their storage. Each slot holds its instruction inline, so
+// the window is one array that New allocates once and in-flight state
+// sits in program order; nothing is allocated, pooled or freed per
+// instruction.
 type robQ struct {
-	buf  []*inst
+	buf  []inst
 	head int
 	size int
 }
 
-func newRobQ(capacity int) *robQ { return &robQ{buf: make([]*inst, capacity)} }
+func newRobQ(capacity int) *robQ { return &robQ{buf: make([]inst, capacity)} }
 
 func (q *robQ) full() bool   { return q.size == len(q.buf) }
 func (q *robQ) empty() bool  { return q.size == 0 }
 func (q *robQ) len() int     { return q.size }
-func (q *robQ) front() *inst { return q.buf[q.head] }
+func (q *robQ) front() *inst { return &q.buf[q.head] }
 
 // slot maps the i-th oldest position (0 <= i < len(buf)) to its ring
 // index with a conditional wrap instead of a division.
@@ -51,30 +55,28 @@ func (q *robQ) slot(i int) int {
 	return j
 }
 
-func (q *robQ) push(in *inst) {
-	q.buf[q.slot(q.size)] = in
-	q.size++
-}
+// next returns the free slot past the youngest instruction (the queue
+// must not be full). Rename builds an instruction there in place, and
+// push then makes it the youngest.
+func (q *robQ) next() *inst { return &q.buf[q.slot(q.size)] }
 
-func (q *robQ) popFront() *inst {
-	in := q.buf[q.head]
-	q.buf[q.head] = nil
+// push appends the instruction built in next's slot.
+func (q *robQ) push() { q.size++ }
+
+// popFront retires the oldest instruction. Its slot keeps its contents
+// until a later push reuses it.
+func (q *robQ) popFront() {
 	if q.head++; q.head == len(q.buf) {
 		q.head = 0
 	}
 	q.size--
-	return in
 }
 
 // at returns the i-th oldest instruction.
-func (q *robQ) at(i int) *inst { return q.buf[q.slot(i)] }
+func (q *robQ) at(i int) *inst { return &q.buf[q.slot(i)] }
 
-func (q *robQ) clear() {
-	for i := 0; i < q.size; i++ {
-		q.buf[q.slot(i)] = nil
-	}
-	q.head, q.size = 0, 0
-}
+// clear empties the window (a flush squashes every instruction).
+func (q *robQ) clear() { q.head, q.size = 0, 0 }
 
 // Core is one timing simulation of a trace under a configuration.
 type Core struct {
@@ -112,7 +114,7 @@ type Core struct {
 	fetchIdx      int
 	fetchStalled  bool  // mispredicted control op in flight
 	fetchBlockIdx int   // trace idx of the blocking op
-	blockInst     *inst // resolved once renamed
+	blockSeq      int64 // the blocking op's seq once renamed (0 = not yet)
 	fetchResumeAt int64
 
 	sb  *storeBuffer
@@ -171,11 +173,8 @@ type Core struct {
 	lsnRetire  int64
 	pendingFwd *fwdRing
 
-	// Free list and per-cycle scratch: the steady-state cycle loop must
-	// not allocate (see the allocation-regression guard in core tests).
-	// Retired and flushed instructions, with their inline uops, are
-	// recycled here.
-	instPool []*inst
+	// Per-cycle scratch: the steady-state cycle loop must not allocate
+	// (see the allocation-regression guard in core tests).
 	stash    []*uop // issue(): uops popped but not issuable this cycle
 	sbRefBuf []int  // flush(): surviving store-buffer register refs
 
@@ -679,13 +678,14 @@ func (c *Core) dispatchReady(u *uop) {
 		c.leaveIQ(u)
 		c.delayed = append(c.delayed, u)
 	case gateStoreExec:
-		// gateSeq mismatch: the gating store retired (its inst was
-		// recycled) — a retired store has long resolved its address.
-		if u.gateInst == nil || u.gateInst.seq != u.gateSeq || u.gateInst.addrReady {
+		// A gating store that is no longer in flight has retired, and a
+		// retired store has long resolved its address.
+		st := c.instBySeqGet(u.gateSeq)
+		if st == nil || st.addrReady {
 			c.ready.push(u)
 			return
 		}
-		u.gateInst.execWaiters = append(u.gateInst.execWaiters, u)
+		st.execWaiters = append(st.execWaiters, u)
 	default:
 		c.ready.push(u)
 	}
@@ -704,9 +704,9 @@ func (c *Core) completeUop(u *uop) {
 		c.writeback(u.dst)
 	case uopBranch:
 		c.writeback(u.dst)
-		if c.fetchStalled && c.blockInst == in {
+		if c.fetchStalled && c.blockSeq == in.seq {
 			c.fetchStalled = false
-			c.blockInst = nil
+			c.blockSeq = 0
 			c.fetchResumeAt = c.now + c.cfg.RedirectPenalty
 		}
 	case uopAGI:
@@ -860,52 +860,16 @@ func (c *Core) rename() {
 			return // desync: the run has failed
 		}
 		if fe.blocking {
-			c.blockInst = in
+			c.blockSeq = in.seq
 			// If the blocking op completed already (e.g. a no-uop
 			// jump), unblock immediately.
 			if in.pending == 0 && c.fetchStalled {
 				c.fetchStalled = false
-				c.blockInst = nil
+				c.blockSeq = 0
 				c.fetchResumeAt = c.now + c.cfg.RedirectPenalty
 			}
 		}
 	}
-}
-
-// allocInst takes a reset inst from the free list (or the heap).
-func (c *Core) allocInst() *inst {
-	n := len(c.instPool)
-	if n == 0 {
-		return &inst{}
-	}
-	in := c.instPool[n-1]
-	c.instPool[n-1] = nil
-	c.instPool = c.instPool[:n-1]
-	return in
-}
-
-// poolInst resets in's scalar state (its seq becomes 0, so seq
-// validation rejects stale pointers to it) and pushes it onto the free
-// list. The inline uops are not cleared: newUop initialises every slot it
-// hands out. Callers must guarantee no live reference to in or its uops
-// survives the call.
-func (c *Core) poolInst(in *inst) {
-	in.instState = instState{}
-	in.auxLog, in.auxPhys = in.auxLog[:0], in.auxPhys[:0]
-	in.execWaiters = in.execWaiters[:0]
-	c.instPool = append(c.instPool, in)
-}
-
-// recycleInst returns a retired instruction and its uops to the free
-// list. Safe because a retiring instruction has no pending uops: none of
-// them sit in the event wheel, ready queue, delayed-load structure or
-// register waiter lists, and uops gated on a pooled store validate
-// gateSeq against gateInst.seq before trusting the pointer.
-func (c *Core) recycleInst(in *inst) {
-	if in == c.blockInst {
-		return // still referenced by the front end; abandon to the GC
-	}
-	c.poolInst(in)
 }
 
 // newUop claims in's next inline uop slot, wiring operand wakeup.
@@ -917,7 +881,7 @@ func (c *Core) newUop(in *inst, kind uopKind, class isa.Class, srcs []int, dst i
 	// one composite-literal store would build and copy a whole temporary.
 	u.kind, u.class, u.inst, u.seq, u.dst = kind, class, in, c.uopSeq, dst
 	u.nsrc, u.waitCnt = 0, 0
-	u.gate, u.gateSSN, u.gateInst, u.gateSeq = gateNone, 0, nil, 0
+	u.gate, u.gateSSN, u.gateSeq = gateNone, 0, 0
 	u.counted, u.cmovSel, u.issued, u.done = false, false, false, false
 	for _, s := range srcs {
 		if s >= 0 {
@@ -982,7 +946,12 @@ func (c *Core) renameOne(idx int, hist uint32) *inst {
 		return nil
 	}
 	c.seqCounter++
-	in := c.allocInst()
+	// Build the instruction in the ROB's free tail slot; the previous
+	// occupant's state goes, its uops are re-initialised by newUop.
+	in := c.rob.next()
+	in.instState = instState{}
+	in.auxLog, in.auxPhys = in.auxLog[:0], in.auxPhys[:0]
+	in.execWaiters = in.execWaiters[:0]
 	in.idx = idx
 	in.e = e
 	in.d = d
@@ -1026,7 +995,7 @@ func (c *Core) renameOne(idx int, hist uint32) *inst {
 		c.finishUopSetup(u)
 	}
 
-	c.rob.push(in)
+	c.rob.push()
 	return in
 }
 
@@ -1110,14 +1079,10 @@ func (c *Core) retire() {
 		if in.recoverAfter {
 			// Memory dependence exception: flush everything younger
 			// and refetch after the (now corrected) load.
-			refetch := in.idx + 1
-			c.recycleInst(in)
-			c.flush(refetch)
+			c.flush(in.idx + 1)
 			return
 		}
-		stop := c.done
-		c.recycleInst(in)
-		if stop {
+		if c.done {
 			return
 		}
 	}
@@ -1243,8 +1208,7 @@ func (c *Core) flush(refetchIdx int) {
 	// in-flight instruction dies with it: the ready queue, delayed-load
 	// structure, event wheel and register waiter lists hold only stale
 	// entries afterwards and are cleared below (resetToARAT empties the
-	// waiter lists). That makes it safe to recycle the squashed
-	// instructions and their uops instead of abandoning them to the GC.
+	// waiter lists), and rename reuses the slots from the start.
 	for i := 0; i < c.rob.len(); i++ {
 		in := c.rob.at(i)
 		if c.tracer != nil {
@@ -1255,7 +1219,6 @@ func (c *Core) flush(refetchIdx int) {
 				c.stats.SquashedUops++
 			}
 		}
-		c.poolInst(in)
 	}
 	c.rob.clear()
 	c.iqCount = 0
@@ -1277,6 +1240,6 @@ func (c *Core) flush(refetchIdx int) {
 	c.fqHead, c.fqLen = 0, 0
 	c.fetchIdx = refetchIdx
 	c.fetchStalled = false
-	c.blockInst = nil
+	c.blockSeq = 0
 	c.fetchResumeAt = c.now + c.cfg.RecoveryPenalty
 }

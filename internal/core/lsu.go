@@ -49,7 +49,6 @@ func (c *Core) renameStore(in *inst) {
 		if prevSeq := c.sets.StoreRenamed(e.PC, in.seq); prevSeq != 0 {
 			if prev := c.instBySeqGet(prevSeq); prev != nil && !prev.addrReady {
 				agi.gate = gateStoreExec
-				agi.gateInst = prev
 				agi.gateSeq = prev.seq
 			}
 		}
@@ -111,7 +110,6 @@ func (c *Core) renameLoadBaseline(in *inst) {
 	if waitSeq := c.sets.LoadRenamed(e.PC); waitSeq != 0 {
 		if st := c.instBySeqGet(waitSeq); st != nil && !st.addrReady {
 			ld.gate = gateStoreExec
-			ld.gateInst = st
 			ld.gateSeq = st.seq
 		}
 	}

@@ -22,28 +22,29 @@ func TestRobQModelBased(t *testing.T) {
 	f := func(ops []uint8, capSeed uint8) bool {
 		capacity := 1 + int(capSeed%16)
 		q := newRobQ(capacity)
-		var ref []*inst
+		var ref []int // trace indices, oldest first
 		next := 0
 		for _, op := range ops {
 			switch op % 4 {
 			case 0, 1: // push
 				if len(ref) < capacity {
-					in := &inst{idx: next}
+					q.next().idx = next
+					q.push()
+					ref = append(ref, next)
 					next++
-					q.push(in)
-					ref = append(ref, in)
 				}
 			case 2: // pop
 				if len(ref) > 0 {
-					if q.popFront() != ref[0] {
+					if q.front().idx != ref[0] {
 						return false
 					}
+					q.popFront()
 					ref = ref[1:]
 				}
 			case 3: // random access
 				if len(ref) > 0 {
 					i := int(op) % len(ref)
-					if q.at(i) != ref[i] {
+					if q.at(i).idx != ref[i] {
 						return false
 					}
 				}
@@ -52,7 +53,7 @@ func TestRobQModelBased(t *testing.T) {
 				q.empty() != (len(ref) == 0) {
 				return false
 			}
-			if len(ref) > 0 && q.front() != ref[0] {
+			if len(ref) > 0 && q.front().idx != ref[0] {
 				return false
 			}
 		}

@@ -16,7 +16,7 @@ func FuzzRobQ(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		const capacity = 5 // small ring so wraparound happens constantly
 		q := newRobQ(capacity)
-		var model []*inst
+		var model []int // trace indices, oldest first
 		next := 0
 		for _, op := range ops {
 			switch op % 3 {
@@ -24,18 +24,18 @@ func FuzzRobQ(f *testing.F) {
 				if q.full() {
 					continue
 				}
-				in := &inst{idx: next}
+				q.next().idx = next
+				q.push()
+				model = append(model, next)
 				next++
-				q.push(in)
-				model = append(model, in)
 			case 1: // popFront
 				if q.empty() {
 					continue
 				}
-				got := q.popFront()
-				if got != model[0] {
-					t.Fatalf("popFront returned idx %d, want %d", got.idx, model[0].idx)
+				if got := q.front().idx; got != model[0] {
+					t.Fatalf("popFront would retire idx %d, want %d", got, model[0])
 				}
+				q.popFront()
 				model = model[1:]
 			case 2: // clear (pipeline flush)
 				q.clear()
@@ -47,20 +47,21 @@ func FuzzRobQ(f *testing.F) {
 			if q.empty() != (len(model) == 0) || q.full() != (len(model) == capacity) {
 				t.Fatalf("empty/full disagree with model size %d", len(model))
 			}
-			if len(model) > 0 && q.front() != model[0] {
-				t.Fatalf("front idx %d, want %d", q.front().idx, model[0].idx)
+			if len(model) > 0 && q.front().idx != model[0] {
+				t.Fatalf("front idx %d, want %d", q.front().idx, model[0])
 			}
 			for i, want := range model {
-				if q.at(i) != want {
-					t.Fatalf("at(%d) idx %d, want %d", i, q.at(i).idx, want.idx)
+				if q.at(i).idx != want {
+					t.Fatalf("at(%d) idx %d, want %d", i, q.at(i).idx, want)
 				}
 			}
 		}
 		// Drain what's left: order must survive.
 		for len(model) > 0 {
-			if got := q.popFront(); got != model[0] {
-				t.Fatalf("drain returned idx %d, want %d", got.idx, model[0].idx)
+			if got := q.front().idx; got != model[0] {
+				t.Fatalf("drain reached idx %d, want %d", got, model[0])
 			}
+			q.popFront()
 			model = model[1:]
 		}
 		if !q.empty() {

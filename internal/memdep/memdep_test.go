@@ -346,10 +346,10 @@ func TestSSNOrderingInvariant(t *testing.T) {
 }
 
 // TestNewSDPAllocatesPerTable pins the table layout: each of the two
-// tables is one backing array plus the per-set views cut from it.
+// tables is one flat tag array and one flat payload array.
 func TestNewSDPAllocatesPerTable(t *testing.T) {
 	cfg := DefaultSDPConfig(true)
 	if n := testing.AllocsPerRun(5, func() { NewSDP(cfg) }); n > 7 {
-		t.Fatalf("NewSDP made %.0f allocations, want <= 7 (predictor, 2 x (table, set views, entries))", n)
+		t.Fatalf("NewSDP made %.0f allocations, want <= 7 (predictor, 2 x (table, tags, payloads))", n)
 	}
 }

@@ -62,6 +62,13 @@ type tageEntry struct {
 	valid  bool
 }
 
+// tageBase is one tagless base-table entry.
+type tageBase struct {
+	dist  int64
+	conf  uint8
+	valid bool
+}
+
 type tageTable struct {
 	entries []tageEntry
 	histLen int
@@ -70,7 +77,7 @@ type tageTable struct {
 // TAGESDP is the TAGE-like store distance predictor.
 type TAGESDP struct {
 	cfg    TAGEConfig
-	base   []sdpEntry // tagless: dist + conf per PC hash
+	base   []tageBase // tagless: dist + conf per PC hash
 	tables []tageTable
 
 	Predictions, TaggedHits, BaseHits, Allocs int64
@@ -78,7 +85,7 @@ type TAGESDP struct {
 
 // NewTAGESDP builds the predictor.
 func NewTAGESDP(cfg TAGEConfig) *TAGESDP {
-	t := &TAGESDP{cfg: cfg, base: make([]sdpEntry, cfg.BaseEntries)}
+	t := &TAGESDP{cfg: cfg, base: make([]tageBase, cfg.BaseEntries)}
 	for _, l := range cfg.HistoryLens {
 		t.tables = append(t.tables, tageTable{
 			entries: make([]tageEntry, cfg.TableEntries),
@@ -165,7 +172,7 @@ func (t *TAGESDP) TrainCorrect(pc, hist uint32, dist int64) {
 	}
 	b := &t.base[t.baseIndex(pc)]
 	if !b.valid {
-		*b = sdpEntry{dist: dist, conf: t.cfg.ConfInit, valid: true}
+		*b = tageBase{dist: dist, conf: t.cfg.ConfInit, valid: true}
 		return
 	}
 	if b.conf < t.cfg.ConfMax {
@@ -179,7 +186,7 @@ func (t *TAGESDP) TrainWrong(pc, hist uint32, actualDist int64) {
 	// Update the base table first; its confidence seeds allocations.
 	b := &t.base[t.baseIndex(pc)]
 	if !b.valid {
-		*b = sdpEntry{dist: actualDist, conf: t.cfg.ConfInit, valid: true}
+		*b = tageBase{dist: actualDist, conf: t.cfg.ConfInit, valid: true}
 	} else {
 		if t.cfg.Biased {
 			b.conf >>= 1

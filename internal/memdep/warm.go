@@ -18,7 +18,7 @@ const (
 
 // WarmStateLen returns the maximum encoded warm-state size.
 func (s *SDP) WarmStateLen() int {
-	return 2 * len(s.ps.sets) * (1 + s.cfg.Ways*sdpEntryBytes)
+	return 2 * s.cfg.Sets * (1 + s.cfg.Ways*sdpEntryBytes)
 }
 
 // AppendWarmState appends both tables' canonical warm encodings
@@ -32,11 +32,11 @@ func (s *SDP) AppendWarmState(buf []byte) []byte {
 // LoadWarmState replaces both tables' state with the encoded state and
 // returns the bytes consumed. Counters are untouched.
 func (s *SDP) LoadWarmState(buf []byte) (int, error) {
-	n1, err := s.pi.loadWarm(buf, s.cfg.Ways, s.cfg.ConfMax)
+	n1, err := s.pi.loadWarm(buf, s.cfg.ConfMax)
 	if err != nil {
 		return 0, fmt.Errorf("sdp pi: %w", err)
 	}
-	n2, err := s.ps.loadWarm(buf[n1:], s.cfg.Ways, s.cfg.ConfMax)
+	n2, err := s.ps.loadWarm(buf[n1:], s.cfg.ConfMax)
 	if err != nil {
 		return 0, fmt.Errorf("sdp ps: %w", err)
 	}
@@ -53,18 +53,17 @@ func (s *SDP) CopyWarmFrom(src *SDP) {
 func (t *sdpTable) appendWarm(buf []byte) []byte {
 	var orderBuf [64]int
 	order := orderBuf[:]
-	for si := range t.sets {
-		set := t.sets[si]
-		if len(set) > len(order) {
-			order = make([]int, len(set))
-		}
+	if t.ways > len(order) {
+		order = make([]int, t.ways)
+	}
+	for base := 0; base < len(t.tags); base += t.ways {
 		n := 0
-		for i := range set {
-			if !set[i].valid {
+		for i := base; i < base+t.ways; i++ {
+			if t.tags[i] == 0 {
 				continue
 			}
 			j := n
-			for j > 0 && set[order[j-1]].used > set[i].used {
+			for j > 0 && t.vals[order[j-1]].used > t.vals[i].used {
 				order[j] = order[j-1]
 				j--
 			}
@@ -72,59 +71,64 @@ func (t *sdpTable) appendWarm(buf []byte) []byte {
 			n++
 		}
 		buf = append(buf, byte(n))
-		for k := 0; k < n; k++ {
-			e := &set[order[k]]
-			buf = binary.LittleEndian.AppendUint32(buf, e.tag)
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(e.dist))
-			buf = append(buf, e.conf)
+		for _, i := range order[:n] {
+			v := &t.vals[i]
+			buf = binary.LittleEndian.AppendUint32(buf, t.tags[i]-1)
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(v.dist))
+			buf = append(buf, v.conf)
 		}
 	}
 	return buf
 }
 
-func (t *sdpTable) loadWarm(buf []byte, ways int, confMax uint8) (int, error) {
+// maxSDPTag is the largest tag a 32-bit PC produces (tags are pc >> 2).
+const maxSDPTag = ^uint32(0) >> 2
+
+func (t *sdpTable) loadWarm(buf []byte, confMax uint8) (int, error) {
 	off := 0
-	for si := range t.sets {
-		set := t.sets[si]
+	for si := 0; si < len(t.tags)/t.ways; si++ {
 		if off >= len(buf) {
 			return 0, fmt.Errorf("warm state truncated at set %d", si)
 		}
 		n := int(buf[off])
 		off++
-		if n > ways {
-			return 0, fmt.Errorf("warm state set %d holds %d ways (table has %d)", si, n, ways)
+		if n > t.ways {
+			return 0, fmt.Errorf("warm state set %d holds %d ways (table has %d)", si, n, t.ways)
 		}
 		if off+n*sdpEntryBytes > len(buf) {
 			return 0, fmt.Errorf("warm state truncated in set %d", si)
 		}
-		for i := range set {
-			set[i] = sdpEntry{}
-		}
+		base := si * t.ways
+		clear(t.tags[base : base+t.ways])
+		clear(t.vals[base : base+t.ways])
 		for k := 0; k < n; k++ {
+			tag := binary.LittleEndian.Uint32(buf[off:])
 			conf := buf[off+12]
 			// Reject rather than clamp: every accepted encoding must be
-			// canonical (load-then-serialize is the identity).
+			// canonical (load-then-serialize is the identity) and
+			// reachable.
+			if tag > maxSDPTag {
+				return 0, fmt.Errorf("warm state set %d has tag %#x (max %#x)", si, tag, maxSDPTag)
+			}
 			if conf > confMax {
 				return 0, fmt.Errorf("warm state set %d has confidence %d (max %d)", si, conf, confMax)
 			}
-			set[k] = sdpEntry{
-				tag:   binary.LittleEndian.Uint32(buf[off:]),
-				dist:  int64(binary.LittleEndian.Uint64(buf[off+4:])),
-				conf:  conf,
-				valid: true,
-				used:  int64(k + 1),
+			t.tags[base+k] = tag + 1
+			t.vals[base+k] = sdpVal{
+				dist: int64(binary.LittleEndian.Uint64(buf[off+4:])),
+				conf: conf,
+				used: int64(k + 1),
 			}
 			off += sdpEntryBytes
 		}
 	}
-	t.tick = int64(ways)
+	t.tick = int64(t.ways)
 	return off, nil
 }
 
 func (t *sdpTable) copyFrom(src *sdpTable) {
-	for si := range t.sets {
-		copy(t.sets[si], src.sets[si])
-	}
+	copy(t.tags, src.tags)
+	copy(t.vals, src.vals)
 	t.tick = src.tick
 }
 

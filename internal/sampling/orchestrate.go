@@ -219,6 +219,7 @@ func stream(ctx context.Context, req Request, prog *isa.Program, wcfg *warm.Conf
 		return nil, nil, err
 	}
 	out.Plan.Warmup = req.Spec.Warmup
+	s.keepResumeState(out.Plan)
 	if req.Checkpoint && req.Store != nil {
 		req.Store.StorePlan(planKey, planToRecord(out.Plan, s))
 	}

@@ -289,3 +289,64 @@ func TestCachedPlanWithDroppedCheckpointsReprofiles(t *testing.T) {
 		}
 	}
 }
+
+// TestStreamKeepsOnlyResumeState: once a warmed profiling pass has its
+// plan, the stream keeps in memory only the state of the boundaries its
+// intervals resume from — warm snapshots always, and checkpoints too
+// when no writable store holds them — and the intervals still give the
+// same result with and without the store.
+func TestStreamKeepsOnlyResumeState(t *testing.T) {
+	const budget = 2_000_000
+	prog, spec := proxyProgram(t, "lbm")
+	cfg := config.Default(config.DMDP)
+	wcfg := warm.ConfigFrom(cfg)
+	var results [][]byte
+	for _, withStore := range []bool{false, true} {
+		req := Request{Spec: Spec{Auto: true, K: 6, Warmup: 2000}, Budget: budget, Prog: prog, Warm: true,
+			TraceKey: artifact.TraceKey(spec.SourceHash(), budget)}
+		if withStore {
+			store, err := artifact.Open(t.TempDir(), artifact.RW, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Checkpoint, req.Store = true, store
+		}
+		out, src, err := stream(context.Background(), req, prog, &wcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := src.(*streamSource).s
+		resume := map[int64]bool{}
+		for i := range out.Plan.Intervals {
+			b, _ := beginOf(out.Plan, i)
+			resume[int64(b/s.ChunkLen*s.ChunkLen)] = true
+		}
+		if len(s.warms) != len(resume) {
+			t.Errorf("store %v: %d warm snapshots in memory for %d resume boundaries", withStore, len(s.warms), len(resume))
+		}
+		for at := range s.warms {
+			if !resume[at] {
+				t.Errorf("store %v: warm snapshot kept at %d, where no interval resumes", withStore, at)
+			}
+		}
+		for at := range s.cks {
+			if !resume[at] {
+				t.Errorf("store %v: checkpoint kept at %d, where no interval resumes", withStore, at)
+			}
+		}
+		if !withStore && len(s.cks) != len(resume) {
+			t.Errorf("no store: %d checkpoints in memory for %d resume boundaries", len(s.cks), len(resume))
+		}
+		comb, err := RunPlan(context.Background(), cfg, out.Plan, src, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w, c, _ := src.warmStats(); w != int64(len(out.Plan.Intervals)) || c != 0 {
+			t.Errorf("store %v: %d intervals warmed, %d cold-started", withStore, w, c)
+		}
+		results = append(results, comb.MarshalCanonical())
+	}
+	if !bytes.Equal(results[0], results[1]) {
+		t.Fatal("sampled result differs with and without a store")
+	}
+}

@@ -40,12 +40,14 @@ type Stream struct {
 	// cks holds in-memory checkpoints keyed by instruction index. When a
 	// writable store persists checkpoints, only checkpoint 0 is kept here
 	// (the store serves the rest); otherwise all boundaries are kept,
-	// sharing their pages copy-on-write. A reopened stream keeps the
-	// checkpoint its plan probe loaded (planUsable).
+	// sharing their pages copy-on-write, until the plan is known and
+	// keepResumeState drops those no interval resumes from. A reopened
+	// stream keeps the checkpoint its plan probe loaded (planUsable).
 	cks map[int64]*emu.Checkpoint
 
 	// Functional warming (nil warmCfg = off): warms caches full warm
-	// snapshots per boundary — captured live by BuildStream, or
+	// snapshots per boundary — captured live by BuildStream (all of them
+	// until keepResumeState keeps the plan's resume boundaries), or
 	// reconstructed on demand from persisted DMDPCKP2 delta records.
 	warmCfg    *warm.Config
 	warmParams [32]byte
@@ -217,6 +219,33 @@ func (s *Stream) addCheckpoint(ck *emu.Checkpoint, pub chan<- func()) {
 		}
 	}
 	s.cks[ck.At] = ck
+}
+
+// keepResumeState drops the in-memory checkpoints and warm snapshots of
+// every boundary that no interval of plan resumes from (its warmup-
+// extended begin rounded down to a chunk). The profiling pass keeps
+// every boundary because the plan is unknown until the pass ends;
+// afterwards interval extraction reads only the resume boundaries. A
+// dropped boundary still reloads from the store, or degrades as a
+// missing one does.
+func (s *Stream) keepResumeState(plan Plan) {
+	keep := make(map[int64]bool, len(plan.Intervals))
+	for i := range plan.Intervals {
+		b, _ := beginOf(plan, i)
+		keep[int64(b/s.ChunkLen*s.ChunkLen)] = true
+	}
+	for at := range s.cks {
+		if !keep[at] {
+			delete(s.cks, at)
+		}
+	}
+	s.warmMu.Lock()
+	for at := range s.warms {
+		if !keep[at] {
+			delete(s.warms, at)
+		}
+	}
+	s.warmMu.Unlock()
 }
 
 // OpenStream reopens a stream whose plan (and therefore chunk geometry

@@ -19,19 +19,16 @@ func DefaultConfig() Config {
 	return Config{Entries: 64, PageBytes: 4096, MissPenalty: 20}
 }
 
-type entry struct {
-	vpn   uint32
-	valid bool
-	used  int64
-}
-
 // TLB is a fully associative, LRU-replaced translation buffer. The
 // reproduction uses identity translation (virtual == physical); only the
-// timing of misses matters.
+// timing of misses matters. Its state is two flat, pointer-free arrays
+// with one element per entry; the zero value of each is an empty entry,
+// so a fresh TLB is cold.
 type TLB struct {
-	cfg     Config
-	entries []entry
-	tick    int64
+	cfg  Config
+	vpns []uint32 // VPN+1 of each valid entry; 0 = empty
+	used []int64  // LRU timestamp of each valid entry; 0 when empty
+	tick int64
 	// last is the entry the previous translation hit or filled. Fills
 	// happen only on a miss, so a VPN is never resident twice and a
 	// matching last entry is the one the full scan would find.
@@ -40,9 +37,10 @@ type TLB struct {
 	Accesses, Misses int64
 }
 
-// New builds a TLB.
+// New builds a TLB. config.Validate guarantees at least one entry and
+// pages of at least two bytes, so VPN+1 never wraps.
 func New(cfg Config) *TLB {
-	return &TLB{cfg: cfg, entries: make([]entry, cfg.Entries)}
+	return &TLB{cfg: cfg, vpns: make([]uint32, cfg.Entries), used: make([]int64, cfg.Entries)}
 }
 
 // Translate looks up addr's page and returns the extra latency the
@@ -51,28 +49,30 @@ func New(cfg Config) *TLB {
 func (t *TLB) Translate(addr uint32) int64 {
 	t.tick++
 	t.Accesses++
-	vpn := addr / t.cfg.PageBytes
-	if e := &t.entries[t.last]; e.valid && e.vpn == vpn {
-		e.used = t.tick
+	key := addr/t.cfg.PageBytes + 1
+	if t.vpns[t.last] == key {
+		t.used[t.last] = t.tick
 		return 0
 	}
-	victim := 0
-	for i := range t.entries {
-		e := &t.entries[i]
-		if e.valid && e.vpn == vpn {
-			e.used = t.tick
+	for i, v := range t.vpns {
+		if v == key {
+			t.used[i] = t.tick
 			t.last = i
 			return 0
 		}
-		if !t.entries[victim].valid {
-			continue
+	}
+	// Miss: the first empty entry, else the least recently used one.
+	victim := 0
+	for i, v := range t.vpns {
+		if t.vpns[victim] == 0 {
+			break
 		}
-		if !e.valid || e.used < t.entries[victim].used {
+		if v == 0 || t.used[i] < t.used[victim] {
 			victim = i
 		}
 	}
 	t.Misses++
-	t.entries[victim] = entry{vpn: vpn, valid: true, used: t.tick}
+	t.vpns[victim], t.used[victim] = key, t.tick
 	t.last = victim
 	return t.cfg.MissPenalty
 }

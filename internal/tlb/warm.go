@@ -18,14 +18,14 @@ func (t *TLB) WarmStateLen() int { return 2 + 4*t.cfg.Entries }
 // AppendWarmState appends the canonical warm encoding: a 2-byte count
 // followed by the valid VPNs oldest-to-youngest.
 func (t *TLB) AppendWarmState(buf []byte) []byte {
-	order := make([]int, 0, len(t.entries))
-	for i := range t.entries {
-		if !t.entries[i].valid {
+	order := make([]int, 0, len(t.vpns))
+	for i, v := range t.vpns {
+		if v == 0 {
 			continue
 		}
 		j := len(order)
 		order = append(order, i)
-		for j > 0 && t.entries[order[j-1]].used > t.entries[i].used {
+		for j > 0 && t.used[order[j-1]] > t.used[i] {
 			order[j] = order[j-1]
 			j--
 		}
@@ -33,37 +33,38 @@ func (t *TLB) AppendWarmState(buf []byte) []byte {
 	}
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(order)))
 	for _, i := range order {
-		buf = binary.LittleEndian.AppendUint32(buf, t.entries[i].vpn)
+		buf = binary.LittleEndian.AppendUint32(buf, t.vpns[i]-1)
 	}
 	return buf
 }
 
 // LoadWarmState replaces the TLB's state with the encoded state and
-// returns the bytes consumed. Counters are untouched.
+// returns the bytes consumed. A VPN no address can produce is an error.
+// Counters are untouched.
 func (t *TLB) LoadWarmState(buf []byte) (int, error) {
 	if len(buf) < 2 {
 		return 0, fmt.Errorf("tlb: warm state truncated")
 	}
 	n := int(binary.LittleEndian.Uint16(buf))
-	if n > len(t.entries) {
-		return 0, fmt.Errorf("tlb: warm state holds %d entries (tlb has %d)", n, len(t.entries))
+	if n > len(t.vpns) {
+		return 0, fmt.Errorf("tlb: warm state holds %d entries (tlb has %d)", n, len(t.vpns))
 	}
 	off := 2
 	if off+4*n > len(buf) {
 		return 0, fmt.Errorf("tlb: warm state truncated")
 	}
-	for i := range t.entries {
-		t.entries[i] = entry{}
-	}
+	maxVPN := ^uint32(0) / t.cfg.PageBytes
+	clear(t.vpns)
+	clear(t.used)
 	for k := 0; k < n; k++ {
-		t.entries[k] = entry{
-			vpn:   binary.LittleEndian.Uint32(buf[off:]),
-			valid: true,
-			used:  int64(k + 1),
+		vpn := binary.LittleEndian.Uint32(buf[off:])
+		if vpn > maxVPN {
+			return 0, fmt.Errorf("tlb: warm state entry %d has vpn %#x (max %#x)", k, vpn, maxVPN)
 		}
+		t.vpns[k], t.used[k] = vpn+1, int64(k+1)
 		off += 4
 	}
-	t.tick = int64(len(t.entries))
+	t.tick = int64(len(t.vpns))
 	t.last = 0 // entry 0 is the first match whatever the loaded bytes hold
 	return off, nil
 }
@@ -71,7 +72,8 @@ func (t *TLB) LoadWarmState(buf []byte) (int, error) {
 // CopyWarmFrom transplants src's state into t (same geometry assumed).
 // Counters are untouched.
 func (t *TLB) CopyWarmFrom(src *TLB) {
-	copy(t.entries, src.entries)
+	copy(t.vpns, src.vpns)
+	copy(t.used, src.used)
 	t.tick = src.tick
 	t.last = 0
 }
