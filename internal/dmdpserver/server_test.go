@@ -369,6 +369,7 @@ func TestBadRequests(t *testing.T) {
 		"bad budget":     {"bench": "hmmer", "budget": "-3"},
 		"over budget":    {"bench": "hmmer", "budget": "900m"},
 		"chaos disabled": {"bench": "hmmer", "chaos_panic": true},
+		"huge ROB":       {"bench": "hmmer", "budget": "20k", "rob": 1 << 24},
 	} {
 		code, out := postJob(t, ts.URL, body)
 		if code != http.StatusBadRequest {
