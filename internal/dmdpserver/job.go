@@ -26,6 +26,13 @@ import (
 	"dmdp/internal/workload"
 )
 
+// maxJobROB caps the ROB a job may request. A core allocates every ROB
+// slot up front (624 bytes each, inline uops included), so the cap keeps
+// one request from asking a worker for gigabytes; it is far above the
+// machines modelled (the paper's ROB holds 256 entries, the ROB sweep's
+// 512).
+const maxJobROB = 1 << 14
+
 // jobRequest is the POST /v1/jobs body. Exactly one of Bench / Source
 // names the workload.
 type jobRequest struct {
@@ -169,6 +176,9 @@ func (s *Server) parseJob(req *jobRequest) (*jobPlan, error) {
 		cfg = cfg.WithIssueWidth(req.IssueWidth)
 	}
 	if req.ROB > 0 {
+		if req.ROB > maxJobROB {
+			return nil, fmt.Errorf("rob %d exceeds the daemon cap %d", req.ROB, maxJobROB)
+		}
 		cfg = cfg.WithROB(req.ROB)
 	}
 	if req.FlipRate != 0 {
