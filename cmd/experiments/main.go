@@ -126,7 +126,7 @@ func main() {
 			}
 		}
 	}
-	fmt.Printf("total: %.1fs, budget %d instructions x %d benchmarks\n",
+	fmt.Fprintf(os.Stderr, "total: %.1fs, budget %d instructions x %d benchmarks\n",
 		time.Since(start).Seconds(), budget, len(r.Benchmarks()))
 	if ctx.Err() != nil {
 		fmt.Fprintf(os.Stderr, "experiments: -timeout %s reached: in-flight runs were cancelled; results above and the failure table below are partial\n", *timeout)

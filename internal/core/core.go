@@ -978,7 +978,8 @@ func (c *Core) renameOne(idx int, hist uint32) *inst {
 	case in.class == isa.ClassStore:
 		c.renameStore(in)
 	case in.class == isa.ClassBranch: // conditional branches, JR, JALR
-		srcs, n := c.srcPhys(d)
+		var srcs [2]int
+		n := c.srcPhys(d, &srcs)
 		dst := -1
 		if op == isa.OpJALR && d.dest != isa.NoReg {
 			dst = c.mapDest(in, d.dest)
@@ -986,7 +987,8 @@ func (c *Core) renameOne(idx int, hist uint32) *inst {
 		u := c.newUop(in, uopBranch, isa.ClassBranch, srcs[:n], dst)
 		c.finishUopSetup(u)
 	default:
-		srcs, n := c.srcPhys(d)
+		var srcs [2]int
+		n := c.srcPhys(d, &srcs)
 		dst := -1
 		if d.dest != isa.NoReg {
 			dst = c.mapDest(in, d.dest)
@@ -999,13 +1001,16 @@ func (c *Core) renameOne(idx int, hist uint32) *inst {
 	return in
 }
 
-// srcPhys maps an instruction's logical sources through the RAT.
-func (c *Core) srcPhys(d *decoded) (srcs [2]int, n int) {
-	n = int(d.nsrc)
+// srcPhys maps an instruction's logical sources through the RAT into
+// the caller's srcs and returns how many there are. Returning the array
+// by value would copy it out with a wide load that store-to-load
+// forwarding cannot serve from the narrow element stores.
+func (c *Core) srcPhys(d *decoded, srcs *[2]int) int {
+	n := int(d.nsrc)
 	for k := 0; k < n; k++ {
 		srcs[k] = c.rf.rat[d.srcs[k]]
 	}
-	return srcs, n
+	return n
 }
 
 // ---------- fetch ----------

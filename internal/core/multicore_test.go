@@ -189,8 +189,9 @@ func TestMachineSingleCoreSemantics(t *testing.T) {
 		}
 		// Reference: run the emulator to completion.
 		e := emu.New(tr.Prog)
+		var buf [256]trace.Entry
 		for !e.Halted() {
-			if _, err := e.Step(); err != nil {
+			if _, err := e.Step(buf[:]); err != nil {
 				t.Fatalf("emu: %v", err)
 			}
 		}

@@ -14,6 +14,7 @@ import (
 
 	"dmdp/internal/emu"
 	"dmdp/internal/isa"
+	"dmdp/internal/trace"
 )
 
 // Session is one debugging session over a program.
@@ -55,7 +56,8 @@ func (s *Session) step(w io.Writer) bool {
 		fmt.Fprintln(w, "program has halted")
 		return false
 	}
-	if _, err := s.e.Step(); err != nil {
+	var one [1]trace.Entry
+	if _, err := s.e.Step(one[:]); err != nil {
 		fmt.Fprintln(w, "fault:", err)
 		return false
 	}

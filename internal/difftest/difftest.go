@@ -112,14 +112,15 @@ func Lockstep(cfg config.Config, tr *trace.Trace) (*core.Stats, error) {
 			return fmt.Errorf("PC diverged: core retires 0x%08x, emulator at 0x%08x", rec.PC, em.PC)
 		}
 		in, _ := em.Prog.InstrAt(em.PC)
-		ent, err := em.Step()
-		if err != nil {
+		var one [1]trace.Entry
+		if _, err := em.Step(one[:]); err != nil {
 			return fmt.Errorf("emulator fault at pc 0x%08x: %v", rec.PC, err)
 		}
 		if in != rec.Instr {
 			return fmt.Errorf("instruction diverged at pc 0x%08x: core retires %q, emulator executes %q",
 				rec.PC, rec.Instr, in)
 		}
+		ent := &one[0]
 		if rec.IsLoad && ent.Value != rec.Value {
 			return fmt.Errorf("load %s retired value 0x%08x, architectural value 0x%08x",
 				rec.Instr, rec.Value, ent.Value)

@@ -4,15 +4,16 @@ import (
 	"runtime"
 	"testing"
 
+	"dmdp/internal/asm"
 	"dmdp/internal/emu"
 	"dmdp/internal/trace"
 	"dmdp/internal/workload"
 )
 
 // TestEmulatorStepDoesNotAllocate guards the emulator's steady state:
-// once a proxy's working set is paged in, stepping one instruction into
-// a caller-owned entry allocates nothing. The test lives in an external
-// package because workload imports emu.
+// once a proxy's working set is paged in, stepping a batch of
+// instructions into caller-owned entries allocates nothing. The test
+// lives in an external package because workload imports emu.
 func TestEmulatorStepDoesNotAllocate(t *testing.T) {
 	for _, name := range []string{"gcc", "lbm", "mcf"} {
 		spec, ok := workload.Get(name)
@@ -27,10 +28,10 @@ func TestEmulatorStepDoesNotAllocate(t *testing.T) {
 		if err := e.StepN(200_000); err != nil {
 			t.Fatalf("%s warm-up: %v", name, err)
 		}
-		var ent trace.Entry
+		var buf [8]trace.Entry
 		var stepErr error
-		allocs := testing.AllocsPerRun(10_000, func() {
-			if err := e.StepInto(&ent); err != nil && stepErr == nil {
+		allocs := testing.AllocsPerRun(1_250, func() {
+			if _, err := e.Step(buf[:]); err != nil && stepErr == nil {
 				stepErr = err
 			}
 		})
@@ -38,7 +39,7 @@ func TestEmulatorStepDoesNotAllocate(t *testing.T) {
 			t.Fatalf("%s: %v", name, stepErr)
 		}
 		if allocs != 0 {
-			t.Errorf("%s: StepInto allocates %.2f times per instruction, want 0", name, allocs)
+			t.Errorf("%s: Step allocates %.2f times per %d instructions, want 0", name, allocs, len(buf))
 		}
 	}
 }
@@ -79,3 +80,28 @@ func TestSnapshotCopiesNoPage(t *testing.T) {
 }
 
 var snapSink *emu.Checkpoint
+
+// TestHaltingProgramKeepsNoBudget: the trace of a program that halts
+// at once costs the same at any budget. The build starts with room for
+// 1<<20 entries (24 MiB) and grows only when the program runs past
+// them, so a two-instruction program at the daemon's 100M-instruction
+// cap neither allocates nor keeps the 2.2 GiB its budget would take.
+func TestHaltingProgramKeepsNoBudget(t *testing.T) {
+	p, err := asm.Assemble("nop\nhalt\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tr, err := emu.Run(p, 100_000_000)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 32<<20 {
+		t.Errorf("building the trace allocated %.1f MiB, want under 32", float64(alloc)/(1<<20))
+	}
+	if len(tr.Entries) != 2 || !tr.HitHalt || cap(tr.Entries) > 1<<20 {
+		t.Errorf("trace of %d entries (halt %v) keeps a slice of %d", len(tr.Entries), tr.HitHalt, cap(tr.Entries))
+	}
+}

@@ -63,15 +63,17 @@ func Resume(p *isa.Program, init *mem.Image, ck *Checkpoint) *Emulator {
 }
 
 // StepN executes n instructions discarding their trace entries — the
-// fast-forward used to roll from a checkpoint to an interval start. Every
-// step writes into one scratch entry.
+// fast-forward used to roll from a checkpoint to an interval start. The
+// steps write into one scratch buffer.
 func (e *Emulator) StepN(n int64) error {
-	var scratch trace.Entry
-	for i := int64(0); i < n; i++ {
+	var scratch [128]trace.Entry
+	for done := int64(0); done < n; {
 		if e.halted {
-			return fmt.Errorf("emu: halted after %d of %d fast-forward steps", i, n)
+			return fmt.Errorf("emu: halted after %d of %d fast-forward steps", done, n)
 		}
-		if err := e.StepInto(&scratch); err != nil {
+		k, err := e.Step(scratch[:min(n-done, int64(len(scratch)))])
+		done += int64(k)
+		if err != nil {
 			return err
 		}
 	}

@@ -49,7 +49,7 @@ func TestSnapshotResumeBitIdentical(t *testing.T) {
 	init := e.Mem.Clone()
 	dirty := map[uint32]bool{}
 	for i := 0; i < cut; i++ {
-		ent, err := e.Step()
+		ent, err := stepOne(e)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +78,7 @@ func TestSnapshotResumeBitIdentical(t *testing.T) {
 		t.Fatalf("resumed count = %d", r.InstrCount())
 	}
 	for i := cut; i < len(full.Entries); i++ {
-		got, err := r.Step()
+		got, err := stepOne(r)
 		if err != nil {
 			t.Fatalf("resumed step %d: %v", i, err)
 		}
@@ -136,7 +136,7 @@ func TestSnapshotKeepsItsPages(t *testing.T) {
 		}
 		r := Resume(p, init, s.ck)
 		for i := s.ck.At; i < s.ck.At+2_000; i++ {
-			got, err := r.Step()
+			got, err := stepOne(r)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -56,33 +56,33 @@ func (e *Emulator) Halted() bool { return e.halted }
 // InstrCount returns the number of retired instructions.
 func (e *Emulator) InstrCount() int64 { return e.count }
 
-// StepInto executes one instruction and writes its trace entry to *ent,
-// the slot where the caller keeps it. The instruction semantics live in
-// Exec; StepInto binds them to the emulator's private memory image and
-// register file. On error the emulator's state and *ent are unchanged.
-func (e *Emulator) StepInto(ent *trace.Entry) error {
-	if e.halted {
-		return fmt.Errorf("emu: step after halt")
+// Step executes instructions into buf, one entry a slot, until buf is
+// full or HALT has executed, and returns how many entries it wrote: the
+// trace.Stepper the builders drive, each call filling a piece of the
+// caller's slice in place. The instruction semantics live in Exec;
+// Step binds them to the emulator's private memory image and register
+// file. On error, n counts the entries written before the failing
+// instruction, which changes neither the emulator's state nor its slot.
+func (e *Emulator) Step(buf []trace.Entry) (n int, err error) {
+	if e.halted && len(buf) > 0 {
+		return 0, fmt.Errorf("emu: step after halt")
 	}
-	in, ok := e.Prog.InstrAt(e.PC)
-	if !ok {
-		return fmt.Errorf("emu: PC 0x%08x outside text", e.PC)
+	for i := range buf {
+		in, ok := e.Prog.InstrAt(e.PC)
+		if !ok {
+			return i, fmt.Errorf("emu: PC 0x%08x outside text", e.PC)
+		}
+		if err := Exec(in, e.PC, &e.Regs, e.Mem, &buf[i]); err != nil {
+			return i, err
+		}
+		e.PC = buf[i].Target
+		e.count++
+		if in.Op == isa.OpHALT {
+			e.halted = true
+			return i + 1, nil
+		}
 	}
-	if err := Exec(in, e.PC, &e.Regs, e.Mem, ent); err != nil {
-		return err
-	}
-	if in.Op == isa.OpHALT {
-		e.halted = true
-	}
-	e.PC = ent.Target
-	e.count++
-	return nil
-}
-
-// Step is StepInto returning the entry by value.
-func (e *Emulator) Step() (ent trace.Entry, err error) {
-	err = e.StepInto(&ent)
-	return ent, err
+	return len(buf), nil
 }
 
 func b2u(b bool) uint32 {

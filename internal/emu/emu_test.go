@@ -5,7 +5,15 @@ import (
 
 	"dmdp/internal/asm"
 	"dmdp/internal/isa"
+	"dmdp/internal/trace"
 )
+
+// stepOne executes one instruction and returns its entry.
+func stepOne(e *Emulator) (trace.Entry, error) {
+	var one [1]trace.Entry
+	_, err := e.Step(one[:])
+	return one[0], err
+}
 
 func run(t *testing.T, src string, max int64) *Emulator {
 	t.Helper()
@@ -15,7 +23,7 @@ func run(t *testing.T, src string, max int64) *Emulator {
 	}
 	e := New(p)
 	for i := int64(0); i < max && !e.Halted(); i++ {
-		if _, err := e.Step(); err != nil {
+		if _, err := stepOne(e); err != nil {
 			t.Fatalf("step %d: %v", i, err)
 		}
 	}
@@ -193,11 +201,11 @@ func TestUnalignedAccessFaults(t *testing.T) {
 	e := New(p)
 	// li expands to lui+ori; the third step is the lw.
 	for i := 0; i < 2; i++ {
-		if _, err := e.Step(); err != nil {
+		if _, err := stepOne(e); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := e.Step(); err == nil {
+	if _, err := stepOne(e); err == nil {
 		t.Fatal("expected unaligned fault")
 	}
 }
@@ -208,10 +216,10 @@ func TestPCOutsideTextFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := New(p)
-	if _, err := e.Step(); err != nil {
+	if _, err := stepOne(e); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Step(); err == nil {
+	if _, err := stepOne(e); err == nil {
 		t.Fatal("expected PC fault")
 	}
 }
@@ -219,10 +227,10 @@ func TestPCOutsideTextFaults(t *testing.T) {
 func TestStepAfterHaltFails(t *testing.T) {
 	p, _ := asm.Assemble("halt")
 	e := New(p)
-	if _, err := e.Step(); err != nil {
+	if _, err := stepOne(e); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Step(); err == nil {
+	if _, err := stepOne(e); err == nil {
 		t.Fatal("expected error stepping after halt")
 	}
 }

@@ -174,7 +174,11 @@ func Exec(in isa.Instr, pc uint32, regs *[isa.NumArchRegs]uint32, m Memory, ent 
 	if taken {
 		flags |= trace.FlagTaken
 	}
-	*ent = trace.Entry{PC: pc, Addr: addr, Value: value, Target: next, Op: in.Op, Size: size, Flags: flags}
+	// Field by field: a composite literal is built on the stack with
+	// narrow stores and copied out with wide loads that store-to-load
+	// forwarding cannot serve.
+	ent.PC, ent.Addr, ent.Value, ent.Target, ent.DepStore = pc, addr, value, next, 0
+	ent.Op, ent.Size, ent.DepOverlap, ent.Flags = in.Op, size, trace.OverlapNone, flags
 	return nil
 }
 

@@ -153,14 +153,14 @@ func TestFaultLeavesOnlyEarlierEntries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The reference: step until the fault.
+	// The reference: step one instruction at a time until the fault.
 	var ref []trace.Entry
 	e := emu.New(p)
 	var faultErr error
 	for faultErr == nil {
-		var ent trace.Entry
-		if faultErr = e.StepInto(&ent); faultErr == nil {
-			ref = append(ref, ent)
+		var one [1]trace.Entry
+		if _, faultErr = e.Step(one[:]); faultErr == nil {
+			ref = append(ref, one[0])
 		}
 	}
 	faultAt := len(ref)
@@ -174,12 +174,37 @@ func TestFaultLeavesOnlyEarlierEntries(t *testing.T) {
 
 	// A failed step changes nothing, the slot included.
 	regs, count := e.Regs, e.InstrCount()
-	slot := trace.Entry{PC: 0xdead, Value: 7}
-	if err := e.StepInto(&slot); err == nil {
-		t.Fatal("stepping the unaligned lw again succeeded")
+	sentinel := trace.Entry{PC: 0xdead, Value: 7}
+	slot := []trace.Entry{sentinel}
+	if n, err := e.Step(slot); err == nil || n != 0 {
+		t.Fatalf("stepping the unaligned lw again wrote %d entries, error %v", n, err)
 	}
-	if slot != (trace.Entry{PC: 0xdead, Value: 7}) || e.PC != faultPC || e.Regs != regs || e.InstrCount() != count {
-		t.Fatalf("failed step wrote state: slot %+v, pc 0x%08x, count %d", slot, e.PC, e.InstrCount())
+	if slot[0] != sentinel || e.PC != faultPC || e.Regs != regs || e.InstrCount() != count {
+		t.Fatalf("failed step wrote state: slot %+v, pc 0x%08x, count %d", slot[0], e.PC, e.InstrCount())
+	}
+
+	// A batch that reaches the fault writes the entries before it and
+	// nothing from the faulting slot on.
+	const lead = 5
+	b := emu.New(p)
+	if err := b.StepN(int64(faultAt - lead)); err != nil {
+		t.Fatal(err)
+	}
+	batch := []trace.Entry{sentinel, sentinel, sentinel, sentinel, sentinel, sentinel, sentinel, sentinel}
+	n, err := b.Step(batch)
+	if n != lead || err == nil || err.Error() != faultErr.Error() {
+		t.Fatalf("batch across the fault: %d entries, error %v; want %d and %v", n, err, lead, faultErr)
+	}
+	if err := sameEntries(batch[:n], ref[faultAt-lead:]); err != nil {
+		t.Fatalf("batch across the fault: %v", err)
+	}
+	for i := n; i < len(batch); i++ {
+		if batch[i] != sentinel {
+			t.Fatalf("batch across the fault wrote slot %d: %+v", i, batch[i])
+		}
+	}
+	if b.PC != faultPC || b.InstrCount() != int64(faultAt) {
+		t.Fatalf("batch across the fault: pc 0x%08x after %d instructions, want 0x%08x after %d", b.PC, b.InstrCount(), faultPC, faultAt)
 	}
 
 	wantErr := fmt.Sprintf("trace: at entry %d: %v", faultAt, faultErr)

@@ -156,7 +156,7 @@ func TestBuildStreamEndsCleanly(t *testing.T) {
 	ref := emu.New(faulting)
 	var faultErr error
 	for faultErr == nil {
-		faultErr = ref.StepInto(&trace.Entry{})
+		_, faultErr = ref.Step(make([]trace.Entry, 1))
 	}
 	gcc, _ := proxyProgram(t, "gcc")
 	wcfg := warm.ConfigFrom(config.Default(config.DMDP))

@@ -15,11 +15,13 @@ type failStepper struct {
 	failAt int64
 }
 
-func (s *failStepper) StepInto(e *Entry) error {
-	if s.n == s.failAt {
-		return fmt.Errorf("boom at %d", s.n)
-	}
-	return s.countStepper.StepInto(e)
+func (s *failStepper) Step(buf []Entry) (int, error) {
+	return stepEach(buf, s.Halted, func(e *Entry) error {
+		if s.n == s.failAt {
+			return fmt.Errorf("boom at %d", s.n)
+		}
+		return s.one(e)
+	})
 }
 
 // TestForEachChunkPieces: the ring delivers every entry once, in order,
@@ -42,7 +44,7 @@ func TestForEachChunkPieces(t *testing.T) {
 		name := fmt.Sprintf("budget %d halt %d chunk %d", c.budget, c.haltAt, c.chunkLen)
 		ref := &countStepper{haltAt: c.haltAt}
 		for ref.n < c.budget && !ref.Halted() {
-			ref.StepInto(&Entry{})
+			ref.one(&Entry{})
 		}
 		wantTotal, wantHalt := ref.n, ref.Halted()
 		s := &countStepper{haltAt: c.haltAt}
@@ -168,14 +170,16 @@ type gateStepper struct {
 	after  atomic.Int64
 }
 
-func (s *gateStepper) StepInto(e *Entry) error {
-	if s.n == s.gateAt {
-		<-s.open
-	}
-	if s.n >= s.gateAt {
-		s.after.Add(1)
-	}
-	return s.countStepper.StepInto(e)
+func (s *gateStepper) Step(buf []Entry) (int, error) {
+	return stepEach(buf, s.Halted, func(e *Entry) error {
+		if s.n == s.gateAt {
+			<-s.open
+		}
+		if s.n >= s.gateAt {
+			s.after.Add(1)
+		}
+		return s.one(e)
+	})
 }
 
 // lateStepper is countStepper that records a step taken after the test
@@ -185,9 +189,11 @@ type lateStepper struct {
 	returned, late atomic.Bool
 }
 
-func (s *lateStepper) StepInto(e *Entry) error {
-	if s.returned.Load() {
-		s.late.Store(true)
-	}
-	return s.countStepper.StepInto(e)
+func (s *lateStepper) Step(buf []Entry) (int, error) {
+	return stepEach(buf, s.Halted, func(e *Entry) error {
+		if s.returned.Load() {
+			s.late.Store(true)
+		}
+		return s.one(e)
+	})
 }

@@ -3,6 +3,10 @@ package trace
 import (
 	"context"
 	"errors"
+	"fmt"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -16,13 +20,30 @@ type countStepper struct {
 	haltAt int64
 }
 
-func (s *countStepper) StepInto(e *Entry) error {
+func (s *countStepper) Step(buf []Entry) (int, error) { return stepEach(buf, s.Halted, s.one) }
+
+// one is the stepper's single step.
+func (s *countStepper) one(e *Entry) error {
 	*e = Entry{PC: uint32(4 * s.n), Op: isa.OpADDI}
 	s.n++
 	return nil
 }
 
 func (s *countStepper) Halted() bool { return s.haltAt >= 0 && s.n >= s.haltAt }
+
+// stepEach is Stepper.Step over a test stepper's single step: it fills
+// buf until the stepper halts or one fails.
+func stepEach(buf []Entry, halted func() bool, one func(*Entry) error) (int, error) {
+	for i := range buf {
+		if halted() {
+			return i, nil
+		}
+		if err := one(&buf[i]); err != nil {
+			return i, err
+		}
+	}
+	return len(buf), nil
+}
 
 func TestCollectCtxCancelsMidBuild(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
@@ -136,5 +157,137 @@ func TestForEachChunkFnError(t *testing.T) {
 		func(int64, []Entry, struct{}) error { return sentinel })
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("want sentinel, got %v", err)
+	}
+}
+
+// goroutinesBackTo waits, up to a second, for the process's goroutines
+// to number at most want, and returns their count: a goroutine that has
+// closed its last channel may still be on its way out.
+func goroutinesBackTo(want int) int {
+	deadline := time.Now().Add(time.Second)
+	for {
+		n := runtime.NumGoroutine()
+		if n <= want || time.Now().After(deadline) {
+			return n
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestCollectCtxEndsItsGoroutine: CollectCtx leaves no goroutine behind
+// after a success, a stepping error or a cancellation, and a stepping
+// error names the failing entry.
+func TestCollectCtxEndsItsGoroutine(t *testing.T) {
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	const failAt = 3*buildPollInterval + 17
+	for _, c := range []struct {
+		name    string
+		ctx     context.Context
+		s       Stepper
+		wantErr string
+	}{
+		{"success", context.Background(), &countStepper{haltAt: 5 * buildPollInterval}, ""},
+		{"stepping error", context.Background(), &failStepper{countStepper{haltAt: -1}, failAt},
+			fmt.Sprintf("trace: at entry %d: boom at %d", failAt, failAt)},
+		{"cancellation", canceled, &countStepper{haltAt: -1},
+			fmt.Sprintf("trace: build canceled after %d entries: context canceled", buildPollInterval)},
+	} {
+		before := runtime.NumGoroutine()
+		tr, err := CollectCtx(c.ctx, c.s, 1<<20, nil, nil)
+		switch {
+		case c.wantErr == "" && (err != nil || len(tr.Entries) != 5*buildPollInterval):
+			t.Fatalf("%s: error %v", c.name, err)
+		case c.wantErr != "" && (tr != nil || err == nil || err.Error() != c.wantErr):
+			t.Fatalf("%s: trace %v, error %v; want no trace and %q", c.name, tr != nil, err, c.wantErr)
+		}
+		if n := goroutinesBackTo(before); n > before {
+			t.Fatalf("%s: %d goroutines after CollectCtx returned, %d before", c.name, n, before)
+		}
+	}
+}
+
+// memStepper emits a deterministic mix of 1-, 2- and 4-byte loads and
+// stores over a few pages, and ALU entries, until haltAt.
+type memStepper struct{ countStepper }
+
+func (s *memStepper) Step(buf []Entry) (int, error) {
+	return stepEach(buf, s.Halted, func(e *Entry) error {
+		h := uint32(s.n) * 2654435761
+		*e = memEntry(int(h>>7%3), []uint8{1, 2, 4}[h>>11%3], h>>13&3, h>>15%64, pages[h>>21&3])
+		s.n++
+		return nil
+	})
+}
+
+// TestCollectCtxGrowsOnce: a program that runs past the first
+// allocation gets a trace grown once, to the budget, and analyzed as
+// one-shot Analyze analyzes it; one that halts early keeps no more than
+// the first allocation.
+func TestCollectCtxGrowsOnce(t *testing.T) {
+	const budget = firstAlloc + 3*buildPollInterval + 17
+	tr, err := Collect(&memStepper{countStepper{haltAt: -1}}, budget, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.Entries) != budget || cap(tr.Entries) != budget {
+		t.Fatalf("trace holds %d entries in a slice of %d, want %d in %d", len(tr.Entries), cap(tr.Entries), budget, budget)
+	}
+	ref := &Trace{Entries: slices.Clone(tr.Entries)}
+	ref.Analyze()
+	if !slices.Equal(tr.Entries, ref.Entries) || !slices.Equal(tr.Seq, ref.Seq) || tr.Stores != ref.Stores || tr.Loads != ref.Loads {
+		t.Fatal("the grown trace's analysis differs from one-shot Analyze")
+	}
+
+	short, err := Collect(&countStepper{haltAt: 2}, 1<<30, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(short.Entries) != 2 || !short.HitHalt || cap(short.Entries) > firstAlloc {
+		t.Fatalf("halting program: %d entries in a slice of %d, halt %v", len(short.Entries), cap(short.Entries), short.HitHalt)
+	}
+}
+
+// panicStepper is countStepper that panics at step panicAt.
+type panicStepper struct {
+	countStepper
+	panicAt int64
+}
+
+func (s *panicStepper) Step(buf []Entry) (int, error) {
+	return stepEach(buf, s.Halted, func(e *Entry) error {
+		if s.n == s.panicAt {
+			panic(fmt.Sprintf("stepper broke at %d", s.n))
+		}
+		return s.one(e)
+	})
+}
+
+// TestSteppingPanicReachesCaller: a panic on the stepping goroutine of
+// either builder is raised again on the caller's goroutine, where a
+// recover can turn it into one failed job, with the stepping goroutine's
+// stack, and only once that goroutine has exited.
+func TestSteppingPanicReachesCaller(t *testing.T) {
+	const panicAt = 2*buildPollInterval + 5
+	for name, build := range map[string]func(Stepper){
+		"CollectCtx": func(s Stepper) { CollectCtx(context.Background(), s, 1<<20, nil, nil) },
+		"ForEachChunk": func(s Stepper) {
+			ForEachChunk(context.Background(), s, 1<<20, 1000, nil, func(int64, []Entry, struct{}) error { return nil })
+		},
+	} {
+		before := runtime.NumGoroutine()
+		recovered := func() (r any) {
+			defer func() { r = recover() }()
+			build(&panicStepper{countStepper{haltAt: -1}, panicAt})
+			return nil
+		}()
+		msg := fmt.Sprint(recovered)
+		if recovered == nil || !strings.Contains(msg, fmt.Sprintf("stepper broke at %d", panicAt)) ||
+			!strings.Contains(msg, "panicStepper") {
+			t.Fatalf("%s: recovered %q, want the stepper's panic and its stack", name, msg)
+		}
+		if n := goroutinesBackTo(before); n > before {
+			t.Fatalf("%s: %d goroutines after the panic, %d before", name, n, before)
+		}
 	}
 }

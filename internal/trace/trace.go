@@ -225,14 +225,16 @@ func (t *Trace) DepDist(i int) int64 {
 	return t.StoresBefore(i) - int64(dep)
 }
 
-// Stepper produces trace entries one instruction at a time (implemented by
-// the functional emulator). StepInto executes one instruction and writes
-// its entry to *e, the slot where the caller keeps it: CollectCtx and
-// ForEachChunk hand it the next trace or ring slot, so each entry is
-// written once and never copied. A failed step leaves the stepper's state
-// and *e unchanged, and the builders do not count that slot.
+// Stepper produces trace entries (implemented by the functional
+// emulator). Step executes instructions into buf, one entry a slot, until
+// buf is full or HALT has executed, and returns how many entries it
+// wrote: CollectCtx hands it the next piece of the trace's own slice and
+// ForEachChunk the next ring buffer, so each entry is written once, in
+// place, and one call covers a piece. On error, n counts the entries
+// written before the failing instruction, which leaves the stepper's
+// state and its slot unchanged; the builders report it as entry n.
 type Stepper interface {
-	StepInto(e *Entry) error
+	Step(buf []Entry) (n int, err error)
 	Halted() bool
 }
 
@@ -242,76 +244,6 @@ type Stepper interface {
 // use CollectCtx when a deadline may fire mid-build.
 func Collect(s Stepper, max int64, prog *isa.Program, initMem *mem.Image) (*Trace, error) {
 	return CollectCtx(nil, s, max, prog, initMem)
-}
-
-// Analyze computes, for every load, the youngest store writing any of its
-// bytes and the overlap class, the store and load counts, and the
-// sequence-number index Seq. The silent flag is expected to have been
-// set by the emulator. Analyze is idempotent.
-func (t *Trace) Analyze() {
-	// lastWriter maps word address -> per-byte youngest writer StoreSeq.
-	lastWriter := make(map[uint32]*[4]uint32)
-	writerFor := func(word uint32) *[4]uint32 {
-		w := lastWriter[word]
-		if w == nil {
-			w = new([4]uint32)
-			lastWriter[word] = w
-		}
-		return w
-	}
-	seq := make([]SeqBlock, SeqBlocks(len(t.Entries)))
-	var blk *SeqBlock
-	var storeSeq, loadSeq uint32
-	for i := range t.Entries {
-		e := &t.Entries[i]
-		if i&63 == 0 {
-			blk = &seq[i>>6]
-			blk.StoresBefore, blk.LoadsBefore = storeSeq, loadSeq
-		}
-		switch {
-		case e.IsStore():
-			blk.Stores |= 1 << (uint(i) & 63)
-			storeSeq++
-			w := writerFor(e.WordAddr())
-			for b := uint32(0); b < uint32(e.Size); b++ {
-				w[(e.Addr+b)&3] = storeSeq
-			}
-		case e.IsLoad():
-			blk.Loads |= 1 << (uint(i) & 63)
-			loadSeq++
-			e.DepStore, e.DepOverlap = 0, OverlapNone
-			w := lastWriter[e.WordAddr()]
-			if w == nil {
-				continue
-			}
-			// The youngest writer of any load byte, and whether it
-			// wrote every one of them. Full forwarding requires the
-			// store to *contain* the load (no forwarding from a
-			// narrower store even if it is the youngest writer of
-			// every load byte — that can only happen when sizes match).
-			youngest, full := uint32(0), true
-			for b := uint32(0); b < uint32(e.Size); b++ {
-				ws := w[(e.Addr+b)&3]
-				if b > 0 && ws != youngest {
-					full = false
-				}
-				if ws > youngest {
-					youngest = ws
-				}
-			}
-			if youngest == 0 {
-				continue
-			}
-			e.DepStore = youngest
-			if full {
-				e.DepOverlap = OverlapFull
-			} else {
-				e.DepOverlap = OverlapPartial
-			}
-		}
-	}
-	t.Seq = seq
-	t.Stores, t.Loads = int64(storeSeq), int64(loadSeq)
 }
 
 // EntryBySeq returns the index of the store with the given store
