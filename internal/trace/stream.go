@@ -39,27 +39,19 @@ func (e *BuildCanceled) Unwrap() error { return e.Cause }
 // The trace CollectCtx steps into starts at firstAlloc entries (24 MiB),
 // or the budget when that is smaller, so a program that halts early
 // keeps no more whatever its budget; one that runs past it grows the
-// trace once, to the whole budget. The stepper may run collectAhead
-// pieces ahead of the analysis: the pieces are the trace's own, so the
-// lead costs no memory, and it lets the stepper ride over the analyzer's
-// pauses.
-const (
-	firstAlloc   = 1 << 20
-	collectAhead = 16
-)
+// trace once, to the whole budget.
+const firstAlloc = 1 << 20
 
 // CollectCtx is Collect with cancellation: it polls ctx every
 // buildPollInterval instructions and aborts with *BuildCanceled when the
 // context fires. A nil ctx behaves like context.Background(). Budgets
 // above MaxEntries are refused.
 //
-// The stepper runs on a goroutine of its own and steps into the trace's
-// own slice in buildPollInterval-entry pieces, while the caller's
-// goroutine analyzes each finished piece (Analyzer), so the dependence
-// analysis overlaps emulation. When the program runs past the first
-// allocation, the trace grows once the analyzer has taken every piece
-// of it, so nothing holds the old array. CollectCtx returns only after
-// the stepping goroutine has exited, and re-raises a panic from it.
+// The stepper steps into the trace's own slice in buildPollInterval-entry
+// pieces, and an Analyzer takes each piece as soon as it is stepped,
+// while its entries are still in cache. The analyzer holds no entry
+// between pieces, so when the program runs past the first allocation
+// the trace grows with nothing holding the old array.
 func CollectCtx(ctx context.Context, s Stepper, max int64, prog *isa.Program, initMem *mem.Image) (*Trace, error) {
 	if max > MaxEntries {
 		return nil, fmt.Errorf("trace: budget %d exceeds the %d-entry trace limit", max, int64(MaxEntries))
@@ -69,32 +61,34 @@ func CollectCtx(ctx context.Context, s Stepper, max int64, prog *isa.Program, in
 	}
 	entries := make([]Entry, min(max, firstAlloc))
 	a := Analyzer{seq: make([]SeqBlock, 0, SeqBlocks(len(entries)))}
-	free := make(chan []Entry, collectAhead)
-	handed, ahead := 0, 0 // entries handed to the stepper; pieces not yet analyzed
-	handOut := func() {
-		for ; ahead < collectAhead && handed < len(entries); ahead++ {
-			end := min(handed+buildPollInterval, len(entries))
-			free <- entries[handed:end:end]
-			handed = end
-		}
+	var done <-chan struct{}
+	if ctx != nil {
+		done = ctx.Done()
 	}
-	handOut()
-	n, hitHalt, err := stepPieces(ctx, s, max, MaxEntries, nil, free, func(start int64, piece []Entry, _ struct{}) error {
-		a.Add(piece)
-		ahead--
-		if end := int(start) + len(piece); end == len(entries) && int64(end) < max {
+	n := 0
+	for int64(n) < max && !s.Halted() {
+		if n > 0 {
+			select {
+			case <-done:
+				return nil, &BuildCanceled{Entries: int64(n), Cause: ctx.Err()}
+			default:
+			}
+		}
+		if n == len(entries) {
 			grown := make([]Entry, max)
 			copy(grown, entries)
 			entries = grown
 			a.seq = slices.Grow(a.seq, SeqBlocks(len(grown))-len(a.seq))
 		}
-		handOut()
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		piece := entries[n:min(n+buildPollInterval, len(entries))]
+		k, err := s.Step(piece)
+		a.Add(piece[:k])
+		n += k
+		if err != nil {
+			return nil, fmt.Errorf("trace: at entry %d: %w", n, err)
+		}
 	}
-	t := &Trace{Prog: prog, Entries: entries[:n], InitMem: initMem, HitHalt: hitHalt}
+	t := &Trace{Prog: prog, Entries: entries[:n], InitMem: initMem, HitHalt: s.Halted()}
 	a.Finish(t)
 	return t, nil
 }
@@ -124,14 +118,28 @@ const (
 // other piece (and with all of them when mark is nil). The entries are
 // raw (Analyze has not run, so DepStore and DepOverlap are zero and
 // there is no sequence-number index) and the slice is a reused buffer:
-// fn must not retain it past the call.
+// fn must not retain it past the call. An error from fn aborts the
+// stream: the stepper takes no further buffer and stops within
+// buildPollInterval instructions.
 //
-// Errors, cancellation and panics are as for stepPieces, and so is the
-// return: ForEachChunk returns only after the stepping goroutine has
-// exited, so the stepper is the caller's again.
+// Returns the number of instructions executed and whether the program
+// reached HALT before the budget. A stepping error surfaces as
+// "trace: at entry N: ...", with N the failing entry, and cancellation,
+// polled every buildPollInterval instructions as in CollectCtx, as
+// *BuildCanceled, each once fn has seen every piece completed before it.
+// ForEachChunk returns only after the stepping goroutine has exited, so
+// the stepper is the caller's again. A panic there would end the
+// process, past any recover of the caller's, so the goroutine recovers
+// it and ForEachChunk raises it again on the caller's goroutine once the
+// stepper has exited.
 func ForEachChunk[T any](ctx context.Context, s Stepper, budget int64, chunkLen int, mark func() T, fn func(start int64, chunk []Entry, m T) error) (total int64, hitHalt bool, err error) {
 	if chunkLen <= 0 {
 		return 0, false, fmt.Errorf("trace: chunk length %d must be positive", chunkLen)
+	}
+	type piece struct {
+		buf   []Entry
+		start int64
+		mark  T
 	}
 	free := make(chan []Entry, ringDepth)
 	if size := int(min(int64(ringChunk), int64(chunkLen), budget)); size > 0 {
@@ -140,51 +148,15 @@ func ForEachChunk[T any](ctx context.Context, s Stepper, budget int64, chunkLen 
 			free <- ring[i*size : (i+1)*size : (i+1)*size]
 		}
 	}
-	return stepPieces(ctx, s, budget, int64(chunkLen), mark, free, func(start int64, chunk []Entry, m T) error {
-		if err := fn(start, chunk, m); err != nil {
-			return err
-		}
-		free <- chunk[:cap(chunk)]
-		return nil
-	})
-}
-
-// stepPieces runs s for at most budget instructions on a goroutine of
-// its own, the one stepping loop behind both builders. The goroutine
-// takes each buffer it steps into from free, fills it with the next
-// entries, up to the next multiple of chunkLen or the budget if either
-// comes first, and sends the piece to fn on the caller's goroutine, with
-// mark's result when the piece ends a chunk (the zero T otherwise, and
-// always when mark is nil). A buffer goes back to the stepper only when
-// fn sends it to free again, so fn owns each piece while it runs and
-// decides what to hand out next; free must have room for every buffer.
-//
-// Returns the number of instructions executed and whether the program
-// reached HALT before the budget. An error from fn ends the stream: the
-// stepper takes no further buffer and stops within buildPollInterval
-// instructions. A stepping error surfaces as "trace: at entry N: ...",
-// with N the failing entry, and cancellation, polled every
-// buildPollInterval instructions, as *BuildCanceled, each once fn has
-// seen every piece completed before it. stepPieces returns only after
-// the stepping goroutine has exited. A panic there would end the
-// process, past any recover of the caller's, so the goroutine recovers
-// it and stepPieces raises it again on the caller's goroutine once the
-// stepper has exited.
-func stepPieces[T any](ctx context.Context, s Stepper, budget, chunkLen int64, mark func() T, free chan []Entry, fn func(start int64, piece []Entry, m T) error) (total int64, hitHalt bool, err error) {
-	type piece struct {
-		buf   []Entry
-		start int64
-		mark  T
-	}
-	full := make(chan piece, cap(free))
-	// quit closes as stepPieces returns, which comes before the stepping
-	// goroutine is done only when fn fails or panics; the goroutine then
-	// stops at its next poll or buffer, whichever comes first.
+	full := make(chan piece, ringDepth)
+	// quit closes as ForEachChunk returns, which comes before the
+	// stepping goroutine is done only when fn fails or panics; the
+	// goroutine then stops at its next poll or buffer, whichever comes
+	// first.
 	quit := make(chan struct{})
 	// The stepping goroutine owns s and the variables below until it
 	// closes full.
 	var stepped int64
-	var halted bool
 	var stepErr error
 	var panicked *stepPanic
 	go func() {
@@ -212,7 +184,7 @@ func stepPieces[T any](ctx context.Context, s Stepper, budget, chunkLen int64, m
 				return
 			}
 			start := stepped
-			n := min(int64(len(buf)), chunkLen-start%chunkLen, budget-start)
+			n := min(int64(len(buf)), int64(chunkLen)-start%int64(chunkLen), budget-start)
 			for stepped-start < n && !s.Halted() {
 				if sincePoll == buildPollInterval {
 					sincePoll = 0
@@ -235,7 +207,7 @@ func stepPieces[T any](ctx context.Context, s Stepper, budget, chunkLen int64, m
 				}
 			}
 			p := piece{buf: buf[:stepped-start], start: start}
-			if mark != nil && stepped%chunkLen == 0 {
+			if mark != nil && stepped%int64(chunkLen) == 0 {
 				p.mark = mark()
 			}
 			select {
@@ -244,7 +216,6 @@ func stepPieces[T any](ctx context.Context, s Stepper, budget, chunkLen int64, m
 				return
 			}
 		}
-		halted = s.Halted()
 	}()
 	defer func() {
 		close(quit)
@@ -258,15 +229,16 @@ func stepPieces[T any](ctx context.Context, s Stepper, budget, chunkLen int64, m
 		if err := fn(p.start, p.buf, p.mark); err != nil {
 			return p.start + int64(len(p.buf)), false, err
 		}
+		free <- p.buf[:cap(p.buf)]
 	}
 	if stepErr != nil {
 		return stepped, false, stepErr
 	}
-	return stepped, halted, nil
+	return stepped, s.Halted(), nil
 }
 
-// stepPanic is a panic recovered on a stepping goroutine, with that
-// goroutine's stack, raised again on the caller's.
+// stepPanic is a panic recovered on ForEachChunk's stepping goroutine,
+// with that goroutine's stack, raised again on the caller's.
 type stepPanic struct {
 	val   any
 	stack []byte

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"strings"
 	"testing"
@@ -174,10 +175,10 @@ func goroutinesBackTo(want int) int {
 	}
 }
 
-// TestCollectCtxEndsItsGoroutine: CollectCtx leaves no goroutine behind
-// after a success, a stepping error or a cancellation, and a stepping
-// error names the failing entry.
-func TestCollectCtxEndsItsGoroutine(t *testing.T) {
+// TestCollectCtxLeavesNoGoroutine: CollectCtx leaves no goroutine
+// behind after a success, a stepping error or a cancellation, and a
+// stepping error names the failing entry.
+func TestCollectCtxLeavesNoGoroutine(t *testing.T) {
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
 	const failAt = 3*buildPollInterval + 17
@@ -263,10 +264,10 @@ func (s *panicStepper) Step(buf []Entry) (int, error) {
 	})
 }
 
-// TestSteppingPanicReachesCaller: a panic on the stepping goroutine of
-// either builder is raised again on the caller's goroutine, where a
-// recover can turn it into one failed job, with the stepping goroutine's
-// stack, and only once that goroutine has exited.
+// TestSteppingPanicReachesCaller: a stepper's panic under either
+// builder reaches a recover on the caller's goroutine, where it can turn
+// into one failed job, with the stepper's frames in the stack, and
+// ForEachChunk raises it only once its stepping goroutine has exited.
 func TestSteppingPanicReachesCaller(t *testing.T) {
 	const panicAt = 2*buildPollInterval + 5
 	for name, build := range map[string]func(Stepper){
@@ -276,15 +277,16 @@ func TestSteppingPanicReachesCaller(t *testing.T) {
 		},
 	} {
 		before := runtime.NumGoroutine()
+		var stack []byte
 		recovered := func() (r any) {
-			defer func() { r = recover() }()
+			defer func() { r, stack = recover(), debug.Stack() }()
 			build(&panicStepper{countStepper{haltAt: -1}, panicAt})
 			return nil
 		}()
 		msg := fmt.Sprint(recovered)
 		if recovered == nil || !strings.Contains(msg, fmt.Sprintf("stepper broke at %d", panicAt)) ||
-			!strings.Contains(msg, "panicStepper") {
-			t.Fatalf("%s: recovered %q, want the stepper's panic and its stack", name, msg)
+			!strings.Contains(msg+string(stack), "panicStepper") {
+			t.Fatalf("%s: recovered %q, want the stepper's panic and its frames", name, msg)
 		}
 		if n := goroutinesBackTo(before); n > before {
 			t.Fatalf("%s: %d goroutines after the panic, %d before", name, n, before)
